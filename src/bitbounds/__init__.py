@@ -50,7 +50,7 @@ from .estimators import (
     rts_steady_variance,
     simulate,
 )
-from .exceptions import ConvergenceError, NumericalDegeneracyError, QuadratureError
+from .exceptions import NumericalDegeneracyError, QuadratureError
 from .qfim import (
     DEFAULT_QUADRATURE,
     QuadratureRule,
@@ -79,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BimKind",
     "BimSequence",
-    "ConvergenceError",
     "DEFAULT_QUADRATURE",
     "FixedPointResult",
     "GaussMarkovModel",

@@ -17,9 +17,10 @@ Subcommands
     Analytic fixed-point oracles; exit code equals the number of failed
     checks (capped at 125).
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-non-convergence, 3 and above validation failures (3 + failures - 1 for
-``mse-validate``; the failure count itself for ``selftest``).
+Exit codes: 0 success, 1 usage or configuration error, 3 and above
+validation failures (2 + failures for ``mse-validate`` and ``selftest``,
+capped at 125). The steady-state solvers are closed forms, so no run fails
+to converge.
 
 Configs are INI files with sections [experiment], [model], [sweep],
 [quadrature], [mc], [output]; every key can be overridden by a
@@ -47,7 +48,6 @@ from .estimators import (
     monte_carlo_mse,
     rts_steady_variance,
 )
-from .exceptions import ConvergenceError
 from .qfim import QuadratureRule, QuadratureSpec, fq
 from .qfim import q_function as _default_q_function
 from .steady import (
@@ -165,11 +165,9 @@ class SweepRow:
     converged: bool
 
     def __post_init__(self):
-        if self.converged:
-            for name in self.__dataclass_fields__:
-                value = getattr(self, name)
-                if name != "converged" and not math.isfinite(value):
-                    raise ValueError(f"SweepRow field {name} must be finite when converged.")
+        for name in self.__dataclass_fields__:
+            if name != "converged" and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"SweepRow field {name} must be finite.")
 
     @classmethod
     def from_report(cls, report: SteadyStateReport) -> "SweepRow":
@@ -406,7 +404,6 @@ def _validate_table(path: Path, columns: tuple[str, ...]) -> None:
         raise _UsageError(f"{path}: missing config-hash header.")
     if lines[1] != f"# columns: {' '.join(columns)}":
         raise _UsageError(f"{path}: columns header does not match {columns}.")
-    conv_idx = columns.index("converged") if "converged" in columns else None
     previous = -math.inf
     for line in lines[2:]:
         cells = line.split()
@@ -416,9 +413,8 @@ def _validate_table(path: Path, columns: tuple[str, ...]) -> None:
         if not values[0] > previous:
             raise _UsageError(f"{path}: snr_db rows must be strictly increasing.")
         previous = values[0]
-        converged = True if conv_idx is None else bool(values[conv_idx])
-        if converged and not all(math.isfinite(v) for v in values):
-            raise _UsageError(f"{path}: non-finite value in converged row {line!r}.")
+        if not all(math.isfinite(v) for v in values):
+            raise _UsageError(f"{path}: non-finite value in row {line!r}.")
 
 
 def _snr_grid(config: ExperimentConfig) -> list[float]:
@@ -430,14 +426,7 @@ def _sweep(config: ExperimentConfig, alpha: float) -> list[SweepRow]:
     rows = []
     for snr_db in _snr_grid(config):
         model = model_for_snr(alpha, snr_db, config.sigma_eta)
-        try:
-            report = performance_ratios(model, config.quadrature)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"fixed point failed at alpha={alpha}, snr={snr_db} dB: {exc}",
-                last_iterates=exc.last_iterates,
-            ) from exc
-        rows.append(SweepRow.from_report(report))
+        rows.append(SweepRow.from_report(performance_ratios(model, config.quadrature)))
     return rows
 
 
@@ -712,30 +701,26 @@ def main(argv=None) -> int:
         else:
             config = default_config(args.experiment)
         config = _apply_overrides(config, args)
-        try:
-            if config.experiment == "fig1":
-                print(f"wrote {run_fig1(config)}")
-                return 0
-            if config.experiment == "fig2":
-                for path in run_fig2(config):
-                    print(f"wrote {path}")
-                return 0
-            if config.experiment == "ratios":
-                print(f"wrote {run_ratios(config)}")
-                return 0
-            if config.experiment == "mse-validate":
-                path, failures = run_mse_validate(config)
-                print(Path(path).read_text(), end="")
+        if config.experiment == "fig1":
+            print(f"wrote {run_fig1(config)}")
+            return 0
+        if config.experiment == "fig2":
+            for path in run_fig2(config):
                 print(f"wrote {path}")
-                return 0 if failures == 0 else min(2 + failures, 125)
-            text, failures = run_selftest()
-            print(text)
-            if config.output_path:
-                _write_atomic(Path(config.output_path), text + "\n")
+            return 0
+        if config.experiment == "ratios":
+            print(f"wrote {run_ratios(config)}")
+            return 0
+        if config.experiment == "mse-validate":
+            path, failures = run_mse_validate(config)
+            print(Path(path).read_text(), end="")
+            print(f"wrote {path}")
             return 0 if failures == 0 else min(2 + failures, 125)
-        except ConvergenceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        text, failures = run_selftest()
+        print(text)
+        if config.output_path:
+            _write_atomic(Path(config.output_path), text + "\n")
+        return 0 if failures == 0 else min(2 + failures, 125)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -381,50 +381,43 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
     return RtsResult(lag=lag, means=means_row, variances=var_row)
 
 
-def kalman_steady_variance(model: GaussMarkovModel, tolerance: float = 1e-14,
-                           max_iterations: int = 1_000_000) -> float:
+def kalman_steady_variance(model: GaussMarkovModel) -> float:
     """Steady-state posterior variance of the Kalman filter.
 
-    Iterates the Riccati variance recursion to its fixed point. Kept
-    independent of the information recursions so the two can be checked
+    The fixed point of the Riccati variance recursion
+    ``P <- (alpha^2 P + q) r / (alpha^2 P + q + r)``, with ``q = sigma_z^2``
+    and ``r = sigma_eta^2``: the positive root of
+    ``alpha^2 P^2 + B P - q r = 0``, ``B = q + r (1 - alpha^2)``, written as
+    ``2 q r / (B + sqrt(B^2 + 4 alpha^2 q r))``. Kept in covariance form,
+    independent of the information recursions, so the two can be checked
     against each other.
     """
+    q = model.sigma_z**2
     r = model.sigma_eta**2
-    p = model.sigma0**2
-    for _ in range(max_iterations):
-        p_pred = model.alpha**2 * p + model.sigma_z**2
-        updated = p_pred * r / (p_pred + r)
-        if abs(updated - p) <= tolerance * updated:
-            return updated
-        p = updated
-    raise NumericalDegeneracyError("Riccati iteration did not converge.")
+    b = q + r * (1.0 - model.alpha**2)
+    return 2.0 * q * r / (b + math.sqrt(b * b + 4.0 * model.alpha**2 * q * r))
 
 
-def rts_steady_variance(model: GaussMarkovModel, lag: int | None = None,
-                        tolerance: float = 1e-14,
-                        max_iterations: int = 1_000_000) -> float:
+def rts_steady_variance(model: GaussMarkovModel, lag: int | None = None) -> float:
     """Steady-state smoothed variance of the RTS smoother.
 
-    Starting from the steady filter variance, applies backward variance
-    steps with the steady gain: ``lag`` of them for a fixed-lag smoother,
-    or until convergence (``lag=None``) for the long-lag limit.
+    Starting from the steady filter variance ``P``, applies backward variance
+    steps ``V <- P + c^2 (V - P_pred)`` with the steady gain
+    ``c = alpha P / P_pred``: ``lag`` of them for a fixed-lag smoother. The
+    long-lag limit (``lag=None``) is their fixed point,
+    ``(P - c^2 P_pred) / (1 - c^2)``.
     """
-    p = kalman_steady_variance(model, tolerance, max_iterations)
+    p = kalman_steady_variance(model)
     p_pred = model.alpha**2 * p + model.sigma_z**2
     c = model.alpha * p / p_pred
+    if lag is None:
+        return (p - c**2 * p_pred) / (1.0 - c**2)
+    if lag < 0:
+        raise ValueError(f"lag must be nonnegative, got {lag}.")
     v = p
-    if lag is not None:
-        if lag < 0:
-            raise ValueError(f"lag must be nonnegative, got {lag}.")
-        for _ in range(lag):
-            v = p + c**2 * (v - p_pred)
-        return v
-    for _ in range(max_iterations):
-        updated = p + c**2 * (v - p_pred)
-        if abs(updated - v) <= tolerance * updated:
-            return updated
-        v = updated
-    raise NumericalDegeneracyError("smoothed-variance iteration did not converge.")
+    for _ in range(lag):
+        v = p + c**2 * (v - p_pred)
+    return v
 
 
 def _grid_axis(model: GaussMarkovModel, spec: GridSpec, horizon: int) -> np.ndarray:

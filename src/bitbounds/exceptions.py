@@ -22,14 +22,3 @@ class QuadratureError(ArithmeticError):
         super().__init__(message)
         self.node = node
 
-
-class ConvergenceError(ArithmeticError):
-    """A fixed-point iteration hit its iteration cap before converging.
-
-    The last two iterates are kept so callers can report how far the
-    iteration still was from its target.
-    """
-
-    def __init__(self, message: str, last_iterates: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.last_iterates = last_iterates

@@ -10,8 +10,9 @@ the steady expected measurement information ``f`` is known:
 
 with positive roots ``J = (B + sqrt(B^2 + 4C)) / 2`` and
 ``kappa = 2C / (B + sqrt(B^2 + 4C))``, so ``J + kappa = sqrt(B^2 + 4C)``.
-The solvers here iterate the plain recursions and use the closed forms as an
-independent consistency guard.
+The solvers here return these roots, which stay exact as ``alpha -> 1``,
+where the plain recursions contract too slowly to iterate. The iterations
+are kept only in the tests, as oracles on models where they converge.
 
 Performance ratios compare the two channels in decibels: ``rho_f`` and
 ``rho_sl`` are the one-bit information losses for filtering and long-lag
@@ -22,18 +23,14 @@ filtering (positive when smoothing more than repays the quantization loss).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .core import GaussMarkovModel, MeasurementChannel, StateMoments, stationary_variance
-from .exceptions import ConvergenceError, NumericalDegeneracyError
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fim
 
 __all__ = [
     "FixedPointResult",
     "SteadyStateReport",
-    "DEFAULT_TOLERANCE",
-    "DEFAULT_MAX_ITERATIONS",
     "steady_expected_fim",
     "quadratic_filter_root",
     "quadratic_gain_root",
@@ -45,15 +42,14 @@ __all__ = [
     "model_for_snr",
 ]
 
-DEFAULT_TOLERANCE = 1e-12
-DEFAULT_MAX_ITERATIONS = 1_000_000
-
-_CROSS_CHECK_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Converged fixed-point value with iteration accounting."""
+    """Fixed-point value with iteration accounting.
+
+    The solvers are closed forms, so ``iterations`` is 0 and ``converged``
+    is True; both fields stay for callers that report them.
+    """
 
     value: float
     iterations: int
@@ -90,9 +86,9 @@ class SteadyStateReport:
         ``10 log10(j_smooth_q / j_filter_unq)``.
     iterations_used : tuple of int
         Solver iterations, ordered (filter unquantized, filter one-bit,
-        gain unquantized, gain one-bit).
+        gain unquantized, gain one-bit); all 0 for the closed forms.
     converged : tuple of bool
-        Convergence flags in the same order.
+        Convergence flags in the same order; all True.
     """
 
     snr_db: float
@@ -160,49 +156,14 @@ def quadratic_gain_root(model: GaussMarkovModel, fim: float) -> float:
     return 2.0 * c / (b + math.sqrt(b * b + 4.0 * c))
 
 
-def _iterate(step, derivative, start: float, tolerance: float, max_iterations: int,
-             label: str) -> FixedPointResult:
-    # The maps contract with a factor that approaches 1 at low SNR, so a raw
-    # step-size test would stop far from the fixed point. Bound the remaining
-    # distance as delta * rate / (1 - rate) with the analytic contraction
-    # rate at the current iterate (step ratios are too noisy near machine
-    # granularity), and accept once progress falls below that granularity.
-    eps_floor = 2.0 * sys.float_info.epsilon
-    current = start
-    for iteration in range(1, max_iterations + 1):
-        updated = step(current)
-        delta = abs(updated - current)
-        scale = max(abs(updated), 1e-300)
-        if delta <= eps_floor * scale:
-            return FixedPointResult(value=updated, iterations=iteration, converged=True)
-        rate = derivative(updated)
-        if rate < 1.0 and delta * rate / (1.0 - rate) <= tolerance * scale:
-            return FixedPointResult(value=updated, iterations=iteration, converged=True)
-        current = updated
-    raise ConvergenceError(
-        f"{label} fixed point did not converge within {max_iterations} iterations.",
-        last_iterates=(current, step(current)),
-    )
-
-
-def _cross_check(value: float, root: float, label: str) -> None:
-    if not math.isclose(value, root, rel_tol=_CROSS_CHECK_RTOL):
-        raise NumericalDegeneracyError(
-            f"{label} fixed point {value!r} disagrees with closed-form root {root!r}."
-        )
-
-
 def steady_filter_bim(model: GaussMarkovModel, channel: MeasurementChannel,
-                      spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                      tolerance: float = DEFAULT_TOLERANCE,
-                      max_iterations: int = DEFAULT_MAX_ITERATIONS) -> FixedPointResult:
-    """Steady-state filtering information by fixed-point iteration.
+                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FixedPointResult:
+    """Steady-state filtering information.
 
-    Iterates ``J <- s + f - alpha^2 s^2 / (J + alpha^2 s)``, evaluated in
-    the equivalent form ``f + s J / (J + alpha^2 s)`` that avoids the
-    catastrophic cancellation of the literal form when ``s`` dwarfs the
-    fixed point, then verifies the result against the closed-form
-    quadratic root.
+    The fixed point of ``J <- s + f - alpha^2 s^2 / (J + alpha^2 s)``,
+    returned as the positive root of the filtering quadratic
+    (:func:`quadratic_filter_root`): exact for every ``|alpha| <= 1``,
+    however slowly the map contracts.
 
     Parameters
     ----------
@@ -211,61 +172,28 @@ def steady_filter_bim(model: GaussMarkovModel, channel: MeasurementChannel,
         channel also accepts ``|alpha| = 1``.
     channel : MeasurementChannel
     spec : QuadratureSpec, optional
-    tolerance : float, optional
-        Relative convergence tolerance between successive iterates.
-    max_iterations : int, optional
 
     Returns
     -------
     FixedPointResult
-
-    Raises
-    ------
-    ConvergenceError
-        If the iteration cap is hit; carries the last two iterates.
+        With ``iterations = 0`` and ``converged = True``.
     """
     fim = steady_expected_fim(model, channel, spec)
-    s = 1.0 / model.sigma_z**2
-    a2s = model.alpha**2 * s
-
-    def step(j: float) -> float:
-        return fim + s * j / (j + a2s) if a2s else s + fim
-
-    def rate(j: float) -> float:
-        return s * a2s / (j + a2s) ** 2 if a2s else 0.0
-
-    result = _iterate(step, rate, s + fim, tolerance, max_iterations, "filtering")
-    _cross_check(result.value, quadratic_filter_root(model, fim), "filtering")
-    return result
+    return FixedPointResult(quadratic_filter_root(model, fim), iterations=0, converged=True)
 
 
 def steady_smoothing_gain(model: GaussMarkovModel, channel: MeasurementChannel,
-                          spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                          tolerance: float = DEFAULT_TOLERANCE,
-                          max_iterations: int = DEFAULT_MAX_ITERATIONS) -> FixedPointResult:
-    """Steady-state smoothing gain by fixed-point iteration.
+                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FixedPointResult:
+    """Steady-state smoothing gain.
 
-    Iterates ``kappa <- alpha^2 s - alpha^2 s^2 / (s + f + kappa)`` from 0,
-    evaluated in the cancellation-free form
-    ``alpha^2 s (f + kappa) / (s + f + kappa)``, then verifies against the
-    closed-form quadratic root. The value is the information a long-lag
-    smoother adds on top of the steady filter.
-
-    Parameters and errors match :func:`steady_filter_bim`.
+    The fixed point of ``kappa <- alpha^2 s - alpha^2 s^2 / (s + f + kappa)``,
+    returned as the positive root of the gain quadratic
+    (:func:`quadratic_gain_root`). The value is the information a long-lag
+    smoother adds on top of the steady filter. Parameters and result match
+    :func:`steady_filter_bim`.
     """
     fim = steady_expected_fim(model, channel, spec)
-    s = 1.0 / model.sigma_z**2
-    a2s = model.alpha**2 * s
-
-    def step(kappa: float) -> float:
-        return a2s * (fim + kappa) / (s + fim + kappa)
-
-    def rate(kappa: float) -> float:
-        return a2s * s / (s + fim + kappa) ** 2
-
-    result = _iterate(step, rate, 0.0, tolerance, max_iterations, "smoothing gain")
-    _cross_check(result.value, quadratic_gain_root(model, fim), "smoothing gain")
-    return result
+    return FixedPointResult(quadratic_gain_root(model, fim), iterations=0, converged=True)
 
 
 def steady_lag_gain(model: GaussMarkovModel, channel: MeasurementChannel, lag: int,
@@ -289,17 +217,15 @@ def steady_lag_gain(model: GaussMarkovModel, channel: MeasurementChannel, lag: i
 
 
 def performance_ratios(model: GaussMarkovModel,
-                       spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                       tolerance: float = DEFAULT_TOLERANCE,
-                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> SteadyStateReport:
+                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> SteadyStateReport:
     """Steady informations for both channels and the three dB ratios.
 
     Parameters
     ----------
     model : GaussMarkovModel
         Must be stationary (``|alpha| < 1``).
-    spec, tolerance, max_iterations
-        Passed through to the fixed-point solvers.
+    spec : QuadratureSpec, optional
+        Quadrature for the one-bit expected information.
 
     Returns
     -------
@@ -308,25 +234,26 @@ def performance_ratios(model: GaussMarkovModel,
     if not model.is_stationary:
         raise ValueError(f"performance_ratios requires |alpha| < 1, got alpha = {model.alpha}.")
     snr_db = 10.0 * math.log10(stationary_variance(model) / model.sigma_eta**2)
-    f_unq = steady_filter_bim(model, MeasurementChannel.UNQUANTIZED, spec, tolerance, max_iterations)
-    f_q = steady_filter_bim(model, MeasurementChannel.ONE_BIT, spec, tolerance, max_iterations)
-    g_unq = steady_smoothing_gain(model, MeasurementChannel.UNQUANTIZED, spec, tolerance, max_iterations)
-    g_q = steady_smoothing_gain(model, MeasurementChannel.ONE_BIT, spec, tolerance, max_iterations)
-    smooth_unq = f_unq.value + g_unq.value
-    smooth_q = f_q.value + g_q.value
+    roots = []
+    for channel in (MeasurementChannel.UNQUANTIZED, MeasurementChannel.ONE_BIT):
+        fim = steady_expected_fim(model, channel, spec)
+        roots.append((quadratic_filter_root(model, fim), quadratic_gain_root(model, fim)))
+    (f_unq, g_unq), (f_q, g_q) = roots
+    smooth_unq = f_unq + g_unq
+    smooth_q = f_q + g_q
     return SteadyStateReport(
         snr_db=snr_db,
-        j_filter_unq=f_unq.value,
-        j_filter_q=f_q.value,
-        kappa_unq=g_unq.value,
-        kappa_q=g_q.value,
+        j_filter_unq=f_unq,
+        j_filter_q=f_q,
+        kappa_unq=g_unq,
+        kappa_q=g_q,
         j_smooth_unq=smooth_unq,
         j_smooth_q=smooth_q,
-        rho_f_db=10.0 * math.log10(f_q.value / f_unq.value),
+        rho_f_db=10.0 * math.log10(f_q / f_unq),
         rho_sl_db=10.0 * math.log10(smooth_q / smooth_unq),
-        rho_s_db=10.0 * math.log10(smooth_q / f_unq.value),
-        iterations_used=(f_unq.iterations, f_q.iterations, g_unq.iterations, g_q.iterations),
-        converged=(f_unq.converged, f_q.converged, g_unq.converged, g_q.converged),
+        rho_s_db=10.0 * math.log10(smooth_q / f_unq),
+        iterations_used=(0, 0, 0, 0),
+        converged=(True, True, True, True),
     )
 
 

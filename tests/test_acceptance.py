@@ -9,10 +9,12 @@ Criteria 1 and 3 carry the paper's low-SNR anchor: the one-bit losses
 stationary state variance over ``sigma_eta^2``, the steady quadratics give
 ``J -> sqrt(s f)`` only when ``(1 - alpha^2) << (2/pi) * SNR``. At -40 dB and
 ``ALPHA_NEAR_ONE`` the two sides are 2e-5 and 6.4e-5, so the limit is not yet
-reached there. The criteria therefore read the -0.98 +/- 0.05 dB anchor from
-the closed-form roots at ``alpha = 1 - 1e-9`` and check that the distance to
-the limit shrinks along the alpha ladder. At ``ALPHA_NEAR_ONE`` they check that
-the solver agrees with the same closed form. Criterion 1 also checks that the
+reached there. The criteria therefore read the -0.98 +/- 0.05 dB anchor at
+``ALPHA_ANCHOR = 1 - 1e-9``, both from the closed-form roots and from the
+-40 dB row of a CLI run (fig1 for ``rho_sl``, fig2 for ``rho_f``), and check
+that the distance to the limit shrinks along the alpha ladder. At
+``ALPHA_NEAR_ONE`` they check that the solver agrees with the same closed
+form. Criterion 1 also checks that the
 fig1 smoothing-loss curve falls strictly: the one-bit loss deepens as SNR
 grows.
 """
@@ -41,7 +43,8 @@ from bitbounds import (
 from bitbounds.cli import default_config, format_value, run_fig1, run_fig2, run_selftest
 
 ALPHA_NEAR_ONE = 1.0 - 1e-5
-ALPHA_LADDER = (ALPHA_NEAR_ONE, 1.0 - 1e-7, 1.0 - 1e-9)
+ALPHA_ANCHOR = 1.0 - 1e-9
+ALPHA_LADDER = (ALPHA_NEAR_ONE, 1.0 - 1e-7, ALPHA_ANCHOR)
 LOW_SNR_LIMIT_DB = 5.0 * math.log10(2.0 / math.pi)
 
 
@@ -91,15 +94,22 @@ def test_criterion_1_smoothing_loss_curve(tmp_path, acceptance_report):
     table_cf = format_value(_closed_form_losses(config.alphas[0], -40.0)[1])
     table_ok = format_value(rho_sl[0]) == table_cf
     anchor_ok = abs(ladder[-1] - (-0.98)) <= 0.05
+    anchor_run = replace(config, alphas=(ALPHA_ANCHOR,),
+                         output_path=str(tmp_path / "fig1_anchor.txt"))
+    anchor_snr, anchor_rho_sl = _load_curve(run_fig1(anchor_run))
+    assert anchor_snr[0] == -40.0
+    run_anchor_ok = abs(anchor_rho_sl[0] - (-0.98)) <= 0.05
     ladder_ok = _approaches_limit(ladder)
     falling_ok = all(b < a for a, b in zip(rho_sl, rho_sl[1:]))
     time_ok = elapsed < 60.0
     _record(
         acceptance_report, 1, "smoothing-loss curve",
-        table_ok and anchor_ok and ladder_ok and falling_ok and time_ok,
+        table_ok and anchor_ok and run_anchor_ok and ladder_ok and falling_ok and time_ok,
         f"rho_sl(-40 dB) = {rho_sl[0]:+.9f} dB vs closed form {table_cf} [{table_ok}], "
         f"closed-form rho_sl(-40 dB, alpha=1-1e-9) = {ladder[-1]:+.4f} dB vs -0.98 +/- 0.05 "
-        f"[{'ok' if anchor_ok else 'out'}], distance to 5 log10(2/pi) shrinks over "
+        f"[{'ok' if anchor_ok else 'out'}], fig1 run at alpha=1-1e-9: rho_sl(-40 dB) = "
+        f"{anchor_rho_sl[0]:+.4f} dB vs -0.98 +/- 0.05 [{'ok' if run_anchor_ok else 'out'}], "
+        f"distance to 5 log10(2/pi) shrinks over "
         f"alpha 1-1e-5/1e-7/1e-9 [{ladder_ok}], strictly decreasing over [-40, 10] dB "
         f"[{falling_ok}], runtime {elapsed:.1f}s < 60s [{time_ok}]",
     )
@@ -131,12 +141,19 @@ def test_criterion_2_smoothing_vs_ideal_filtering(tmp_path, acceptance_report):
     )
 
 
-def test_criterion_3_low_snr_filtering_loss(acceptance_report):
+def test_criterion_3_low_snr_filtering_loss(tmp_path, acceptance_report):
     model = model_for_snr(ALPHA_NEAR_ONE, -40.0)
     report = performance_ratios(model)
     ladder = [_closed_form_losses(alpha, -40.0)[0] for alpha in ALPHA_LADDER]
     solver_ok = abs(report.rho_f_db - ladder[0]) <= 1e-9
     anchor_ok = abs(ladder[-1] - (-0.98)) <= 0.05
+    anchor_run = replace(default_config("fig2"), alphas=(ALPHA_ANCHOR,),
+                         output_path=str(tmp_path / "fig2_anchor"))
+    run_fig2(anchor_run)
+    anchor_snr, anchor_rho_f = _load_curve(
+        tmp_path / "fig2_anchor" / f"rho_f_alpha_{ALPHA_ANCHOR!r}.txt")
+    assert anchor_snr[0] == -40.0
+    run_anchor_ok = abs(anchor_rho_f[0] - (-0.98)) <= 0.05
     ladder_ok = _approaches_limit(ladder)
     f_q = steady_expected_fim(model, MeasurementChannel.ONE_BIT)
     f_unq = steady_expected_fim(model, MeasurementChannel.UNQUANTIZED)
@@ -144,10 +161,12 @@ def test_criterion_3_low_snr_filtering_loss(acceptance_report):
     ratio_ok = abs(ratio / (2.0 / math.pi) - 1.0) <= 0.005
     _record(
         acceptance_report, 3, "low-SNR filtering loss",
-        solver_ok and anchor_ok and ladder_ok and ratio_ok,
+        solver_ok and anchor_ok and run_anchor_ok and ladder_ok and ratio_ok,
         f"rho_f(-40 dB) = {report.rho_f_db:+.9f} dB vs closed form {ladder[0]:+.9f} "
         f"to 1e-9 [{solver_ok}], closed-form rho_f(-40 dB, alpha=1-1e-9) = "
         f"{ladder[-1]:+.4f} dB vs -0.98 +/- 0.05 [{'ok' if anchor_ok else 'out'}], "
+        f"fig2 run at alpha=1-1e-9: rho_f(-40 dB) = {anchor_rho_f[0]:+.4f} dB vs "
+        f"-0.98 +/- 0.05 [{'ok' if run_anchor_ok else 'out'}], "
         f"distance to 5 log10(2/pi) shrinks over alpha 1-1e-5/1e-7/1e-9 [{ladder_ok}], "
         f"per-sample information ratio {ratio:.6f} vs 2/pi within 0.5% [{ratio_ok}]",
     )

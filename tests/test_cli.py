@@ -229,8 +229,7 @@ class TestSelftest:
         assert "PASS" in capsys.readouterr().out
 
     def test_cli_maps_failures_to_exit_codes_above_2(self, monkeypatch, capsys):
-        # Validation failures must not collide with the usage (1) and
-        # non-convergence (2) codes.
+        # Validation failures start at 3, clear of the usage code (1).
         import bitbounds.cli as cli_module
         monkeypatch.setattr(cli_module, "run_selftest", lambda: ("FAIL boom", 4))
         assert main(["selftest"]) == 6
@@ -248,13 +247,18 @@ class TestExitCodes:
         assert main(["unknown-experiment"]) == 1
         capsys.readouterr()
 
-    def test_convergence_failure_returns_2(self, tmp_path, capsys):
-        # alpha this close to 1 contracts too slowly for the iteration cap.
+    def test_stiff_alpha_exits_0_at_the_anchor(self, tmp_path, capsys):
+        # alpha this close to 1 contracts too slowly to iterate; the closed
+        # form reaches the -0.98 dB low-SNR limit here.
+        out = tmp_path / "x.txt"
         code = main(["fig1", "--alpha", "0.999999999", "--snr-min-db", "-40",
                      "--snr-max-db", "-39.5", "--snr-step-db", "0.5",
-                     "--out", str(tmp_path / "x.txt")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+                     "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        snr, rho_sl = out.read_text().splitlines()[2].split()
+        assert float(snr) == -40.0
+        assert abs(float(rho_sl) - (-0.98)) <= 0.05
 
     def test_mse_validate_passes_on_small_run(self, tmp_path, capsys):
         out = tmp_path / "mse.txt"

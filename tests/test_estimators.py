@@ -31,8 +31,44 @@ from bitbounds import (
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+# (alpha, snr_db) where the oracle iterations below converge within their cap,
+# up to the stiff corner alpha = 1 - 1e-5 at -40 dB.
+ITERABLE_MODELS = ((0.0, 0.0), (0.5, 10.0), (0.9, -5.0), (0.95, -5.0),
+                   (0.999, -10.0), (0.999, 10.0), (1.0 - 1e-5, -40.0))
+
+
+_TOLERANCE, _MAX_ITERATIONS = 1e-14, 1_000_000
+
+
 def _model() -> GaussMarkovModel:
     return GaussMarkovModel(alpha=0.9, sigma_z=0.5, sigma_eta=1.0, sigma0=1.0)
+
+
+def _iterated_riccati(model: GaussMarkovModel) -> float:
+    """Steady Kalman variance by iterating the Riccati recursion from sigma0^2."""
+    r = model.sigma_eta**2
+    p = model.sigma0**2
+    for _ in range(_MAX_ITERATIONS):
+        p_pred = model.alpha**2 * p + model.sigma_z**2
+        updated = p_pred * r / (p_pred + r)
+        if abs(updated - p) <= _TOLERANCE * updated:
+            return updated
+        p = updated
+    raise AssertionError("Riccati iteration did not converge.")
+
+
+def _iterated_rts(model: GaussMarkovModel) -> float:
+    """Long-lag RTS variance by iterating the backward variance step from the filter."""
+    p = _iterated_riccati(model)
+    p_pred = model.alpha**2 * p + model.sigma_z**2
+    c = model.alpha * p / p_pred
+    v = p
+    for _ in range(_MAX_ITERATIONS):
+        updated = p + c**2 * (v - p_pred)
+        if abs(updated - v) <= _TOLERANCE * updated:
+            return updated
+        v = updated
+    raise AssertionError("smoothed-variance iteration did not converge.")
 
 
 class TestSimulate:
@@ -88,7 +124,13 @@ class TestKalmanFilter:
 
     def test_steady_variance_hits_golden_ratio(self):
         m = GaussMarkovModel(alpha=1.0, sigma_z=1.0, sigma_eta=1.0, sigma0=1.0)
-        assert_allclose(kalman_steady_variance(m) * GOLDEN, 1.0, rtol=1e-9)
+        assert_allclose(kalman_steady_variance(m) * GOLDEN, 1.0, rtol=1e-15)
+        assert_allclose(_iterated_riccati(m) * GOLDEN, 1.0, rtol=1e-9)
+
+    @pytest.mark.parametrize("alpha,snr_db", ITERABLE_MODELS)
+    def test_steady_variance_matches_riccati_iteration(self, alpha, snr_db):
+        m = model_for_snr(alpha, snr_db)
+        assert_allclose(kalman_steady_variance(m), _iterated_riccati(m), rtol=1e-9)
 
     def test_rejects_one_bit_batch(self):
         batch = simulate(_model(), MeasurementChannel.ONE_BIT, 5, 2, 10)
@@ -149,6 +191,13 @@ class TestRtsSmoother:
         kappa = quadratic_gain_root(m, f)
         assert_allclose(rts_steady_variance(m) * (j + kappa), 1.0, rtol=1e-6)
         assert_allclose(rts_steady_variance(m, lag=0), kalman_steady_variance(m), rtol=1e-12)
+
+    @pytest.mark.parametrize("alpha,snr_db", ITERABLE_MODELS)
+    def test_steady_variance_matches_backward_iteration(self, alpha, snr_db):
+        m = model_for_snr(alpha, snr_db)
+        assert_allclose(rts_steady_variance(m), _iterated_rts(m), rtol=1e-9)
+        long_lag = rts_steady_variance(m, lag=100)
+        assert rts_steady_variance(m) <= long_lag <= kalman_steady_variance(m)
 
 
 class TestGridFilter:

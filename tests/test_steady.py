@@ -2,15 +2,17 @@
 
 Ratio oracles were computed independently with 50-digit arithmetic from
 the closed-form quadratic roots and adaptive quadrature of the one-bit
-information against the stationary marginal.
+information against the stationary marginal. The plain fixed-point
+iterations of the filter and gain maps live here as a second oracle for the
+closed-form solvers, on models where they converge.
 """
 import math
+import sys
 
 import pytest
 from numpy.testing import assert_allclose
 
 from bitbounds import (
-    ConvergenceError,
     GaussMarkovModel,
     MeasurementChannel,
     model_for_snr,
@@ -44,8 +46,61 @@ RHO_S_BY_ALPHA = {
 }
 
 
+# The 12 points where alpha -> 1 contracts the maps too slowly to iterate.
+STIFF_ALPHAS = (1.0 - 1e-7, 1.0 - 1e-9)
+STIFF_SNRS_DB = (-40.0, -30.0, -20.0, -10.0, 0.0, 10.0)
+
+# (alpha, snr_db) where the oracle iteration converges quickly; the stiff
+# corner alpha = 1 - 1e-5 at -40 dB has its own test.
+ITERABLE_MODELS = ((0.0, 0.0), (0.5, 10.0), (0.9, -5.0), (0.999, -10.0),
+                   (0.999, 10.0), (0.99999, -15.0))
+
+
 def _golden_model() -> GaussMarkovModel:
     return GaussMarkovModel(alpha=1.0, sigma_z=1.0, sigma_eta=1.0, sigma0=1.0)
+
+
+def _iterate(step, rate, start: float, tolerance: float = 1e-12,
+             max_iterations: int = 1_000_000) -> tuple[float, int]:
+    """Fixed point of ``step`` and the iterations it took.
+
+    The maps contract with a factor that approaches 1 at low SNR, so a raw
+    step-size test would stop far from the fixed point. The remaining
+    distance is bounded by ``delta * rate / (1 - rate)`` with the analytic
+    contraction rate at the current iterate; the loop stops once that bound,
+    or the step itself, falls to machine granularity.
+    """
+    eps_floor = 2.0 * sys.float_info.epsilon
+    current = start
+    for iteration in range(1, max_iterations + 1):
+        updated = step(current)
+        delta = abs(updated - current)
+        scale = max(abs(updated), 1e-300)
+        if delta <= eps_floor * scale:
+            return updated, iteration
+        r = rate(updated)
+        if r < 1.0 and delta * r / (1.0 - r) <= tolerance * scale:
+            return updated, iteration
+        current = updated
+    raise AssertionError(f"oracle iteration did not converge in {max_iterations} steps")
+
+
+def _iterated_filter(model: GaussMarkovModel, fim: float) -> tuple[float, int]:
+    """Iterates ``J <- f + s J / (J + alpha^2 s)`` from ``s + f``."""
+    s = 1.0 / model.sigma_z**2
+    a2s = model.alpha**2 * s
+    if not a2s:
+        return s + fim, 1
+    return _iterate(lambda j: fim + s * j / (j + a2s),
+                    lambda j: s * a2s / (j + a2s) ** 2, s + fim)
+
+
+def _iterated_gain(model: GaussMarkovModel, fim: float) -> tuple[float, int]:
+    """Iterates ``kappa <- alpha^2 s (f + kappa) / (s + f + kappa)`` from 0."""
+    s = 1.0 / model.sigma_z**2
+    a2s = model.alpha**2 * s
+    return _iterate(lambda k: a2s * (fim + k) / (s + fim + k),
+                    lambda k: a2s * s / (s + fim + k) ** 2, 0.0)
 
 
 class TestQuadraticRoots:
@@ -80,35 +135,44 @@ class TestQuadraticRoots:
 
 class TestFixedPointSolvers:
     def test_filter_iteration_reaches_golden_ratio(self):
-        res = steady_filter_bim(_golden_model(), MeasurementChannel.UNQUANTIZED)
-        assert res.converged
-        assert_allclose(res.value, GOLDEN, rtol=1e-11)
+        m = _golden_model()
+        res = steady_filter_bim(m, MeasurementChannel.UNQUANTIZED)
+        assert res.converged and res.iterations == 0
+        assert_allclose(res.value, GOLDEN, rtol=1e-15)
+        assert_allclose(_iterated_filter(m, 1.0)[0], GOLDEN, rtol=1e-11)
 
     def test_gain_iteration_reaches_golden_ratio_conjugate(self):
-        res = steady_smoothing_gain(_golden_model(), MeasurementChannel.UNQUANTIZED)
-        assert res.converged
-        assert_allclose(res.value, GOLDEN - 1.0, rtol=1e-11)
+        m = _golden_model()
+        res = steady_smoothing_gain(m, MeasurementChannel.UNQUANTIZED)
+        assert res.converged and res.iterations == 0
+        assert_allclose(res.value, GOLDEN - 1.0, rtol=1e-15)
+        assert_allclose(_iterated_gain(m, 1.0)[0], GOLDEN - 1.0, rtol=1e-11)
+
+    @pytest.mark.parametrize("alpha,snr_db", ITERABLE_MODELS)
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_solvers_match_iteration_oracle(self, alpha, snr_db, channel):
+        m = model_for_snr(alpha, snr_db)
+        f = steady_expected_fim(m, channel)
+        assert_allclose(steady_filter_bim(m, channel).value, _iterated_filter(m, f)[0],
+                        rtol=1e-10)
+        assert_allclose(steady_smoothing_gain(m, channel).value, _iterated_gain(m, f)[0],
+                        rtol=1e-10)
 
     def test_iterate_agrees_with_root_in_the_stiff_corner(self):
         # alpha -> 1 at very low SNR contracts at 1 - O(1e-4) per step; the
-        # solver must still land within 1e-10 of the closed form.
+        # oracle iteration still lands within 1e-10 of the closed form.
         m = model_for_snr(1.0 - 1e-5, -40.0)
-        f = steady_expected_fim(m, MeasurementChannel.UNQUANTIZED)
-        res = steady_filter_bim(m, MeasurementChannel.UNQUANTIZED)
-        assert_allclose(res.value, quadratic_filter_root(m, f), rtol=1e-10)
-        assert res.iterations < 1_000_000
+        for channel in MeasurementChannel:
+            f = steady_expected_fim(m, channel)
+            value, iterations = _iterated_filter(m, f)
+            assert iterations > 10_000
+            assert_allclose(steady_filter_bim(m, channel).value, value, rtol=1e-10)
+            assert_allclose(steady_smoothing_gain(m, channel).value, _iterated_gain(m, f)[0],
+                            rtol=1e-10)
 
     def test_one_bit_requires_stationary_model(self):
         with pytest.raises(ValueError):
             steady_filter_bim(_golden_model(), MeasurementChannel.ONE_BIT)
-
-    def test_iteration_cap_raises_with_last_iterates(self):
-        m = model_for_snr(0.999, -10.0)
-        with pytest.raises(ConvergenceError) as excinfo:
-            steady_filter_bim(m, MeasurementChannel.UNQUANTIZED, max_iterations=3)
-        last = excinfo.value.last_iterates
-        assert len(last) == 2
-        assert all(math.isfinite(v) for v in last)
 
     def test_zero_alpha_converges_immediately(self):
         m = GaussMarkovModel(alpha=0.0, sigma_z=0.5, sigma_eta=1.0, sigma0=1.0)
@@ -162,8 +226,8 @@ class TestPerformanceRatios:
                         rtol=1e-12)
         assert_allclose(report.j_smooth_q, report.j_filter_q + report.kappa_q,
                         rtol=1e-12)
-        assert all(report.converged)
-        assert len(report.iterations_used) == 4
+        assert report.converged == (True, True, True, True)
+        assert report.iterations_used == (0, 0, 0, 0)
 
     def test_smoothing_advantage_grows_with_alpha(self):
         values = [performance_ratios(model_for_snr(a, -30.0)).rho_s_db
@@ -176,8 +240,18 @@ class TestPerformanceRatios:
         with pytest.raises(ValueError):
             performance_ratios(_golden_model())
 
+    @pytest.mark.parametrize("alpha", STIFF_ALPHAS)
+    @pytest.mark.parametrize("snr_db", STIFF_SNRS_DB)
+    def test_stiff_points_are_finite_and_ordered(self, alpha, snr_db):
+        report = performance_ratios(model_for_snr(alpha, snr_db))
+        ratios = (report.rho_f_db, report.rho_sl_db, report.rho_s_db)
+        assert all(math.isfinite(v) for v in ratios)
+        assert report.rho_f_db <= 0.0 and report.rho_sl_db <= 0.0
+        assert report.rho_s_db >= report.rho_f_db
+
     def test_near_unit_alpha_low_snr_approaches_asymptote(self):
-        # Closed forms only: the plain iteration would exceed its cap here.
+        # The roots by hand, as the solver takes them: the plain iteration
+        # would not converge here.
         m = model_for_snr(1.0 - 1e-9, -40.0)
         f_unq = steady_expected_fim(m, MeasurementChannel.UNQUANTIZED)
         f_q = steady_expected_fim(m, MeasurementChannel.ONE_BIT)
