@@ -7,15 +7,13 @@ one-block recursion. Its inverse lower-bounds the mean square error of
 any estimator. This script runs the three recursions on one model and
 reads the resulting bounds.
 """
-import numpy as np
-
 from bitbounds import (
     GaussMarkovModel,
     MeasurementChannel,
     filter_bim_sequence,
     per_block_fims,
     predict_bim,
-    smooth_bim_backward,
+    smooth_bim_compact,
     smoothing_gain,
 )
 
@@ -30,7 +28,7 @@ one_bit = filter_bim_sequence(model, MeasurementChannel.ONE_BIT, horizon)
 print("filtering bound (MSE floor) per block")
 print(f"{'k':>3} {'ideal':>12} {'one-bit':>12}")
 for k in (0, 1, 2, 4, 8, 12):
-    print(f"{k:3d} {ideal.bounds()[k, 0, 0]:12.6f} {one_bit.bounds()[k, 0, 0]:12.6f}")
+    print(f"{k:3d} {ideal.variances[k]:12.6f} {one_bit.variances[k]:12.6f}")
 
 # Prediction starts from the last filtering information and loses
 # information every unmeasured block, decaying to (1 - alpha^2) /
@@ -40,26 +38,26 @@ limit = (1.0 - model.alpha**2) / model.sigma_z**2
 print("\nprediction information, steps ahead of the last measurement")
 print(f"{'steps':>6} {'J':>12}")
 for step in (0, 1, 5, 30):
-    print(f"{step:6d} {predicted.values[step, 0, 0]:12.6f}")
+    print(f"{step:6d} {predicted.values[step]:12.6f}")
 print(f"stationary-marginal limit = {limit:.6f}")
 
-# Smoothing conditions each block on the whole batch. The backward
-# recursion never loses information, and the gain J_{l|K} - J_{l|l} is
-# zero at the final block and largest deep in the interior.
-smoothed = smooth_bim_backward(model, one_bit)
+# Smoothing conditions each block on the whole batch. The smoothed
+# information is the filtered information plus a gain J_{l|K} - J_{l|l}
+# with its own backward recursion; the gain is never negative, zero at the
+# final block and largest deep in the interior.
 fims = per_block_fims(model, MeasurementChannel.ONE_BIT, horizon)
 gains = smoothing_gain(model, fims, anchor=horizon)
+smoothed = smooth_bim_compact(model, MeasurementChannel.ONE_BIT, horizon)
 print("\none-bit smoothing vs filtering")
-print(f"{'l':>3} {'J_l|l':>12} {'J_l|K':>12} {'gain':>12}")
+print(f"{'l':>3} {'J_l|l':>12} {'gain':>12} {'J_l|K':>12}")
 for l in (0, 4, 8, 11, 12):
-    print(f"{l:3d} {one_bit.values[l, 0, 0]:12.6f} "
-          f"{smoothed.values[l, 0, 0]:12.6f} {gains[l, 0, 0]:12.6f}")
+    print(f"{l:3d} {one_bit.values[l]:12.6f} {gains[l]:12.6f} {smoothed.values[l]:12.6f}")
 
 # A useful identity to remember: with alpha = sigma_z = sigma_eta =
 # sigma0 = 1 the ideal filtering information walks through ratios of
 # consecutive Fibonacci numbers and converges to the golden ratio.
 unit = GaussMarkovModel(alpha=1.0, sigma_z=1.0, sigma_eta=1.0, sigma0=1.0)
 seq = filter_bim_sequence(unit, MeasurementChannel.UNQUANTIZED, 6)
-ratios = [f"{seq.values[k, 0, 0]:.6f}" for k in range(7)]
+ratios = [f"{value:.6f}" for value in seq.values]
 print("\nunit random walk, ideal channel:", " ".join(ratios))
 print("golden ratio:                    1.618034")

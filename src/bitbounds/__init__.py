@@ -2,7 +2,7 @@
 
 A scalar state ``theta_k = alpha * theta_{k-1} + z_k`` is observed either
 directly in Gaussian noise or through a single-bit quantizer. This package
-computes the recursive Bayesian information matrices whose inverses bound the
+computes the recursive Bayesian informations whose inverses bound the
 mean square error of filtering, prediction, and smoothing under both
 channels; their steady-state fixed points and the dB performance ratios
 between the channels; and reference estimators (Kalman/RTS, point-mass grid)
@@ -14,11 +14,8 @@ from .bim import (
     BimKind,
     BimSequence,
     filter_bim_sequence,
-    filter_bim_step,
     per_block_fims,
     predict_bim,
-    predict_bim_step,
-    smooth_bim_backward,
     smooth_bim_compact,
     smoothing_gain,
 )
@@ -26,11 +23,10 @@ from .core import (
     GaussMarkovModel,
     MeasurementChannel,
     StateMoments,
-    TransitionInfo,
-    prior_bim,
+    forward_info_step,
+    gain_step,
     state_moments,
     stationary_variance,
-    transition_info,
 )
 from .estimators import (
     GridFilterResult,
@@ -96,13 +92,13 @@ __all__ = [
     "StateMoments",
     "SteadyStateReport",
     "TrajectoryBatch",
-    "TransitionInfo",
     "burn_in_blocks",
     "expected_fim",
     "expected_fq",
     "filter_bim_sequence",
-    "filter_bim_step",
+    "forward_info_step",
     "fq",
+    "gain_step",
     "grid_filter",
     "grid_smoother",
     "kalman_filter",
@@ -112,15 +108,12 @@ __all__ = [
     "per_block_fims",
     "performance_ratios",
     "predict_bim",
-    "predict_bim_step",
-    "prior_bim",
     "q_function",
     "quadratic_filter_root",
     "quadratic_gain_root",
     "rts_smoother",
     "rts_steady_variance",
     "simulate",
-    "smooth_bim_backward",
     "smooth_bim_compact",
     "smoothing_gain",
     "snr_to_sigma_z",
@@ -130,6 +123,5 @@ __all__ = [
     "steady_filter_bim",
     "steady_lag_gain",
     "steady_smoothing_gain",
-    "transition_info",
     "__version__",
 ]

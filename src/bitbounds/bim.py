@@ -1,20 +1,19 @@
-"""Bayesian information matrix recursions for filtering, prediction, smoothing.
+"""Bayesian information recursions for filtering, prediction, smoothing.
 
-For the Gauss-Markov chain, the joint Fisher information of the state block
-``theta_l`` given measurements up to block ``k`` reduces to per-block
-recursions on small information matrices. Their inverses lower-bound the MSE
-of any estimator of ``theta_l``:
+For the scalar Gauss-Markov chain, the Bayesian information of the state
+``theta_l`` given measurements up to block ``k`` obeys per-block scalar
+recursions. Their inverses lower-bound the MSE of any estimator of
+``theta_l``:
 
-* filtering (``l = k``): forward recursion seeded by the prior information,
-  each step folding in one transition and one measurement block;
+* filtering (``l = k``): forward recursion seeded by the prior information
+  ``1/sigma0^2``, each step folding in one transition and one measurement
+  (:func:`~bitbounds.core.forward_info_step`);
 * prediction (``l > k``): the same forward step without measurement
   information, which contracts to a model-only fixed point;
-* smoothing (``l < k``): a backward sweep that augments each filtered
-  information with the evidence accumulated after block ``l``.
+* smoothing (``l < k``): the filtered information plus a smoothing gain that
+  obeys its own backward recursion (:func:`~bitbounds.core.gain_step`).
 
-Block 0 carries the prior only; measurements enter at blocks 1..K. All
-operations are written against square matrix blocks even though this model
-is scalar, so the block dimension is 1 throughout.
+Block 0 carries the prior only; measurements enter at blocks 1..K.
 """
 
 from __future__ import annotations
@@ -23,29 +22,22 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy import linalg
 
 from .core import (
     GaussMarkovModel,
     MeasurementChannel,
-    TransitionInfo,
-    prior_bim,
+    forward_info_step,
+    gain_step,
     state_moments,
-    transition_info,
 )
-from .exceptions import NumericalDegeneracyError
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fim
 
 __all__ = [
     "BimKind",
     "BimSequence",
     "per_block_fims",
-    "filter_bim_step",
-    "predict_bim_step",
     "filter_bim_sequence",
     "predict_bim",
-    "smooth_bim_backward",
     "smoothing_gain",
     "smooth_bim_compact",
 ]
@@ -59,7 +51,7 @@ class BimKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BimSequence:
-    """A sequence of per-block Bayesian information matrices.
+    """A sequence of per-block Bayesian informations.
 
     Parameters
     ----------
@@ -67,7 +59,7 @@ class BimSequence:
         Which recursion produced the sequence.
     channel : MeasurementChannel
         Measurement channel the information was computed for.
-    values : ndarray, shape (L, N, N)
+    values : ndarray, shape (L,)
         ``FILTER``: ``values[k]`` is the information of block ``k`` given
         measurements 1..k. ``PREDICT``: ``values[m]`` is the information of
         block ``anchor + m`` given measurements 1..anchor. ``SMOOTH``:
@@ -84,10 +76,8 @@ class BimSequence:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != values.shape[2] or values.shape[0] < 1:
-            raise ValueError(
-                f"values must have shape (L, N, N) with L >= 1, got {values.shape}."
-            )
+        if values.ndim != 1 or values.shape[0] < 1:
+            raise ValueError(f"values must have shape (L,) with L >= 1, got {values.shape}.")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite.")
         object.__setattr__(self, "values", values)
@@ -97,43 +87,10 @@ class BimSequence:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def __getitem__(self, index):
-        return self.values[index]
-
-    def bounds(self) -> np.ndarray:
-        """Per-block MSE lower-bound matrices (inverses of ``values``)."""
-        return np.linalg.inv(self.values)
-
     @property
     def variances(self) -> np.ndarray:
-        """Scalar MSE lower bounds; only defined for 1-dimensional blocks."""
-        if self.values.shape[1] != 1:
-            raise ValueError("variances is only defined for 1-dimensional blocks.")
-        return 1.0 / self.values[:, 0, 0]
-
-
-def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, block: int | None) -> np.ndarray:
-    try:
-        factor = linalg.cho_factor(matrix, lower=True)
-        return linalg.cho_solve(factor, rhs)
-    except (LinAlgError, ValueError) as exc:
-        where = "" if block is None else f" at block {block}"
-        raise NumericalDegeneracyError(
-            f"information update{where} lost positive definiteness: {exc}", block=block
-        ) from exc
-
-
-def _as_block(fim, dim: int) -> np.ndarray:
-    arr = np.asarray(fim, dtype=float)
-    if arr.ndim == 0:
-        if dim != 1:
-            raise ValueError(
-                f"scalar measurement information requires block dimension 1, got {dim}."
-            )
-        return arr.reshape(1, 1)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"measurement information must have shape ({dim}, {dim}), got {arr.shape}.")
-    return arr
+        """Per-block MSE lower bounds, the inverses of ``values``."""
+        return 1.0 / self.values
 
 
 def per_block_fims(model: GaussMarkovModel, channel: MeasurementChannel, num_blocks: int,
@@ -164,37 +121,6 @@ def per_block_fims(model: GaussMarkovModel, channel: MeasurementChannel, num_blo
     return out
 
 
-def filter_bim_step(j_prev: np.ndarray, info: TransitionInfo, fim,
-                    block: int | None = None) -> np.ndarray:
-    """One forward information step: fold in a transition and a measurement.
-
-    Parameters
-    ----------
-    j_prev : ndarray, shape (N, N)
-        Filtered information of the previous block.
-    info : TransitionInfo
-        Transition information blocks shared by all steps.
-    fim : float or ndarray
-        Expected measurement information of the new block; pass 0 for a
-        measurement-free (prediction) step.
-    block : int, optional
-        New block index, used only to label degeneracy errors.
-
-    Returns
-    -------
-    ndarray, shape (N, N)
-    """
-    j_prev = np.atleast_2d(np.asarray(j_prev, dtype=float))
-    correction = info.d21 @ _spd_solve(j_prev + info.d11, info.d12, block)
-    return info.d22 + _as_block(fim, info.dim) - correction
-
-
-def predict_bim_step(j_prev: np.ndarray, info: TransitionInfo,
-                     block: int | None = None) -> np.ndarray:
-    """One forward information step without measurement information."""
-    return filter_bim_step(j_prev, info, 0.0, block)
-
-
 def filter_bim_sequence(model: GaussMarkovModel, channel: MeasurementChannel,
                         num_blocks: int,
                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> BimSequence:
@@ -210,11 +136,10 @@ def filter_bim_sequence(model: GaussMarkovModel, channel: MeasurementChannel,
         ``kind`` FILTER, length ``num_blocks + 1``.
     """
     fims = per_block_fims(model, channel, num_blocks, spec)
-    info = transition_info(model)
-    values = np.empty((num_blocks + 1, info.dim, info.dim))
-    values[0] = prior_bim(model)
+    values = np.empty(num_blocks + 1)
+    values[0] = 1.0 / model.sigma0**2
     for k in range(1, num_blocks + 1):
-        values[k] = filter_bim_step(values[k - 1], info, fims[k], block=k)
+        values[k] = forward_info_step(model, values[k - 1], fims[k])
     return BimSequence(BimKind.FILTER, channel, values)
 
 
@@ -222,9 +147,9 @@ def predict_bim(model: GaussMarkovModel, filtered: BimSequence, num_steps: int,
                 anchor: int | None = None) -> BimSequence:
     """Predicted information for blocks anchor..anchor+num_steps.
 
-    Iterates measurement-free forward steps from a filtered information
-    matrix. As the horizon grows the values contract toward the model-only
-    fixed point, ``(1 - alpha^2) / sigma_z^2`` for a stationary chain.
+    Iterates measurement-free forward steps from a filtered information.
+    As the horizon grows the values contract toward the model-only fixed
+    point, ``(1 - alpha^2) / sigma_z^2`` for a stationary chain.
 
     Parameters
     ----------
@@ -251,57 +176,11 @@ def predict_bim(model: GaussMarkovModel, filtered: BimSequence, num_steps: int,
         anchor = len(filtered) - 1
     if not 0 <= anchor < len(filtered):
         raise ValueError(f"anchor {anchor} outside filtered sequence of length {len(filtered)}.")
-    info = transition_info(model)
-    values = np.empty((num_steps + 1, info.dim, info.dim))
+    values = np.empty(num_steps + 1)
     values[0] = filtered.values[anchor]
     for m in range(1, num_steps + 1):
-        values[m] = predict_bim_step(values[m - 1], info, block=anchor + m)
+        values[m] = forward_info_step(model, values[m - 1])
     return BimSequence(BimKind.PREDICT, filtered.channel, values, anchor=anchor)
-
-
-def smooth_bim_backward(model: GaussMarkovModel, filtered: BimSequence,
-                        anchor: int | None = None) -> BimSequence:
-    """Smoothed information for blocks 0..anchor by the backward recursion.
-
-    Each backward step augments the filtered information of block ``l``
-    with the evidence gathered at blocks l+1..anchor:
-
-        J(l | anchor) = J(l | l) + D11
-                        - D12 (D22 + J(l+1 | anchor) - J(l+1 | l))^{-1} D21,
-
-    where ``J(l+1 | l)`` is the one-step prediction from ``J(l | l)``.
-
-    Parameters
-    ----------
-    model : GaussMarkovModel
-    filtered : BimSequence
-        A FILTER sequence for the same model.
-    anchor : int, optional
-        Last measurement block conditioned on; defaults to the last block
-        of ``filtered``.
-
-    Returns
-    -------
-    BimSequence
-        ``kind`` SMOOTH, length ``anchor + 1``; entry ``l`` refers to
-        block ``l`` given measurements 1..anchor.
-    """
-    if filtered.kind is not BimKind.FILTER:
-        raise ValueError(f"smooth_bim_backward requires a FILTER sequence, got {filtered.kind}.")
-    if anchor is None:
-        anchor = len(filtered) - 1
-    if not 0 <= anchor < len(filtered):
-        raise ValueError(f"anchor {anchor} outside filtered sequence of length {len(filtered)}.")
-    info = transition_info(model)
-    values = np.empty((anchor + 1, info.dim, info.dim))
-    values[anchor] = filtered.values[anchor]
-    for l in range(anchor - 1, -1, -1):
-        predicted_next = predict_bim_step(filtered.values[l], info, block=l + 1)
-        middle = info.d22 + values[l + 1] - predicted_next
-        values[l] = (
-            filtered.values[l] + info.d11 - info.d12 @ _spd_solve(middle, info.d21, l)
-        )
-    return BimSequence(BimKind.SMOOTH, filtered.channel, values, anchor=anchor)
 
 
 def smoothing_gain(model: GaussMarkovModel, fims: np.ndarray, anchor: int) -> np.ndarray:
@@ -309,11 +188,9 @@ def smoothing_gain(model: GaussMarkovModel, fims: np.ndarray, anchor: int) -> np
 
     The gain ``kappa(l | anchor) = J(l | anchor) - J(l | l)`` obeys its own
     backward recursion that needs only the expected measurement
-    informations, not the filtered sequence:
-
-        kappa(l) = D11 - D12 (D22 + fims[l+1] + kappa(l+1))^{-1} D21,
-
-    seeded by ``kappa(anchor) = 0``.
+    informations, not the filtered sequence: ``kappa(anchor) = 0``, and
+    ``kappa(l)`` is one :func:`~bitbounds.core.gain_step` from
+    ``kappa(l + 1)`` with ``fims[l + 1]``.
 
     Parameters
     ----------
@@ -326,19 +203,17 @@ def smoothing_gain(model: GaussMarkovModel, fims: np.ndarray, anchor: int) -> np
 
     Returns
     -------
-    ndarray, shape (anchor + 1, N, N)
-        Entry ``l`` is ``kappa(l | anchor)``; every entry is positive
-        semidefinite and entry ``anchor`` is zero.
+    ndarray, shape (anchor + 1,)
+        Entry ``l`` is ``kappa(l | anchor)``; every entry is nonnegative
+        and entry ``anchor`` is zero.
     """
     fims = np.asarray(fims, dtype=float)
     if not 0 <= anchor < fims.shape[0]:
         raise ValueError(f"anchor {anchor} outside fims of length {fims.shape[0]}.")
-    info = transition_info(model)
-    gains = np.empty((anchor + 1, info.dim, info.dim))
+    gains = np.empty(anchor + 1)
     gains[anchor] = 0.0
     for l in range(anchor - 1, -1, -1):
-        middle = info.d22 + _as_block(fims[l + 1], info.dim) + gains[l + 1]
-        gains[l] = info.d11 - info.d12 @ _spd_solve(middle, info.d21, l)
+        gains[l] = gain_step(model, gains[l + 1], fims[l + 1])
     return gains
 
 
@@ -346,8 +221,8 @@ def smooth_bim_compact(model: GaussMarkovModel, channel: MeasurementChannel, anc
                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> BimSequence:
     """Smoothed information via the decomposition ``J(l|k) = J(l|l) + kappa(l|k)``.
 
-    Algebraically identical to :func:`smooth_bim_backward`; the filtered
-    term and the smoothing gain are computed independently and added.
+    The filtered term and the smoothing gain are computed independently and
+    added, so no step subtracts informations.
 
     Returns
     -------

@@ -41,12 +41,15 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .bim import filter_bim_sequence, predict_bim, smooth_bim_backward, smooth_bim_compact
+from .bim import filter_bim_sequence, predict_bim, smooth_bim_compact
 from .core import GaussMarkovModel, MeasurementChannel
 from .estimators import (
+    kalman_filter,
     kalman_steady_variance,
     monte_carlo_mse,
+    rts_smoother,
     rts_steady_variance,
+    simulate,
 )
 from .qfim import QuadratureRule, QuadratureSpec, fq
 from .qfim import q_function as _default_q_function
@@ -94,9 +97,6 @@ class ExperimentConfig:
 
     ``sigma0 = None`` selects the stationary prior (standard deviation
     matched to the stationary state distribution at the operating SNR).
-    ``threads`` is accepted for interface stability but excluded from the
-    serialized form and hash: execution is serial and deterministic, so
-    the value cannot affect any output.
     """
 
     experiment: str
@@ -113,7 +113,6 @@ class ExperimentConfig:
     horizon: int
     delta: int
     output_path: str
-    threads: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -146,8 +145,6 @@ class ExperimentConfig:
             raise _UsageError(f"horizon must be >= 1, got {self.horizon}.")
         if self.delta < 0:
             raise _UsageError(f"delta must be >= 0, got {self.delta}.")
-        if self.threads < 1:
-            raise _UsageError(f"threads must be >= 1, got {self.threads}.")
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,6 @@ def default_config(experiment: str) -> ExperimentConfig:
         trials=2000,
         horizon=500,
         delta=100,
-        threads=1,
     )
     if experiment == "fig1":
         return ExperimentConfig(
@@ -596,7 +592,7 @@ def run_selftest(q_function=None) -> tuple[str, int]:
     filtered = filter_bim_sequence(pred_model, MeasurementChannel.UNQUANTIZED, 5)
     predicted = predict_bim(pred_model, filtered, 400)
     check("prediction information limit (1 - alpha^2) / sigma_z^2",
-          float(predicted.values[-1, 0, 0]),
+          float(predicted.values[-1]),
           (1.0 - pred_model.alpha**2) / pred_model.sigma_z**2, 1e-9)
 
     sigma_eta = 1.0
@@ -607,25 +603,23 @@ def run_selftest(q_function=None) -> tuple[str, int]:
     check("one-bit information peak from the tail function", measured_peak, expected_peak, 1e-12)
     check("one-bit information peak from the library", library_peak, expected_peak, 1e-12)
 
+    # The RTS variances do not depend on the data, so one trial suffices.
     worst = 0.0
     for alpha in (0.5, 0.9, 0.99):
         for sigma_z in (0.5, 1.0, 2.0):
             for s_eta in (0.5, 1.0, 2.0):
                 model = GaussMarkovModel(alpha=alpha, sigma_z=sigma_z,
                                          sigma_eta=s_eta, sigma0=1.0)
-                seq = filter_bim_sequence(model, MeasurementChannel.ONE_BIT, 30)
-                direct = smooth_bim_backward(model, seq)
-                compact = smooth_bim_compact(model, MeasurementChannel.ONE_BIT, 30)
-                diff = float(
-                    abs(direct.values - compact.values).max() / abs(direct.values).max()
-                )
-                worst = max(worst, diff)
+                batch = simulate(model, MeasurementChannel.UNQUANTIZED, 0, 1, 30)
+                rts = rts_smoother(kalman_filter(batch, model), model)
+                compact = smooth_bim_compact(model, MeasurementChannel.UNQUANTIZED, 30)
+                worst = max(worst, float(abs(compact.values * rts.variances - 1.0).max()))
     ok = worst <= 1e-10
     if not ok:
         failures += 1
     lines.append(
-        f"{'PASS' if ok else 'FAIL'}  compact smoothing gain equals backward recursion "
-        f"(27 models): worst relative deviation={worst:.3e} (tolerance 1e-10)"
+        f"{'PASS' if ok else 'FAIL'}  compact smoothing information equals inverse RTS "
+        f"variance (27 models): worst relative deviation={worst:.3e} (tolerance 1e-10)"
     )
     lines.append(f"summary: {len(lines)} checks, {failures} failed")
     return "\n".join(lines), failures
@@ -643,7 +637,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="INI config path")
         sp.add_argument("--out", dest="output_path", help="output file (or directory for fig2)")
-        sp.add_argument("--threads", type=int, help="worker count (reserved; runs are serial)")
         sp.add_argument("--seed", type=int, help="Monte Carlo root seed")
         sp.add_argument("--alpha", dest="alphas", help="state correlation coefficient(s)")
         sp.add_argument("--alphas", dest="alphas", help=argparse.SUPPRESS)
@@ -669,7 +662,7 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     if args.sigma0 is not None:
         updates["sigma0"] = _parse_sigma0(args.sigma0)
     for key in ("sigma_eta", "mu0", "snr_min_db", "snr_max_db", "snr_step_db",
-                "seed", "trials", "horizon", "delta", "output_path", "threads"):
+                "seed", "trials", "horizon", "delta", "output_path"):
         value = getattr(args, key)
         if value is not None:
             updates[key] = value

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import signal, sparse
 
 from .bim import filter_bim_sequence, per_block_fims, smooth_bim_compact
-from .core import GaussMarkovModel, MeasurementChannel, state_moments
+from .core import GaussMarkovModel, MeasurementChannel, gain_step, state_moments
 from .exceptions import NumericalDegeneracyError
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, q_function
 from .steady import steady_expected_fim, steady_filter_bim, steady_lag_gain, steady_smoothing_gain
@@ -602,17 +602,16 @@ def _steady_stats(per_trial: np.ndarray) -> tuple[float, float]:
     return mean, float(per_trial.std(ddof=1) / math.sqrt(trials))
 
 
-def _lagged_gain_bounds(model: GaussMarkovModel, fims: np.ndarray, lag: int) -> np.ndarray:
-    """Smoothing gains kappa(l | l + lag) for every block l, scalar path."""
-    s = 1.0 / model.sigma_z**2
-    a2s = model.alpha**2 * s
-    k_max = fims.shape[0] - 1
-    gains = np.empty(k_max - lag + 1)
-    for l in range(k_max - lag + 1):
-        kappa = 0.0
-        for j in range(l + lag, l, -1):
-            kappa = a2s - a2s * s / (s + fims[j] + kappa)
-        gains[l] = kappa
+def _lagged_gains(model: GaussMarkovModel, fims: np.ndarray, lag: int) -> np.ndarray:
+    """Smoothing gains kappa(l | l + lag) for blocks 0..K-lag, all anchors at once.
+
+    Step ``j`` (from ``lag`` down to 1) folds in block ``l + j`` for every
+    ``l``, as the fixed-lag pass of :func:`rts_smoother` does.
+    """
+    width = fims.shape[0] - lag
+    gains = np.zeros(width)
+    for j in range(lag, 0, -1):
+        gains = gain_step(model, gains, fims[j : j + width])
     return gains
 
 
@@ -655,8 +654,8 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     batch = simulate(model, channel, seed, num_trials, horizon)
     states = batch.states
 
-    filter_bounds = filter_bim_sequence(model, channel, horizon, spec).variances
-    fims = per_block_fims(model, channel, horizon, spec)
+    filter_info = filter_bim_sequence(model, channel, horizon, spec).values
+    filter_bounds = 1.0 / filter_info
     steady_j = steady_filter_bim(model, channel, spec).value
 
     if estimator == "kalman":
@@ -668,9 +667,8 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         smoothed = rts_smoother(filtered, model, lag)
         err_f = (filtered.means - states) ** 2
         err_s = (smoothed.means - states[:, : horizon - lag + 1]) ** 2
-        smooth_bounds = 1.0 / (
-            1.0 / filter_bounds[: horizon - lag + 1] + _lagged_gain_bounds(model, fims, lag)
-        )
+        fims = per_block_fims(model, channel, horizon, spec)
+        smooth_bounds = 1.0 / (filter_info[: horizon - lag + 1] + _lagged_gains(model, fims, lag))
         steady_smooth_bound = 1.0 / (steady_j + steady_lag_gain(model, channel, lag, spec))
         smooth_lo, smooth_hi = burn, horizon - lag
         report_lag: int | None = lag

@@ -1,13 +1,13 @@
-"""Exception types raised by the bound recursions and solvers."""
+"""Exception types raised by the grid estimators and the quadrature."""
 
 from __future__ import annotations
 
 
 class NumericalDegeneracyError(ArithmeticError):
-    """An inner matrix in an information recursion is not positive definite.
+    """A grid posterior or backward evidence lost all its mass.
 
-    Carries the block index at which the factorization failed so sweeps
-    can report the offending step.
+    Carries the block index at which it happened so callers can report the
+    offending step.
     """
 
     def __init__(self, message: str, block: int | None = None):

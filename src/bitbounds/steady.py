@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import GaussMarkovModel, MeasurementChannel, StateMoments, stationary_variance
+from .core import GaussMarkovModel, MeasurementChannel, StateMoments, gain_step, stationary_variance
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fim
 
 __all__ = [
@@ -208,11 +208,9 @@ def steady_lag_gain(model: GaussMarkovModel, channel: MeasurementChannel, lag: i
     if lag < 0:
         raise ValueError(f"steady_lag_gain requires lag >= 0, got {lag}.")
     fim = steady_expected_fim(model, channel, spec)
-    s = 1.0 / model.sigma_z**2
-    a2s = model.alpha**2 * s
     kappa = 0.0
     for _ in range(lag):
-        kappa = a2s * (fim + kappa) / (s + fim + kappa)
+        kappa = gain_step(model, kappa, fim)
     return kappa
 
 

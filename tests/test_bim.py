@@ -1,26 +1,29 @@
 """Finite-horizon information recursions: filter, predict, smooth."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import linalg
 
 from bitbounds import (
     BimKind,
     BimSequence,
     GaussMarkovModel,
     MeasurementChannel,
-    StateMoments,
     expected_fq,
     filter_bim_sequence,
     per_block_fims,
     predict_bim,
-    smooth_bim_backward,
     smooth_bim_compact,
     smoothing_gain,
     state_moments,
     steady_lag_gain,
 )
+from bitbounds.estimators import _lagged_gains
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -29,22 +32,90 @@ def _golden_model() -> GaussMarkovModel:
     return GaussMarkovModel(alpha=1.0, sigma_z=1.0, sigma_eta=1.0, sigma0=1.0)
 
 
+def _smooth_backward_oracle(model: GaussMarkovModel, filtered: BimSequence) -> np.ndarray:
+    """Smoothed information by the direct backward recursion, in 1x1 matrix form.
+
+    With the transition information blocks ``D11 = alpha^2 s``,
+    ``D12 = D21 = -alpha s`` and ``D22 = s`` (``s = 1/sigma_z^2``), each step
+    augments the filtered information of block ``l`` with the evidence
+    gathered after it:
+
+        J(l | K) = J(l | l) + D11 - D12 (D22 + J(l+1 | K) - J(l+1 | l))^{-1} D21,
+
+    where ``J(l+1 | l) = D22 - D21 (J(l | l) + D11)^{-1} D12`` is the one-step
+    prediction. This subtractive information form, with Cholesky solves, is
+    an independent route to the compact gain form the package ships.
+    """
+    s = 1.0 / model.sigma_z**2
+    d11 = np.array([[model.alpha**2 * s]])
+    d12 = d21 = np.array([[-model.alpha * s]])
+    d22 = np.array([[s]])
+
+    def solve(matrix, rhs):
+        return linalg.cho_solve(linalg.cho_factor(matrix, lower=True), rhs)
+
+    j = filtered.values[:, None, None]
+    out = np.empty_like(j)
+    out[-1] = j[-1]
+    for l in range(len(j) - 2, -1, -1):
+        predicted_next = d22 - d21 @ solve(j[l] + d11, d12)
+        out[l] = j[l] + d11 - d12 @ solve(d22 + out[l + 1] - predicted_next, d21)
+    return out[:, 0, 0]
+
+
+def _mp_informations(model: GaussMarkovModel, fims: np.ndarray):
+    """Filter, prediction and smoothing informations in 50-digit arithmetic.
+
+    Covariance form: the Kalman variance recursion, the same prediction step
+    repeated from the last block, and the fixed-interval RTS backward pass.
+    The double-precision ``fims`` are taken as exact inputs.
+    """
+    with mpmath.workdps(50):
+        a2, q = mpmath.mpf(model.alpha) ** 2, mpmath.mpf(model.sigma_z) ** 2
+        fims = [mpmath.mpf(float(f)) for f in fims]
+        k_max = len(fims) - 1
+        filt = [mpmath.mpf(model.sigma0) ** 2]
+        pred = [None]
+        for k in range(1, k_max + 1):
+            pred.append(a2 * filt[-1] + q)
+            filt.append(1 / (1 / pred[-1] + fims[k]))
+        ahead = [filt[-1]]
+        for _ in range(k_max):
+            ahead.append(a2 * ahead[-1] + q)
+        smooth = filt[:]
+        for l in range(k_max - 1, -1, -1):
+            c2 = a2 * (filt[l] / pred[l + 1]) ** 2
+            smooth[l] = filt[l] + c2 * (smooth[l + 1] - pred[l + 1])
+        return [np.array([float(1 / v) for v in seq]) for seq in (filt, ahead, smooth)]
+
+
+# Golden/Fibonacci random walk, the alpha -> 1 corner, a negative alpha, and
+# a sharp measurement against a wide prior.
+ORACLE_MODELS = (
+    GaussMarkovModel(alpha=1.0, sigma_z=1.0, sigma_eta=1.0, sigma0=1.0),
+    GaussMarkovModel(alpha=1.0 - 1e-9, sigma_z=1e-3, sigma_eta=1.0, sigma0=1.0),
+    GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=1.0, mu0=0.5),
+    GaussMarkovModel(alpha=-0.7, sigma_z=2.0, sigma_eta=0.1, sigma0=5.0),
+    GaussMarkovModel(alpha=0.5, sigma_z=0.05, sigma_eta=10.0, sigma0=0.3),
+)
+
+
 class TestFilterSequence:
     def test_random_walk_traces_fibonacci_ratios(self):
         # With alpha = sigma_z = sigma_eta = sigma0 = 1 the recursion is the
         # golden-ratio continued fraction: J_k = F(2k+2) / F(2k+1).
         seq = filter_bim_sequence(_golden_model(), MeasurementChannel.UNQUANTIZED, 4)
         expected = [1.0, 3.0 / 2.0, 8.0 / 5.0, 21.0 / 13.0, 55.0 / 34.0]
-        assert_allclose(seq.values[:, 0, 0], expected, rtol=1e-14)
+        assert_allclose(seq.values, expected, rtol=1e-14)
 
     def test_random_walk_converges_to_golden_ratio(self):
         seq = filter_bim_sequence(_golden_model(), MeasurementChannel.UNQUANTIZED, 40)
-        assert_allclose(seq.values[-1, 0, 0], GOLDEN, rtol=1e-14)
+        assert_allclose(seq.values[-1], GOLDEN, rtol=1e-14)
 
     def test_starts_from_prior_information(self):
         m = GaussMarkovModel(alpha=0.8, sigma_z=1.0, sigma_eta=1.0, sigma0=0.5)
         seq = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 3)
-        assert seq.values[0, 0, 0] == 4.0
+        assert seq.values[0] == 4.0
         assert len(seq) == 4
         assert seq.kind is BimKind.FILTER
 
@@ -52,14 +123,14 @@ class TestFilterSequence:
         m = GaussMarkovModel(alpha=0.95, sigma_z=0.5, sigma_eta=1.0, sigma0=1.0)
         unq = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 30)
         q = filter_bim_sequence(m, MeasurementChannel.ONE_BIT, 30)
-        assert np.all(q.values[1:, 0, 0] < unq.values[1:, 0, 0])
-        assert q.values[0, 0, 0] == unq.values[0, 0, 0]
+        assert np.all(q.values[1:] < unq.values[1:])
+        assert q.values[0] == unq.values[0]
 
     def test_variances_invert_information(self):
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.7, sigma_eta=1.2, sigma0=1.0)
         seq = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 10)
-        assert_allclose(seq.variances * seq.values[:, 0, 0], 1.0, rtol=1e-15)
-        assert_allclose(seq.bounds()[:, 0, 0], seq.variances, rtol=1e-15)
+        assert seq.values.shape == (11,)
+        assert_allclose(seq.variances * seq.values, 1.0, rtol=1e-15)
 
 
 class TestPerBlockFims:
@@ -89,46 +160,43 @@ class TestPrediction:
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.5, sigma_eta=1.0, sigma0=1.0)
         filtered = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 10)
         pred = predict_bim(m, filtered, 400)
-        assert_allclose(pred.values[-1, 0, 0], (1 - 0.81) / 0.25, rtol=1e-9)
+        assert_allclose(pred.values[-1], (1 - 0.81) / 0.25, rtol=1e-9)
 
     def test_information_decays_monotonically(self):
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.5, sigma_eta=1.0, sigma0=1.0)
         filtered = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 10)
-        pred = predict_bim(m, filtered, 30).values[:, 0, 0]
+        pred = predict_bim(m, filtered, 30).values
         assert np.all(np.diff(pred) < 0)
 
     def test_random_walk_prediction_is_flatly_degraded(self):
         # alpha = 1 keeps no stationary prior; prediction only adds noise.
         filtered = filter_bim_sequence(_golden_model(), MeasurementChannel.UNQUANTIZED, 20)
         pred = predict_bim(_golden_model(), filtered, 5)
-        variances = 1.0 / pred.values[:, 0, 0]
-        assert_allclose(np.diff(variances), 1.0, rtol=1e-12)
+        assert_allclose(np.diff(pred.variances), 1.0, rtol=1e-12)
+
+    def test_requires_filter_sequence(self):
+        m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=1.0)
+        smoothed = smooth_bim_compact(m, MeasurementChannel.UNQUANTIZED, 10)
+        with pytest.raises(ValueError):
+            predict_bim(m, smoothed, 3)
 
 
 class TestSmoothing:
     def test_anchor_block_equals_filtered(self):
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=1.0)
         filtered = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 25)
-        smoothed = smooth_bim_backward(m, filtered)
-        assert_allclose(smoothed.values[-1], filtered.values[-1], rtol=0)
+        smoothed = smooth_bim_compact(m, MeasurementChannel.UNQUANTIZED, 25)
+        assert smoothed.values[-1] == filtered.values[-1]
         assert smoothed.anchor == 25
         assert len(smoothed) == 26
 
-    def test_smoothing_never_loses_information(self):
-        m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=1.0)
-        for channel in MeasurementChannel:
-            filtered = filter_bim_sequence(m, channel, 25)
-            smoothed = smooth_bim_backward(m, filtered)
-            assert np.all(smoothed.values[:, 0, 0] >= filtered.values[:26, 0, 0] - 1e-12)
-
     def test_partial_anchor(self):
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=1.0)
-        filtered = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 25)
-        smoothed = smooth_bim_backward(m, filtered, anchor=10)
-        full = smooth_bim_backward(m, filtered)
+        smoothed = smooth_bim_compact(m, MeasurementChannel.UNQUANTIZED, 10)
+        full = smooth_bim_compact(m, MeasurementChannel.UNQUANTIZED, 25)
         assert len(smoothed) == 11
         # conditioning on fewer blocks cannot add information
-        assert np.all(smoothed.values[:, 0, 0] <= full.values[:11, 0, 0] + 1e-12)
+        assert np.all(smoothed.values <= full.values[:11])
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
     @pytest.mark.parametrize("sigma_z", [0.1, 1.0, 2.0])
@@ -136,18 +204,17 @@ class TestSmoothing:
     def test_compact_gain_form_matches_backward_recursion(self, alpha, sigma_z, sigma_eta):
         m = GaussMarkovModel(alpha=alpha, sigma_z=sigma_z, sigma_eta=sigma_eta, sigma0=1.0)
         for channel in MeasurementChannel:
-            backward = smooth_bim_backward(
-                m, filter_bim_sequence(m, channel, 20)
-            )
+            backward = _smooth_backward_oracle(m, filter_bim_sequence(m, channel, 20))
             compact = smooth_bim_compact(m, channel, 20)
-            assert_allclose(compact.values, backward.values, rtol=1e-10)
+            assert_allclose(compact.values, backward, rtol=1e-12)
 
     def test_gain_is_zero_at_anchor_and_grows_backward(self):
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=1.0)
         fims = per_block_fims(m, MeasurementChannel.UNQUANTIZED, 30)
-        gains = smoothing_gain(m, fims, 30)[:, 0, 0]
+        gains = smoothing_gain(m, fims, 30)
+        assert gains.shape == (31,)
         assert gains[30] == 0.0
-        assert np.all(np.diff(gains[:31]) <= 1e-12)
+        assert np.all(np.diff(gains) <= 1e-12)
         assert np.all(gains[:30] > 0.0)
 
     def test_stationary_gains_match_steady_lag_gains(self):
@@ -156,27 +223,94 @@ class TestSmoothing:
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8,
                              sigma0=math.sqrt(0.36 / 0.19))
         fims = per_block_fims(m, MeasurementChannel.ONE_BIT, 15)
-        gains = smoothing_gain(m, fims, 15)[:, 0, 0]
+        gains = smoothing_gain(m, fims, 15)
         for l in range(16):
             lagged = steady_lag_gain(m, MeasurementChannel.ONE_BIT, 15 - l)
             assert_allclose(gains[l], lagged, rtol=1e-12)
 
-    def test_requires_filter_sequence(self):
-        m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=1.0)
-        filtered = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 10)
-        smoothed = smooth_bim_backward(m, filtered)
-        with pytest.raises(ValueError):
-            smooth_bim_backward(m, smoothed)
+    @pytest.mark.parametrize("lag", [0, 1, 7, 40])
+    def test_lagged_gains_equal_fixed_interval_gains(self, lag):
+        # A prior far from stationary makes every block's information differ.
+        m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=3.0)
+        fims = per_block_fims(m, MeasurementChannel.ONE_BIT, 40)
+        lagged = _lagged_gains(m, fims, lag)
+        expected = [smoothing_gain(m, fims, l + lag)[l] for l in range(41 - lag)]
+        assert lagged.shape == (41 - lag,)
+        assert np.array_equal(lagged, expected)
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_filter_predict_smooth_match_50_digit_oracle(self, model, channel):
+        horizon = 200
+        fims = per_block_fims(model, channel, horizon)
+        filtered = filter_bim_sequence(model, channel, horizon)
+        ahead = predict_bim(model, filtered, horizon)
+        smoothed = smooth_bim_compact(model, channel, horizon)
+        want = _mp_informations(model, fims)
+        for got, expected in zip((filtered, ahead, smoothed), want):
+            assert_allclose(got.values, expected, rtol=1e-14, atol=0)
+
+
+_PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None,
+                              suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _models(draw, stationary_prior=False):
+    alpha = draw(st.floats(0.0, 0.999 if stationary_prior else 1.0))
+    sigma_z = math.exp(draw(st.floats(math.log(0.05), math.log(5.0))))
+    sigma_eta = math.exp(draw(st.floats(math.log(0.1), math.log(10.0))))
+    if stationary_prior:
+        sigma0 = sigma_z / math.sqrt(1.0 - alpha**2)
+    else:
+        sigma0 = math.exp(draw(st.floats(math.log(0.1), math.log(10.0))))
+    return GaussMarkovModel(alpha=alpha, sigma_z=sigma_z, sigma_eta=sigma_eta, sigma0=sigma0)
+
+
+class TestProperties:
+    @_PROPERTY_SETTINGS
+    @given(model=_models(), channel=st.sampled_from(list(MeasurementChannel)))
+    def test_smoothing_never_loses_information(self, model, channel):
+        filtered = filter_bim_sequence(model, channel, 20)
+        smoothed = smooth_bim_compact(model, channel, 20)
+        assert np.all(filtered.values <= smoothed.values)
+
+    @_PROPERTY_SETTINGS
+    @given(model=_models())
+    def test_one_bit_never_beats_unquantized(self, model):
+        for build in (filter_bim_sequence, smooth_bim_compact):
+            one_bit = build(model, MeasurementChannel.ONE_BIT, 20).values
+            ideal = build(model, MeasurementChannel.UNQUANTIZED, 20).values
+            assert np.all(one_bit <= ideal)
+
+    @_PROPERTY_SETTINGS
+    @given(model=_models(), channel=st.sampled_from(list(MeasurementChannel)))
+    def test_prediction_moves_monotonically_to_its_limit(self, model, channel):
+        limit = (1.0 - model.alpha**2) / model.sigma_z**2
+        filtered = filter_bim_sequence(model, channel, 10)
+        pred = predict_bim(model, filtered, 60).values
+        side = np.sign(pred[0] - limit)
+        tol = 1e-12 * max(pred[0], limit)
+        assert np.all(side * np.diff(pred) <= tol)
+        assert np.all(side * (pred - limit) >= -tol)
+
+    @_PROPERTY_SETTINGS
+    @given(model=_models(stationary_prior=True),
+           channel=st.sampled_from(list(MeasurementChannel)))
+    def test_stationary_gains_depend_on_the_lag_only(self, model, channel):
+        anchor = 12
+        gains = smoothing_gain(model, per_block_fims(model, channel, anchor), anchor)
+        lagged = [steady_lag_gain(model, channel, anchor - l) for l in range(anchor + 1)]
+        assert_allclose(gains, lagged, rtol=1e-12, atol=0)
 
 
 class TestBimSequenceValidation:
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValueError):
-            BimSequence(BimKind.FILTER, MeasurementChannel.UNQUANTIZED,
-                        np.array([[[math.nan]]]))
+            BimSequence(BimKind.FILTER, MeasurementChannel.UNQUANTIZED, np.array([1.0, math.nan]))
 
-    def test_variances_requires_scalar_blocks(self):
-        eye = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
-        seq = BimSequence(BimKind.FILTER, MeasurementChannel.UNQUANTIZED, eye)
+    def test_rejects_non_vector_values(self):
         with pytest.raises(ValueError):
-            seq.variances
+            BimSequence(BimKind.FILTER, MeasurementChannel.UNQUANTIZED, np.ones((3, 1, 1)))

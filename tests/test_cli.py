@@ -66,10 +66,6 @@ class TestConfigHash:
         config = default_config("fig1")
         assert config_hash(config) == config_hash(replace(config, output_path="elsewhere.txt"))
 
-    def test_ignores_threads(self):
-        config = default_config("fig1")
-        assert config_hash(config) == config_hash(replace(config, threads=8))
-
     def test_sensitive_to_model_and_sweep(self):
         config = default_config("fig1")
         assert config_hash(config) != config_hash(replace(config, seed=1))

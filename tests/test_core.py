@@ -1,4 +1,4 @@
-"""Model container, transition information terms, and marginal moments."""
+"""Model container, the two recursion steps, and marginal moments."""
 import math
 
 import numpy as np
@@ -8,11 +8,10 @@ from numpy.testing import assert_allclose
 from bitbounds import (
     GaussMarkovModel,
     StateMoments,
-    TransitionInfo,
-    prior_bim,
+    forward_info_step,
+    gain_step,
     state_moments,
     stationary_variance,
-    transition_info,
 )
 
 
@@ -52,31 +51,29 @@ class TestGaussMarkovModel:
             m.alpha = 0.9
 
 
-class TestTransitionInfo:
-    def test_scalar_model_blocks(self):
+class TestRecursionSteps:
+    def test_forward_step_is_the_kalman_variance_step(self):
+        # Information form of P_pred = alpha^2 P + sigma_z^2, P_post = 1/(1/P_pred + F).
         m = GaussMarkovModel(alpha=0.8, sigma_z=0.5, sigma_eta=1.0, sigma0=1.0)
-        info = transition_info(m)
-        s = 1.0 / 0.25
-        assert_allclose(info.d11, [[0.64 * s]])
-        assert_allclose(info.d22, [[s]])
-        assert_allclose(info.d12, [[-0.8 * s]])
-        assert_allclose(info.d21, [[-0.8 * s]])
-        assert info.dim == 1
+        p = 0.3
+        p_pred = 0.64 * p + 0.25
+        assert_allclose(forward_info_step(m, 1.0 / p, 2.0), 1.0 / p_pred + 2.0, rtol=1e-15)
+        assert_allclose(forward_info_step(m, 1.0 / p), 1.0 / p_pred, rtol=1e-15)
 
-    def test_stacked_block_is_rank_one(self):
+    def test_gain_step_values(self):
+        # alpha^2 s (F + kappa) / (s + F + kappa) with s = 4, F = 2.
         m = GaussMarkovModel(alpha=0.8, sigma_z=0.5, sigma_eta=1.0, sigma0=1.0)
-        info = transition_info(m)
-        stacked = np.block([[info.d11, info.d12], [info.d21, info.d22]])
-        assert_allclose(np.linalg.det(stacked), 0.0, atol=1e-12)
-        assert np.linalg.matrix_rank(stacked) == 1
+        assert_allclose(gain_step(m, 0.0, 2.0), 0.64 * 4.0 * 2.0 / 6.0, rtol=1e-15)
+        assert_allclose(gain_step(m, 1.0, 2.0), 0.64 * 4.0 * 3.0 / 7.0, rtol=1e-15)
+        assert gain_step(GaussMarkovModel(alpha=0.0, sigma_z=0.5, sigma_eta=1.0, sigma0=1.0),
+                         1.0, 2.0) == 0.0
 
-    def test_rejects_mismatched_cross_blocks(self):
-        with pytest.raises(ValueError):
-            TransitionInfo(d11=[[1.0]], d12=[[2.0]], d21=[[3.0]], d22=[[1.0]])
-
-    def test_coerces_scalars_to_matrices(self):
-        info = TransitionInfo(d11=[[1.0]], d12=[[-0.5]], d21=[[-0.5]], d22=[[1.0]])
-        assert info.d11.shape == (1, 1)
+    def test_steps_act_elementwise_on_arrays(self):
+        m = GaussMarkovModel(alpha=0.9, sigma_z=0.7, sigma_eta=1.0, sigma0=1.0)
+        j = np.array([0.5, 1.0, 4.0])
+        f = np.array([0.0, 0.3, 2.0])
+        for step in (forward_info_step, gain_step):
+            assert np.array_equal(step(m, j, f), [step(m, a, b) for a, b in zip(j, f)])
 
 
 class TestStateMoments:
@@ -148,7 +145,3 @@ class TestStationaryVariance:
         with pytest.raises(ValueError):
             stationary_variance(m)
 
-
-def test_prior_bim_inverts_prior_variance():
-    m = GaussMarkovModel(alpha=0.5, sigma_z=1.0, sigma_eta=1.0, sigma0=0.25)
-    assert_allclose(prior_bim(m), [[16.0]], rtol=1e-15)

@@ -23,7 +23,7 @@ from bitbounds import (
     rts_smoother,
     rts_steady_variance,
     simulate,
-    smooth_bim_backward,
+    smooth_bim_compact,
     state_moments,
     steady_expected_fim,
 )
@@ -151,8 +151,7 @@ class TestRtsSmoother:
         m = _model()
         batch = simulate(m, MeasurementChannel.UNQUANTIZED, 5, 2, 30)
         smoothed = rts_smoother(kalman_filter(batch, m), m)
-        filtered_seq = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 30)
-        bounds = smooth_bim_backward(m, filtered_seq).variances
+        bounds = smooth_bim_compact(m, MeasurementChannel.UNQUANTIZED, 30).variances
         assert_allclose(smoothed.variances, bounds, rtol=1e-11)
 
     def test_lag_semantics(self):
