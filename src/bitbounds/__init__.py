@@ -14,6 +14,7 @@ from .bim import (
     BimKind,
     BimSequence,
     filter_bim_sequence,
+    filtered_information,
     per_block_fims,
     predict_bim,
     smooth_bim_compact,
@@ -57,7 +58,6 @@ from .qfim import (
     q_function,
 )
 from .steady import (
-    FixedPointResult,
     SteadyStateReport,
     model_for_snr,
     performance_ratios,
@@ -65,9 +65,7 @@ from .steady import (
     quadratic_gain_root,
     snr_to_sigma_z,
     steady_expected_fim,
-    steady_filter_bim,
     steady_lag_gain,
-    steady_smoothing_gain,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +74,6 @@ __all__ = [
     "BimKind",
     "BimSequence",
     "DEFAULT_QUADRATURE",
-    "FixedPointResult",
     "GaussMarkovModel",
     "GridFilterResult",
     "GridSmootherResult",
@@ -96,6 +93,7 @@ __all__ = [
     "expected_fim",
     "expected_fq",
     "filter_bim_sequence",
+    "filtered_information",
     "forward_info_step",
     "fq",
     "gain_step",
@@ -120,8 +118,6 @@ __all__ = [
     "state_moments",
     "stationary_variance",
     "steady_expected_fim",
-    "steady_filter_bim",
     "steady_lag_gain",
-    "steady_smoothing_gain",
     "__version__",
 ]

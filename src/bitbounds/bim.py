@@ -36,6 +36,7 @@ __all__ = [
     "BimKind",
     "BimSequence",
     "per_block_fims",
+    "filtered_information",
     "filter_bim_sequence",
     "predict_bim",
     "smoothing_gain",
@@ -121,6 +122,24 @@ def per_block_fims(model: GaussMarkovModel, channel: MeasurementChannel, num_blo
     return out
 
 
+def filtered_information(model: GaussMarkovModel, fims: np.ndarray) -> np.ndarray:
+    """Filtered information per block, from the :func:`per_block_fims` array.
+
+    The forward counterpart of :func:`smoothing_gain`: entry 0 is the prior
+    information ``1/sigma0^2`` (``fims[0]`` is not consumed), and entry ``k``
+    is one :func:`~bitbounds.core.forward_info_step` from entry ``k - 1``
+    with ``fims[k]``. The result has the length of ``fims``.
+    """
+    fims = np.asarray(fims, dtype=float)
+    if fims.ndim != 1 or fims.shape[0] < 1:
+        raise ValueError(f"fims must have shape (K + 1,), got {fims.shape}.")
+    values = np.empty(fims.shape[0])
+    values[0] = 1.0 / model.sigma0**2
+    for k in range(1, fims.shape[0]):
+        values[k] = forward_info_step(model, values[k - 1], fims[k])
+    return values
+
+
 def filter_bim_sequence(model: GaussMarkovModel, channel: MeasurementChannel,
                         num_blocks: int,
                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> BimSequence:
@@ -128,7 +147,7 @@ def filter_bim_sequence(model: GaussMarkovModel, channel: MeasurementChannel,
 
     Block 0 holds the prior information; each later block folds in one
     transition and the expected measurement information under that block's
-    marginal.
+    marginal (:func:`filtered_information`).
 
     Returns
     -------
@@ -136,11 +155,7 @@ def filter_bim_sequence(model: GaussMarkovModel, channel: MeasurementChannel,
         ``kind`` FILTER, length ``num_blocks + 1``.
     """
     fims = per_block_fims(model, channel, num_blocks, spec)
-    values = np.empty(num_blocks + 1)
-    values[0] = 1.0 / model.sigma0**2
-    for k in range(1, num_blocks + 1):
-        values[k] = forward_info_step(model, values[k - 1], fims[k])
-    return BimSequence(BimKind.FILTER, channel, values)
+    return BimSequence(BimKind.FILTER, channel, filtered_information(model, fims))
 
 
 def predict_bim(model: GaussMarkovModel, filtered: BimSequence, num_steps: int,
@@ -221,8 +236,9 @@ def smooth_bim_compact(model: GaussMarkovModel, channel: MeasurementChannel, anc
                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> BimSequence:
     """Smoothed information via the decomposition ``J(l|k) = J(l|l) + kappa(l|k)``.
 
-    The filtered term and the smoothing gain are computed independently and
-    added, so no step subtracts informations.
+    The filtered term and the smoothing gain are computed from one array of
+    expected measurement informations and added, so no step subtracts
+    informations.
 
     Returns
     -------
@@ -231,7 +247,6 @@ def smooth_bim_compact(model: GaussMarkovModel, channel: MeasurementChannel, anc
     """
     if anchor < 0:
         raise ValueError(f"anchor must be nonnegative, got {anchor}.")
-    filtered = filter_bim_sequence(model, channel, anchor, spec)
     fims = per_block_fims(model, channel, anchor, spec)
-    gains = smoothing_gain(model, fims, anchor)
-    return BimSequence(BimKind.SMOOTH, channel, filtered.values + gains, anchor=anchor)
+    values = filtered_information(model, fims) + smoothing_gain(model, fims, anchor)
+    return BimSequence(BimKind.SMOOTH, channel, values, anchor=anchor)

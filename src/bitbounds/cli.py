@@ -9,7 +9,8 @@ Subcommands
     Sweep SNR for three state correlations and write six files: the
     smoothing-vs-ideal-filtering ratio and the filtering loss per alpha.
 ``ratios``
-    Full steady-state report table for one alpha across the SNR grid.
+    Steady-state table for one alpha across the SNR grid: snr_db, the three
+    dB ratios and the four steady informations, unquantized and one-bit.
 ``mse-validate``
     Monte Carlo bound validation for both channels; writes a pass/fail
     report and exits nonzero on any failed check.
@@ -57,14 +58,14 @@ from .steady import (
     SteadyStateReport,
     model_for_snr,
     performance_ratios,
+    quadratic_filter_root,
+    quadratic_gain_root,
     snr_to_sigma_z,
-    steady_filter_bim,
-    steady_smoothing_gain,
+    steady_expected_fim,
 )
 
 __all__ = [
     "ExperimentConfig",
-    "SweepRow",
     "EXPERIMENTS",
     "default_config",
     "parse_config",
@@ -83,7 +84,7 @@ EXPERIMENTS = ("fig1", "fig2", "ratios", "mse-validate", "selftest")
 
 _RATIO_COLUMNS = (
     "snr_db", "rho_sl_db", "rho_f_db", "rho_s_db",
-    "j_filter_unq", "j_filter_q", "j_smooth_unq", "j_smooth_q", "converged",
+    "j_filter_unq", "j_filter_q", "j_smooth_unq", "j_smooth_q",
 )
 
 
@@ -145,40 +146,6 @@ class ExperimentConfig:
             raise _UsageError(f"horizon must be >= 1, got {self.horizon}.")
         if self.delta < 0:
             raise _UsageError(f"delta must be >= 0, got {self.delta}.")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One SNR grid point of a steady-state sweep."""
-
-    snr_db: float
-    rho_sl_db: float
-    rho_f_db: float
-    rho_s_db: float
-    j_filter_unq: float
-    j_filter_q: float
-    j_smooth_unq: float
-    j_smooth_q: float
-    converged: bool
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if name != "converged" and not math.isfinite(getattr(self, name)):
-                raise ValueError(f"SweepRow field {name} must be finite.")
-
-    @classmethod
-    def from_report(cls, report: SteadyStateReport) -> "SweepRow":
-        return cls(
-            snr_db=report.snr_db,
-            rho_sl_db=report.rho_sl_db,
-            rho_f_db=report.rho_f_db,
-            rho_s_db=report.rho_s_db,
-            j_filter_unq=report.j_filter_unq,
-            j_filter_q=report.j_filter_q,
-            j_smooth_unq=report.j_smooth_unq,
-            j_smooth_q=report.j_smooth_q,
-            converged=all(report.converged),
-        )
 
 
 def default_config(experiment: str) -> ExperimentConfig:
@@ -382,14 +349,7 @@ def _write_atomic(path: Path, text: str) -> None:
 def _render_table(config: ExperimentConfig, columns: tuple[str, ...],
                   rows: list[tuple]) -> str:
     lines = [f"# config-hash: {config_hash(config)}", f"# columns: {' '.join(columns)}"]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, bool):
-                cells.append(str(int(value)))
-            else:
-                cells.append(format_value(float(value)))
-        lines.append(" ".join(cells))
+    lines.extend(" ".join(format_value(float(value)) for value in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -418,12 +378,9 @@ def _snr_grid(config: ExperimentConfig) -> list[float]:
     return [config.snr_min_db + i * config.snr_step_db for i in range(count + 1)]
 
 
-def _sweep(config: ExperimentConfig, alpha: float) -> list[SweepRow]:
-    rows = []
-    for snr_db in _snr_grid(config):
-        model = model_for_snr(alpha, snr_db, config.sigma_eta)
-        rows.append(SweepRow.from_report(performance_ratios(model, config.quadrature)))
-    return rows
+def _sweep(config: ExperimentConfig, alpha: float) -> list[SteadyStateReport]:
+    return [performance_ratios(model_for_snr(alpha, snr_db, config.sigma_eta), config.quadrature)
+            for snr_db in _snr_grid(config)]
 
 
 def run_fig1(config: ExperimentConfig) -> Path:
@@ -467,9 +424,7 @@ def run_ratios(config: ExperimentConfig) -> Path:
     rows = _sweep(config, config.alphas[0])
     path = Path(config.output_path)
     _write_atomic(path, _render_table(config, _RATIO_COLUMNS, [
-        (r.snr_db, r.rho_sl_db, r.rho_f_db, r.rho_s_db,
-         r.j_filter_unq, r.j_filter_q, r.j_smooth_unq, r.j_smooth_q, r.converged)
-        for r in rows
+        tuple(getattr(r, name) for name in _RATIO_COLUMNS) for r in rows
     ]))
     _validate_table(path, _RATIO_COLUMNS)
     return path
@@ -501,13 +456,14 @@ def run_mse_validate(config: ExperimentConfig) -> tuple[Path, int]:
         status = "SKIPPED" if passed is None else ("PASS" if passed else "FAIL")
         checks.append((name, status, detail))
 
-    j_unq = steady_filter_bim(model, MeasurementChannel.UNQUANTIZED, spec).value
-    kappa_unq = steady_smoothing_gain(model, MeasurementChannel.UNQUANTIZED, spec).value
+    fim = steady_expected_fim(model, MeasurementChannel.UNQUANTIZED, spec)
+    j_unq = quadratic_filter_root(model, fim)
+    kappa_unq = quadratic_gain_root(model, fim)
     riccati = kalman_steady_variance(model)
     rel = abs(riccati * j_unq - 1.0)
     add("riccati variance equals inverse filter information", rel <= 1e-9,
         f"relative error {rel:.3e}, tolerance 1e-09")
-    smoothed = rts_steady_variance(model, lag=None)
+    smoothed = rts_steady_variance(model)
     rel = abs(smoothed * (j_unq + kappa_unq) - 1.0)
     add("rts variance equals inverse smoothing information", rel <= 1e-6,
         f"relative error {rel:.3e}, tolerance 1e-06")
@@ -516,7 +472,7 @@ def run_mse_validate(config: ExperimentConfig) -> tuple[Path, int]:
         monte_carlo_mse(model, MeasurementChannel.UNQUANTIZED, "kalman", config.seed,
                         config.trials, config.horizon, config.delta, spec=spec),
         monte_carlo_mse(model, MeasurementChannel.ONE_BIT, "grid", config.seed,
-                        config.trials, config.horizon, config.delta, spec=spec),
+                        config.trials, config.horizon, spec=spec),
     ]
     statistical = config.trials >= 2
     for report in reports:
@@ -582,11 +538,10 @@ def run_selftest(q_function=None) -> tuple[str, int]:
         )
 
     unit = GaussMarkovModel(alpha=1.0, sigma_z=1.0, sigma_eta=1.0, sigma0=1.0)
+    unit_fim = steady_expected_fim(unit, MeasurementChannel.UNQUANTIZED)
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    check("golden-ratio filtering fixed point",
-          steady_filter_bim(unit, MeasurementChannel.UNQUANTIZED).value, phi, 1e-9)
-    check("golden-ratio smoothing gain",
-          steady_smoothing_gain(unit, MeasurementChannel.UNQUANTIZED).value, phi - 1.0, 1e-9)
+    check("golden-ratio filtering fixed point", quadratic_filter_root(unit, unit_fim), phi, 1e-9)
+    check("golden-ratio smoothing gain", quadratic_gain_root(unit, unit_fim), phi - 1.0, 1e-9)
 
     pred_model = GaussMarkovModel(alpha=0.9, sigma_z=1.0, sigma_eta=1.0, sigma0=1.0)
     filtered = filter_bim_sequence(pred_model, MeasurementChannel.UNQUANTIZED, 5)

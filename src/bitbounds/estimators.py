@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal, sparse
 
-from .bim import filter_bim_sequence, per_block_fims, smooth_bim_compact
+from .bim import filtered_information, per_block_fims, smoothing_gain
 from .core import GaussMarkovModel, MeasurementChannel, gain_step, state_moments
 from .exceptions import NumericalDegeneracyError
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, q_function
-from .steady import steady_expected_fim, steady_filter_bim, steady_lag_gain, steady_smoothing_gain
+from .steady import quadratic_filter_root, quadratic_gain_root, steady_expected_fim, steady_lag_gain
 
 __all__ = [
     "TrajectoryBatch",
@@ -398,26 +398,17 @@ def kalman_steady_variance(model: GaussMarkovModel) -> float:
     return 2.0 * q * r / (b + math.sqrt(b * b + 4.0 * model.alpha**2 * q * r))
 
 
-def rts_steady_variance(model: GaussMarkovModel, lag: int | None = None) -> float:
-    """Steady-state smoothed variance of the RTS smoother.
+def rts_steady_variance(model: GaussMarkovModel) -> float:
+    """Steady-state smoothed variance of the long-lag RTS smoother.
 
-    Starting from the steady filter variance ``P``, applies backward variance
-    steps ``V <- P + c^2 (V - P_pred)`` with the steady gain
-    ``c = alpha P / P_pred``: ``lag`` of them for a fixed-lag smoother. The
-    long-lag limit (``lag=None``) is their fixed point,
-    ``(P - c^2 P_pred) / (1 - c^2)``.
+    With the steady filter variance ``P`` and the steady gain
+    ``c = alpha P / P_pred``, the fixed point of the backward variance step
+    ``V <- P + c^2 (V - P_pred)``: ``(P - c^2 P_pred) / (1 - c^2)``.
     """
     p = kalman_steady_variance(model)
     p_pred = model.alpha**2 * p + model.sigma_z**2
     c = model.alpha * p / p_pred
-    if lag is None:
-        return (p - c**2 * p_pred) / (1.0 - c**2)
-    if lag < 0:
-        raise ValueError(f"lag must be nonnegative, got {lag}.")
-    v = p
-    for _ in range(lag):
-        v = p + c**2 * (v - p_pred)
-    return v
+    return (p - c**2 * p_pred) / (1.0 - c**2)
 
 
 def _grid_axis(model: GaussMarkovModel, spec: GridSpec, horizon: int) -> np.ndarray:
@@ -627,13 +618,12 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     channel : MeasurementChannel
     estimator : str
         ``"kalman"`` (unquantized only; RTS smoothing at the given lag) or
-        ``"grid"`` (either channel; fixed-interval smoothing, ``lag``
-        ignored).
+        ``"grid"`` (either channel; fixed-interval smoothing).
     seed, num_trials, horizon : int
         Simulation parameters; see :func:`simulate`.
     lag : int
         Smoothing lag for the Kalman path; the steady region must fit,
-        ``horizon > burn-in + lag``.
+        ``horizon > burn-in + lag``. The grid path requires 0.
     grid : GridSpec
         Grid geometry for the grid path.
     batch_size : int
@@ -650,13 +640,16 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         raise ValueError(f"estimator must be 'kalman' or 'grid', got {estimator!r}.")
     if estimator == "kalman" and channel is not MeasurementChannel.UNQUANTIZED:
         raise ValueError("the kalman estimator requires the unquantized channel.")
+    if estimator == "grid" and lag != 0:
+        raise ValueError(f"the grid estimator smooths over the whole interval; got lag {lag}.")
     burn = burn_in_blocks(model, horizon)
     batch = simulate(model, channel, seed, num_trials, horizon)
     states = batch.states
 
-    filter_info = filter_bim_sequence(model, channel, horizon, spec).values
-    filter_bounds = 1.0 / filter_info
-    steady_j = steady_filter_bim(model, channel, spec).value
+    fims = per_block_fims(model, channel, horizon, spec)
+    filter_info = filtered_information(model, fims)
+    steady_fim = steady_expected_fim(model, channel, spec)
+    steady_j = quadratic_filter_root(model, steady_fim)
 
     if estimator == "kalman":
         if not horizon > burn + lag:
@@ -667,15 +660,13 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         smoothed = rts_smoother(filtered, model, lag)
         err_f = (filtered.means - states) ** 2
         err_s = (smoothed.means - states[:, : horizon - lag + 1]) ** 2
-        fims = per_block_fims(model, channel, horizon, spec)
         smooth_bounds = 1.0 / (filter_info[: horizon - lag + 1] + _lagged_gains(model, fims, lag))
         steady_smooth_bound = 1.0 / (steady_j + steady_lag_gain(model, channel, lag, spec))
         smooth_lo, smooth_hi = burn, horizon - lag
         report_lag: int | None = lag
     else:
-        smooth_seq = smooth_bim_compact(model, channel, horizon, spec)
-        smooth_bounds = smooth_seq.variances
-        steady_smooth_bound = 1.0 / (steady_j + steady_smoothing_gain(model, channel, spec).value)
+        smooth_bounds = 1.0 / (filter_info + smoothing_gain(model, fims, horizon))
+        steady_smooth_bound = 1.0 / (steady_j + quadratic_gain_root(model, steady_fim))
         err_f = np.empty_like(states)
         err_s = np.empty_like(states)
         for start in range(0, num_trials, batch_size):
@@ -705,7 +696,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         burn_in=burn,
         filter_mse=filter_mse,
         filter_se=filter_se,
-        filter_bound=filter_bounds,
+        filter_bound=1.0 / filter_info,
         smooth_mse=smooth_mse,
         smooth_se=smooth_se,
         smooth_bound=smooth_bounds,

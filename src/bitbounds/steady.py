@@ -10,9 +10,9 @@ the steady expected measurement information ``f`` is known:
 
 with positive roots ``J = (B + sqrt(B^2 + 4C)) / 2`` and
 ``kappa = 2C / (B + sqrt(B^2 + 4C))``, so ``J + kappa = sqrt(B^2 + 4C)``.
-The solvers here return these roots, which stay exact as ``alpha -> 1``,
-where the plain recursions contract too slowly to iterate. The iterations
-are kept only in the tests, as oracles on models where they converge.
+:func:`quadratic_filter_root` and :func:`quadratic_gain_root` return these
+roots as floats, exact as ``alpha -> 1``, where the plain recursions contract
+too slowly to iterate. The iterations are kept only in the tests, as oracles.
 
 Performance ratios compare the two channels in decibels: ``rho_f`` and
 ``rho_sl`` are the one-bit information losses for filtering and long-lag
@@ -29,37 +29,15 @@ from .core import GaussMarkovModel, MeasurementChannel, StateMoments, gain_step,
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fim
 
 __all__ = [
-    "FixedPointResult",
     "SteadyStateReport",
     "steady_expected_fim",
     "quadratic_filter_root",
     "quadratic_gain_root",
-    "steady_filter_bim",
-    "steady_smoothing_gain",
     "steady_lag_gain",
     "performance_ratios",
     "snr_to_sigma_z",
     "model_for_snr",
 ]
-
-
-@dataclass(frozen=True)
-class FixedPointResult:
-    """Fixed-point value with iteration accounting.
-
-    The solvers are closed forms, so ``iterations`` is 0 and ``converged``
-    is True; both fields stay for callers that report them.
-    """
-
-    value: float
-    iterations: int
-    converged: bool
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"FixedPointResult requires a finite value, got {self.value}.")
-        if self.iterations < 0:
-            raise ValueError(f"FixedPointResult requires iterations >= 0, got {self.iterations}.")
 
 
 @dataclass(frozen=True)
@@ -85,10 +63,12 @@ class SteadyStateReport:
         One-bit smoothing vs unquantized filtering,
         ``10 log10(j_smooth_q / j_filter_unq)``.
     iterations_used : tuple of int
-        Solver iterations, ordered (filter unquantized, filter one-bit,
-        gain unquantized, gain one-bit); all 0 for the closed forms.
-    converged : tuple of bool
-        Convergence flags in the same order; all True.
+        Always ``(0, 0, 0, 0)``: the roots are closed forms. Its only reader
+        is the benchmark's layer tracer (``perfbench/spans.py``), which
+        reports a missing counter as ``null``; the field goes once the
+        tracer stops reading it.
+
+    Every float field must be finite.
     """
 
     snr_db: float
@@ -102,9 +82,12 @@ class SteadyStateReport:
     rho_sl_db: float
     rho_s_db: float
     iterations_used: tuple[int, int, int, int]
-    converged: tuple[bool, bool, bool, bool]
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            if name != "iterations_used" and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"SteadyStateReport requires a finite {name}, "
+                                 f"got {getattr(self, name)}.")
         for name in ("j_filter_unq", "j_filter_q", "j_smooth_unq", "j_smooth_q"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"SteadyStateReport requires {name} > 0, got {getattr(self, name)}.")
@@ -156,46 +139,6 @@ def quadratic_gain_root(model: GaussMarkovModel, fim: float) -> float:
     return 2.0 * c / (b + math.sqrt(b * b + 4.0 * c))
 
 
-def steady_filter_bim(model: GaussMarkovModel, channel: MeasurementChannel,
-                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FixedPointResult:
-    """Steady-state filtering information.
-
-    The fixed point of ``J <- s + f - alpha^2 s^2 / (J + alpha^2 s)``,
-    returned as the positive root of the filtering quadratic
-    (:func:`quadratic_filter_root`): exact for every ``|alpha| <= 1``,
-    however slowly the map contracts.
-
-    Parameters
-    ----------
-    model : GaussMarkovModel
-        The one-bit channel requires a stationary model; the unquantized
-        channel also accepts ``|alpha| = 1``.
-    channel : MeasurementChannel
-    spec : QuadratureSpec, optional
-
-    Returns
-    -------
-    FixedPointResult
-        With ``iterations = 0`` and ``converged = True``.
-    """
-    fim = steady_expected_fim(model, channel, spec)
-    return FixedPointResult(quadratic_filter_root(model, fim), iterations=0, converged=True)
-
-
-def steady_smoothing_gain(model: GaussMarkovModel, channel: MeasurementChannel,
-                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FixedPointResult:
-    """Steady-state smoothing gain.
-
-    The fixed point of ``kappa <- alpha^2 s - alpha^2 s^2 / (s + f + kappa)``,
-    returned as the positive root of the gain quadratic
-    (:func:`quadratic_gain_root`). The value is the information a long-lag
-    smoother adds on top of the steady filter. Parameters and result match
-    :func:`steady_filter_bim`.
-    """
-    fim = steady_expected_fim(model, channel, spec)
-    return FixedPointResult(quadratic_gain_root(model, fim), iterations=0, converged=True)
-
-
 def steady_lag_gain(model: GaussMarkovModel, channel: MeasurementChannel, lag: int,
                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Steady smoothing gain of a finite lag.
@@ -203,7 +146,7 @@ def steady_lag_gain(model: GaussMarkovModel, channel: MeasurementChannel, lag: i
     Applies exactly ``lag`` backward gain steps from 0 with the steady
     expected measurement information, giving the information a lag-``lag``
     smoother adds over the steady filter. Increases monotonically in
-    ``lag`` toward the fixed point of :func:`steady_smoothing_gain`.
+    ``lag`` toward the root of :func:`quadratic_gain_root`.
     """
     if lag < 0:
         raise ValueError(f"steady_lag_gain requires lag >= 0, got {lag}.")
@@ -251,7 +194,6 @@ def performance_ratios(model: GaussMarkovModel,
         rho_sl_db=10.0 * math.log10(smooth_q / smooth_unq),
         rho_s_db=10.0 * math.log10(smooth_q / f_unq),
         iterations_used=(0, 0, 0, 0),
-        converged=(True, True, True, True),
     )
 
 

@@ -1,4 +1,4 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and fixtures.
 
 The acceptance tests push one summary line per criterion into a shared
 list; the terminal-summary hook prints them after the run so the verdict
@@ -6,12 +6,28 @@ survives output capturing.
 """
 import pytest
 
+import bitbounds.bim
+
 _acceptance_lines: list[str] = []
 
 
 @pytest.fixture(scope="session")
 def acceptance_report() -> list[str]:
     return _acceptance_lines
+
+
+@pytest.fixture
+def fim_calls(monkeypatch) -> list:
+    """Records the arguments of each ``expected_fim`` call made by ``bitbounds.bim``."""
+    calls = []
+    original = bitbounds.bim.expected_fim
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bitbounds.bim, "expected_fim", counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -37,8 +37,6 @@ from bitbounds import (
     quadratic_gain_root,
     rts_steady_variance,
     steady_expected_fim,
-    steady_filter_bim,
-    steady_smoothing_gain,
 )
 from bitbounds.cli import default_config, format_value, run_fig1, run_fig2, run_selftest
 
@@ -194,8 +192,9 @@ def test_criterion_5_monte_carlo_bound_validity(acceptance_report):
                            seed=seed, num_trials=trials, horizon=horizon)
     elapsed = time.perf_counter() - start
 
-    j = steady_filter_bim(model, MeasurementChannel.UNQUANTIZED).value
-    kappa = steady_smoothing_gain(model, MeasurementChannel.UNQUANTIZED).value
+    fim = steady_expected_fim(model, MeasurementChannel.UNQUANTIZED)
+    j = quadratic_filter_root(model, fim)
+    kappa = quadratic_gain_root(model, fim)
     kalman_dev = abs(kalman.steady_filter_mse - kalman.steady_filter_bound)
     a_mse_ok = kalman_dev <= 3.0 * kalman.steady_filter_se
     a_riccati_ok = abs(kalman_steady_variance(model) * j - 1.0) <= 1e-9

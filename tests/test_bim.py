@@ -146,6 +146,14 @@ class TestPerBlockFims:
         for k in range(5):
             assert_allclose(fims[k], expected_fq(state_moments(m, k), 1.0), rtol=1e-14)
 
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_each_recursion_builds_the_fims_once(self, channel, fim_calls):
+        m = GaussMarkovModel(alpha=0.9, sigma_z=1.0, sigma_eta=1.0, sigma0=2.0)
+        for build in (filter_bim_sequence, smooth_bim_compact):
+            fim_calls.clear()
+            build(m, channel, 40)
+            assert len(fim_calls) == 41
+
 
 class TestPrediction:
     def test_zero_steps_returns_anchor_information(self):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bitbounds import model_for_snr, performance_ratios
 from bitbounds.cli import (
     EXPERIMENTS,
     _UsageError,
@@ -148,11 +149,12 @@ class TestRatios:
         columns = lines[1].removeprefix("# columns: ").split()
         assert columns == ["snr_db", "rho_sl_db", "rho_f_db", "rho_s_db",
                            "j_filter_unq", "j_filter_q", "j_smooth_unq",
-                           "j_smooth_q", "converged"]
-        for line in lines[2:]:
-            cells = line.split()
-            assert len(cells) == 9
-            assert cells[-1] == "1"
+                           "j_smooth_q"]
+        reports = [performance_ratios(model_for_snr(0.99, snr))
+                   for snr in (-20.0, -19.5, -19.0, -18.5, -18.0)]
+        assert [line.split() for line in lines[2:]] == [
+            [format_value(getattr(r, name)) for name in columns] for r in reports
+        ]
 
     def test_rejects_multiple_alphas(self, tmp_path, capsys):
         out = tmp_path / "ratios.txt"

@@ -26,6 +26,7 @@ from bitbounds import (
     smooth_bim_compact,
     state_moments,
     steady_expected_fim,
+    steady_lag_gain,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -69,6 +70,22 @@ def _iterated_rts(model: GaussMarkovModel) -> float:
             return updated
         v = updated
     raise AssertionError("smoothed-variance iteration did not converge.")
+
+
+def _lagged_rts_variance(model: GaussMarkovModel, lag: int) -> float:
+    """Steady variance of a lag-``lag`` RTS smoother, in covariance form.
+
+    ``lag`` backward variance steps ``V <- P + c^2 (V - P_pred)`` from the
+    steady filter variance ``P``, with the steady gain ``c = alpha P / P_pred``:
+    an oracle for the information-form ``steady_lag_gain``.
+    """
+    p = kalman_steady_variance(model)
+    p_pred = model.alpha**2 * p + model.sigma_z**2
+    c = model.alpha * p / p_pred
+    v = p
+    for _ in range(lag):
+        v = p + c**2 * (v - p_pred)
+    return v
 
 
 class TestSimulate:
@@ -189,14 +206,23 @@ class TestRtsSmoother:
         j = quadratic_filter_root(m, f)
         kappa = quadratic_gain_root(m, f)
         assert_allclose(rts_steady_variance(m) * (j + kappa), 1.0, rtol=1e-6)
-        assert_allclose(rts_steady_variance(m, lag=0), kalman_steady_variance(m), rtol=1e-12)
 
     @pytest.mark.parametrize("alpha,snr_db", ITERABLE_MODELS)
     def test_steady_variance_matches_backward_iteration(self, alpha, snr_db):
         m = model_for_snr(alpha, snr_db)
         assert_allclose(rts_steady_variance(m), _iterated_rts(m), rtol=1e-9)
-        long_lag = rts_steady_variance(m, lag=100)
+        long_lag = _lagged_rts_variance(m, 100)
         assert rts_steady_variance(m) <= long_lag <= kalman_steady_variance(m)
+
+    @pytest.mark.parametrize("alpha,snr_db", ITERABLE_MODELS)
+    def test_lag_gain_inverts_lagged_rts_variance(self, alpha, snr_db):
+        # Information form (steady root plus lag gain steps) against the
+        # covariance-form backward loop, lag by lag.
+        m = model_for_snr(alpha, snr_db)
+        j = quadratic_filter_root(m, steady_expected_fim(m, MeasurementChannel.UNQUANTIZED))
+        for lag in (0, 1, 10, 100, 1000):
+            gain = steady_lag_gain(m, MeasurementChannel.UNQUANTIZED, lag)
+            assert_allclose(_lagged_rts_variance(m, lag) * (j + gain), 1.0, rtol=1e-12)
 
 
 class TestGridFilter:
@@ -307,6 +333,20 @@ class TestMonteCarloMse:
         with pytest.raises(ValueError):
             monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman",
                             seed=1, num_trials=4, horizon=120, lag=60)
+
+    def test_grid_path_rejects_a_lag(self):
+        m = model_for_snr(0.95, 0.0)
+        with pytest.raises(ValueError, match="lag"):
+            monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid",
+                            seed=1, num_trials=4, horizon=50, lag=5)
+
+    @pytest.mark.parametrize("channel,estimator", [
+        (MeasurementChannel.UNQUANTIZED, "kalman"), (MeasurementChannel.ONE_BIT, "grid"),
+    ])
+    def test_builds_the_fims_once(self, channel, estimator, fim_calls):
+        monte_carlo_mse(model_for_snr(0.9, 0.0), channel, estimator, seed=3, num_trials=2,
+                        horizon=60, lag=0, grid=GridSpec(num_points=200))
+        assert len(fim_calls) == 61
 
     def test_single_trial_reports_nan_se(self):
         m = model_for_snr(0.9, 0.0)

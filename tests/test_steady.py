@@ -6,6 +6,7 @@ information against the stationary marginal. The plain fixed-point
 iterations of the filter and gain maps live here as a second oracle for the
 closed-form solvers, on models where they converge.
 """
+import dataclasses
 import math
 import sys
 
@@ -21,9 +22,7 @@ from bitbounds import (
     quadratic_gain_root,
     snr_to_sigma_z,
     steady_expected_fim,
-    steady_filter_bim,
     steady_lag_gain,
-    steady_smoothing_gain,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -133,30 +132,22 @@ class TestQuadraticRoots:
         assert_allclose(j + kappa, math.sqrt(b * b + 4.0 * c), rtol=1e-14)
 
 
-class TestFixedPointSolvers:
+class TestFixedPointRoots:
+    """The closed-form roots against the plain fixed-point iterations."""
+
     def test_filter_iteration_reaches_golden_ratio(self):
-        m = _golden_model()
-        res = steady_filter_bim(m, MeasurementChannel.UNQUANTIZED)
-        assert res.converged and res.iterations == 0
-        assert_allclose(res.value, GOLDEN, rtol=1e-15)
-        assert_allclose(_iterated_filter(m, 1.0)[0], GOLDEN, rtol=1e-11)
+        assert_allclose(_iterated_filter(_golden_model(), 1.0)[0], GOLDEN, rtol=1e-11)
 
     def test_gain_iteration_reaches_golden_ratio_conjugate(self):
-        m = _golden_model()
-        res = steady_smoothing_gain(m, MeasurementChannel.UNQUANTIZED)
-        assert res.converged and res.iterations == 0
-        assert_allclose(res.value, GOLDEN - 1.0, rtol=1e-15)
-        assert_allclose(_iterated_gain(m, 1.0)[0], GOLDEN - 1.0, rtol=1e-11)
+        assert_allclose(_iterated_gain(_golden_model(), 1.0)[0], GOLDEN - 1.0, rtol=1e-11)
 
     @pytest.mark.parametrize("alpha,snr_db", ITERABLE_MODELS)
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
-    def test_solvers_match_iteration_oracle(self, alpha, snr_db, channel):
+    def test_roots_match_iteration_oracle(self, alpha, snr_db, channel):
         m = model_for_snr(alpha, snr_db)
         f = steady_expected_fim(m, channel)
-        assert_allclose(steady_filter_bim(m, channel).value, _iterated_filter(m, f)[0],
-                        rtol=1e-10)
-        assert_allclose(steady_smoothing_gain(m, channel).value, _iterated_gain(m, f)[0],
-                        rtol=1e-10)
+        assert_allclose(quadratic_filter_root(m, f), _iterated_filter(m, f)[0], rtol=1e-10)
+        assert_allclose(quadratic_gain_root(m, f), _iterated_gain(m, f)[0], rtol=1e-10)
 
     def test_iterate_agrees_with_root_in_the_stiff_corner(self):
         # alpha -> 1 at very low SNR contracts at 1 - O(1e-4) per step; the
@@ -166,19 +157,18 @@ class TestFixedPointSolvers:
             f = steady_expected_fim(m, channel)
             value, iterations = _iterated_filter(m, f)
             assert iterations > 10_000
-            assert_allclose(steady_filter_bim(m, channel).value, value, rtol=1e-10)
-            assert_allclose(steady_smoothing_gain(m, channel).value, _iterated_gain(m, f)[0],
-                            rtol=1e-10)
+            assert_allclose(quadratic_filter_root(m, f), value, rtol=1e-10)
+            assert_allclose(quadratic_gain_root(m, f), _iterated_gain(m, f)[0], rtol=1e-10)
 
     def test_one_bit_requires_stationary_model(self):
         with pytest.raises(ValueError):
-            steady_filter_bim(_golden_model(), MeasurementChannel.ONE_BIT)
+            steady_expected_fim(_golden_model(), MeasurementChannel.ONE_BIT)
 
     def test_zero_alpha_converges_immediately(self):
         m = GaussMarkovModel(alpha=0.0, sigma_z=0.5, sigma_eta=1.0, sigma0=1.0)
-        res = steady_filter_bim(m, MeasurementChannel.UNQUANTIZED)
-        assert_allclose(res.value, 4.0 + 1.0, rtol=1e-14)
-        assert steady_smoothing_gain(m, MeasurementChannel.UNQUANTIZED).value == 0.0
+        f = steady_expected_fim(m, MeasurementChannel.UNQUANTIZED)
+        assert_allclose(quadratic_filter_root(m, f), 4.0 + 1.0, rtol=1e-14)
+        assert quadratic_gain_root(m, f) == 0.0
 
 
 class TestLagGain:
@@ -196,7 +186,7 @@ class TestLagGain:
 
     def test_monotone_toward_fixed_point(self):
         m = model_for_snr(0.999, -10.0)
-        kappa = steady_smoothing_gain(m, MeasurementChannel.ONE_BIT).value
+        kappa = quadratic_gain_root(m, steady_expected_fim(m, MeasurementChannel.ONE_BIT))
         gains = [steady_lag_gain(m, MeasurementChannel.ONE_BIT, lag)
                  for lag in (0, 1, 2, 5, 20, 100, 1000)]
         assert all(a < b for a, b in zip(gains, gains[1:]))
@@ -226,8 +216,14 @@ class TestPerformanceRatios:
                         rtol=1e-12)
         assert_allclose(report.j_smooth_q, report.j_filter_q + report.kappa_q,
                         rtol=1e-12)
-        assert report.converged == (True, True, True, True)
         assert report.iterations_used == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("field", ["snr_db", "rho_s_db", "kappa_q"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_report_rejects_non_finite_values(self, field, bad):
+        report = performance_ratios(model_for_snr(0.999, -5.0))
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(report, **{field: bad})
 
     def test_smoothing_advantage_grows_with_alpha(self):
         values = [performance_ratios(model_for_snr(a, -30.0)).rho_s_db
