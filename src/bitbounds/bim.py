@@ -26,9 +26,10 @@ import numpy as np
 from .core import (
     GaussMarkovModel,
     MeasurementChannel,
+    StateMoments,
     forward_info_step,
     gain_step,
-    state_moments,
+    marginal_moments,
 )
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fim
 
@@ -113,13 +114,24 @@ def per_block_fims(model: GaussMarkovModel, channel: MeasurementChannel, num_blo
         marginal of block ``k``. The filter recursion consumes entries
         1..K; entry 0 is included for completeness but block 0 carries
         no measurement.
+
+    Notes
+    -----
+    The block marginals come from :func:`~bitbounds.core.marginal_moments`
+    as plain floats, and :func:`~bitbounds.qfim.expected_fim` runs once per
+    distinct ``(mean, variance)`` pair of the call: once the prior's offset
+    from the stationary marginal has decayed below rounding, every later
+    block repeats one pair. The block index does not enter the value, so
+    the array is bit-identical to evaluating every block on its own.
     """
     if num_blocks < 0:
         raise ValueError(f"num_blocks must be nonnegative, got {num_blocks}.")
-    out = np.empty(num_blocks + 1)
-    for k in range(num_blocks + 1):
-        out[k] = expected_fim(channel, state_moments(model, k), model.sigma_eta, spec)
-    return out
+    moments = marginal_moments(model, range(num_blocks + 1))
+    fim_of: dict[tuple[float, float], float] = {}
+    for k, pair in enumerate(moments):
+        if pair not in fim_of:
+            fim_of[pair] = expected_fim(channel, StateMoments(k, *pair), model.sigma_eta, spec)
+    return np.array([fim_of[pair] for pair in moments])
 
 
 def filtered_information(model: GaussMarkovModel, fims: np.ndarray) -> np.ndarray:
@@ -133,11 +145,12 @@ def filtered_information(model: GaussMarkovModel, fims: np.ndarray) -> np.ndarra
     fims = np.asarray(fims, dtype=float)
     if fims.ndim != 1 or fims.shape[0] < 1:
         raise ValueError(f"fims must have shape (K + 1,), got {fims.shape}.")
-    values = np.empty(fims.shape[0])
-    values[0] = 1.0 / model.sigma0**2
-    for k in range(1, fims.shape[0]):
-        values[k] = forward_info_step(model, values[k - 1], fims[k])
-    return values
+    j = 1.0 / model.sigma0**2
+    values = [j]
+    for fim in fims.tolist()[1:]:
+        j = forward_info_step(model, j, fim)
+        values.append(j)
+    return np.array(values)
 
 
 def filter_bim_sequence(model: GaussMarkovModel, channel: MeasurementChannel,
@@ -191,10 +204,11 @@ def predict_bim(model: GaussMarkovModel, filtered: BimSequence, num_steps: int,
         anchor = len(filtered) - 1
     if not 0 <= anchor < len(filtered):
         raise ValueError(f"anchor {anchor} outside filtered sequence of length {len(filtered)}.")
-    values = np.empty(num_steps + 1)
-    values[0] = filtered.values[anchor]
-    for m in range(1, num_steps + 1):
-        values[m] = forward_info_step(model, values[m - 1])
+    j = float(filtered.values[anchor])
+    values = [j]
+    for _ in range(num_steps):
+        j = forward_info_step(model, j)
+        values.append(j)
     return BimSequence(BimKind.PREDICT, filtered.channel, values, anchor=anchor)
 
 
@@ -225,11 +239,13 @@ def smoothing_gain(model: GaussMarkovModel, fims: np.ndarray, anchor: int) -> np
     fims = np.asarray(fims, dtype=float)
     if not 0 <= anchor < fims.shape[0]:
         raise ValueError(f"anchor {anchor} outside fims of length {fims.shape[0]}.")
-    gains = np.empty(anchor + 1)
-    gains[anchor] = 0.0
-    for l in range(anchor - 1, -1, -1):
-        gains[l] = gain_step(model, gains[l + 1], fims[l + 1])
-    return gains
+    kappa = 0.0
+    gains = [kappa]
+    for fim in reversed(fims[1 : anchor + 1].tolist()):
+        kappa = gain_step(model, kappa, fim)
+        gains.append(kappa)
+    gains.reverse()
+    return np.array(gains)
 
 
 def smooth_bim_compact(model: GaussMarkovModel, channel: MeasurementChannel, anchor: int,

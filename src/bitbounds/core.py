@@ -8,8 +8,8 @@ Each block k >= 1 is observed either directly in additive Gaussian noise
 
 This module provides the model container, the measurement-channel selector,
 the two scalar steps that every finite-horizon bound recursion is built from
-(one forward information step, one backward smoothing-gain step), and closed
-forms for the marginal state moments.
+(one forward information step, one backward smoothing-gain step), and the
+closed form of the marginal state moments.
 """
 
 from __future__ import annotations
@@ -112,13 +112,51 @@ def gain_step(model: GaussMarkovModel, kappa, fim):
     return a2s * (fim + kappa) / (s + fim + kappa)
 
 
-def state_moments(model: GaussMarkovModel, k: int) -> StateMoments:
-    """Marginal moments of ``theta_k`` in closed form.
+def marginal_moments(model: GaussMarkovModel, blocks) -> list[tuple[float, float]]:
+    """Marginal ``(mean, variance)`` of ``theta_k`` for each ``k`` in ``blocks``, as floats.
 
     The mean is ``alpha^k * mu0``. The variance sums the geometric series of
     propagated process noise,
     ``alpha^(2k) * sigma0^2 + sigma_z^2 * (1 - alpha^(2k)) / (1 - alpha^2)``,
     which degenerates to ``sigma0^2 + k * sigma_z^2`` when ``|alpha| = 1``.
+    This is the single copy of the formula: :func:`state_moments` wraps one
+    block of it, and the per-block bound recursions take all blocks at once
+    without building a :class:`StateMoments` per block.
+
+    Parameters
+    ----------
+    model : GaussMarkovModel
+    blocks : iterable of int
+        Block indices, each ``>= 0`` (not checked here).
+
+    Returns
+    -------
+    list of (float, float)
+    """
+    a = model.alpha
+    s0 = model.sigma0**2
+    sz = model.sigma_z**2
+    out = []
+    if abs(a) == 1.0:
+        for k in blocks:
+            out.append(((a**k) * model.mu0, s0 + k * sz))
+        return out
+    # alpha^(2k) in log space so large k underflows cleanly to 0; math.exp,
+    # not np.exp, whose last-ulp difference the 1 - decay cancellation
+    # amplifies near alpha = 1
+    log_a = math.log(abs(a)) if a != 0.0 else None
+    stationary = 1.0 - a * a
+    for k in blocks:
+        if log_a is None:
+            decay = 1.0 if k == 0 else 0.0
+        else:
+            decay = math.exp(2.0 * k * log_a)
+        out.append(((a**k) * model.mu0, decay * s0 + sz * (1.0 - decay) / stationary))
+    return out
+
+
+def state_moments(model: GaussMarkovModel, k: int) -> StateMoments:
+    """Marginal moments of ``theta_k`` in closed form (:func:`marginal_moments`).
 
     Parameters
     ----------
@@ -132,17 +170,7 @@ def state_moments(model: GaussMarkovModel, k: int) -> StateMoments:
     """
     if k < 0:
         raise ValueError(f"state_moments requires k >= 0, got {k}.")
-    a = model.alpha
-    # alpha^(2k) in log space so large k underflows cleanly to 0
-    if a == 0.0:
-        decay = 1.0 if k == 0 else 0.0
-    else:
-        decay = math.exp(2.0 * k * math.log(abs(a))) if abs(a) < 1.0 else 1.0
-    mean = (a**k) * model.mu0
-    if abs(a) == 1.0:
-        variance = model.sigma0**2 + k * model.sigma_z**2
-    else:
-        variance = decay * model.sigma0**2 + model.sigma_z**2 * (1.0 - decay) / (1.0 - a * a)
+    ((mean, variance),) = marginal_moments(model, (k,))
     return StateMoments(block_index=k, mean=mean, variance=variance)
 
 

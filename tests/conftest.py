@@ -7,6 +7,7 @@ survives output capturing.
 import pytest
 
 import bitbounds.bim
+import bitbounds.estimators
 
 _acceptance_lines: list[str] = []
 
@@ -27,6 +28,21 @@ def fim_calls(monkeypatch) -> list:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(bitbounds.bim, "expected_fim", counted)
+    return calls
+
+
+@pytest.fixture
+def fims_builds(monkeypatch) -> list:
+    """Records the arguments of each ``per_block_fims`` call made by the package."""
+    calls = []
+    original = bitbounds.bim.per_block_fims
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (bitbounds.bim, bitbounds.estimators):
+        monkeypatch.setattr(module, "per_block_fims", counted)
     return calls
 
 

@@ -23,6 +23,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from bitbounds import (
     MeasurementChannel,
     QuadratureRule,
@@ -182,6 +184,7 @@ def test_criterion_4_analytic_selftest(acceptance_report):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_monte_carlo_bound_validity(acceptance_report):
     model = model_for_snr(0.999, -10.0)
     seed, trials, horizon, lag = 20260814, 2000, 500, 100

@@ -14,8 +14,13 @@ from bitbounds import (
     BimSequence,
     GaussMarkovModel,
     MeasurementChannel,
+    QuadratureRule,
+    QuadratureSpec,
+    expected_fim,
     expected_fq,
     filter_bim_sequence,
+    forward_info_step,
+    gain_step,
     per_block_fims,
     predict_bim,
     smooth_bim_compact,
@@ -147,12 +152,81 @@ class TestPerBlockFims:
             assert_allclose(fims[k], expected_fq(state_moments(m, k), 1.0), rtol=1e-14)
 
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
-    def test_each_recursion_builds_the_fims_once(self, channel, fim_calls):
+    def test_each_recursion_builds_the_fims_once(self, channel, fims_builds):
         m = GaussMarkovModel(alpha=0.9, sigma_z=1.0, sigma_eta=1.0, sigma0=2.0)
         for build in (filter_bim_sequence, smooth_bim_compact):
-            fim_calls.clear()
+            fims_builds.clear()
             build(m, channel, 40)
-            assert len(fim_calls) == 41
+            assert len(fims_builds) == 1
+
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    @pytest.mark.parametrize("num_blocks", [1, 2, 40])
+    def test_one_quadrature_per_distinct_marginal(self, channel, num_blocks, fim_calls):
+        # At alpha = 0 block 0 has the prior marginal N(mu0, sigma0^2) and
+        # every later block N(0, sigma_z^2): two distinct marginals.
+        m = GaussMarkovModel(alpha=0.0, sigma_z=0.5, sigma_eta=1.0, sigma0=2.0, mu0=0.5)
+        fims = per_block_fims(m, channel, num_blocks)
+        assert len(fim_calls) == 2
+        assert fims.shape == (num_blocks + 1,)
+        assert np.all(fims[1:] == fims[1])
+
+
+def _per_block_fims_oracle(model, channel, num_blocks, spec):
+    """The per-block form: one ``expected_fim`` call per block, in block order."""
+    return np.array([expected_fim(channel, state_moments(model, k), model.sigma_eta, spec)
+                     for k in range(num_blocks + 1)])
+
+
+def _filtered_oracle(model, fims):
+    """The forward recursion stepped over numpy scalars, one block at a time."""
+    values = np.empty(fims.shape[0])
+    values[0] = 1.0 / model.sigma0**2
+    for k in range(1, fims.shape[0]):
+        values[k] = forward_info_step(model, values[k - 1], fims[k])
+    return values
+
+
+def _predicted_oracle(model, start, num_steps):
+    values = np.empty(num_steps + 1)
+    values[0] = start
+    for m in range(1, num_steps + 1):
+        values[m] = forward_info_step(model, values[m - 1])
+    return values
+
+
+def _gain_oracle(model, fims, anchor):
+    gains = np.empty(anchor + 1)
+    gains[anchor] = 0.0
+    for l in range(anchor - 1, -1, -1):
+        gains[l] = gain_step(model, gains[l + 1], fims[l + 1])
+    return gains
+
+
+_ORACLE_SPECS = (QuadratureSpec(), QuadratureSpec(rule=QuadratureRule.TRAPEZOID, nodes=400))
+
+
+class TestPerBlockOracle:
+    """Deduplicated marginals and float recursions equal the per-block form bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.9, 1.0 - 1e-9, 1.0])
+    @pytest.mark.parametrize("mu0", [0.0, 0.5])
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    @pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=lambda spec: spec.rule.value)
+    def test_bit_identical_to_per_block_loop(self, alpha, mu0, channel, spec):
+        m = GaussMarkovModel(alpha=alpha, sigma_z=0.3, sigma_eta=0.8, sigma0=1.7, mu0=mu0)
+        horizon = 120
+        fims = _per_block_fims_oracle(m, channel, horizon, spec)
+        assert np.array_equal(per_block_fims(m, channel, horizon, spec), fims)
+        filtered = filter_bim_sequence(m, channel, horizon, spec)
+        assert np.array_equal(filtered.values, _filtered_oracle(m, fims))
+        for anchor in (None, 17):
+            start = filtered.values[-1 if anchor is None else anchor]
+            ahead = predict_bim(m, filtered, 80, anchor=anchor)
+            assert np.array_equal(ahead.values, _predicted_oracle(m, start, 80))
+        smoothed = smooth_bim_compact(m, channel, horizon, spec)
+        want = _filtered_oracle(m, fims) + _gain_oracle(m, fims, horizon)
+        assert np.array_equal(smoothed.values, want)
+        assert np.array_equal(smoothing_gain(m, fims, 50), _gain_oracle(m, fims, 50))
 
 
 class TestPrediction:

@@ -308,6 +308,7 @@ class TestMonteCarloMse:
         ok_s = report.smooth_mse >= report.smooth_bound - 5.0 * report.smooth_se
         assert np.all(ok_f) and np.all(ok_s)
 
+    @pytest.mark.slow
     def test_grid_path_one_bit_bound_validity(self):
         m = model_for_snr(0.95, 0.0)
         report = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid",
@@ -343,10 +344,10 @@ class TestMonteCarloMse:
     @pytest.mark.parametrize("channel,estimator", [
         (MeasurementChannel.UNQUANTIZED, "kalman"), (MeasurementChannel.ONE_BIT, "grid"),
     ])
-    def test_builds_the_fims_once(self, channel, estimator, fim_calls):
+    def test_builds_the_fims_once(self, channel, estimator, fims_builds):
         monte_carlo_mse(model_for_snr(0.9, 0.0), channel, estimator, seed=3, num_trials=2,
                         horizon=60, lag=0, grid=GridSpec(num_points=200))
-        assert len(fim_calls) == 61
+        assert len(fims_builds) == 1
 
     def test_single_trial_reports_nan_se(self):
         m = model_for_snr(0.9, 0.0)

@@ -20,6 +20,8 @@ from bitbounds import (
     fq,
     q_function,
 )
+from bitbounds import qfim
+from bitbounds.exceptions import QuadratureError
 
 # (mean, variance, sigma_eta) -> E[F_q], 50-digit quadrature
 EXPECTED_FQ_TABLE = [
@@ -90,10 +92,19 @@ class TestQuadratureSpec:
         assert spec.nodes == 128
         assert spec.half_width_sigmas == 10.0
 
-    @pytest.mark.parametrize("nodes", [8, 1024])
+    @pytest.mark.parametrize("nodes", [8, 371, 512, 1024])
     def test_rejects_gauss_hermite_nodes_out_of_range(self, nodes):
         with pytest.raises(ValueError):
             QuadratureSpec(rule=QuadratureRule.GAUSS_HERMITE, nodes=nodes)
+
+    def test_largest_gauss_hermite_node_count_matches_default(self):
+        # numpy's Hermite weights are all zero at 371 nodes and non-finite
+        # beyond; 370 is the largest count whose weights are all positive.
+        spec = QuadratureSpec(rule=QuadratureRule.GAUSS_HERMITE, nodes=370)
+        for mean, variance, sigma_eta in [(0.0, 1.0, 1.0), (0.7, 25.0, 1.0), (-2.0, 0.3, 0.5)]:
+            mom = StateMoments(0, mean, variance)
+            assert_allclose(expected_fq(mom, sigma_eta, spec), expected_fq(mom, sigma_eta),
+                            rtol=1e-10)
 
     def test_rejects_tiny_trapezoid_grid(self):
         with pytest.raises(ValueError):
@@ -166,3 +177,49 @@ class TestQuadratureAgreement:
         full = expected_fq(mom, 1.0, QuadratureSpec(nodes=128))
         half = expected_fq(mom, 1.0, QuadratureSpec(nodes=64))
         assert_allclose(full, half, rtol=1e-10)
+
+
+class TestQuadratureFailure:
+    """A non-finite integrand raises ``QuadratureError`` naming the bad node."""
+
+    RULES = {
+        QuadratureRule.GAUSS_HERMITE: ("_residual_gain", QuadratureSpec()),
+        QuadratureRule.TRAPEZOID: ("fq", QuadratureSpec(rule=QuadratureRule.TRAPEZOID, nodes=512)),
+    }
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    def test_nan_mean_raises_with_its_node(self, rule):
+        _, spec = self.RULES[rule]
+        with pytest.raises(QuadratureError) as err:
+            expected_fq(StateMoments(0, float("nan"), 1.0), 1.0, spec)
+        assert math.isnan(err.value.node)
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    def test_one_infinite_value_raises_with_its_node(self, rule, monkeypatch):
+        name, spec = self.RULES[rule]
+        original = getattr(qfim, name)
+        seen = []
+
+        def one_infinite(theta, sigma_eta):
+            values = np.array(original(theta, sigma_eta))
+            values[37] = np.inf
+            seen.append(float(theta[37]))
+            return values
+
+        monkeypatch.setattr(qfim, name, one_infinite)
+        # moments no other test uses, so no cached value hides the integrand
+        with pytest.raises(QuadratureError) as err:
+            expected_fq(StateMoments(0, 0.3173, 2.0417), 1.0, spec)
+        assert err.value.node == seen[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    def test_overflowing_sum_of_finite_values_raises_without_a_node(self, rule, monkeypatch):
+        name, spec = self.RULES[rule]
+        # Every value is the largest float, scaled by at most 0.73 (the peak
+        # of the trapezoid's density at variance 0.3); their sum overflows.
+        biggest = np.finfo(float).max
+        monkeypatch.setattr(qfim, name, lambda theta, sigma_eta: np.full(np.shape(theta), biggest))
+        with pytest.raises(QuadratureError) as err:
+            expected_fq(StateMoments(0, 0.0, 0.30017), 1.0, spec)
+        assert err.value.node is None
