@@ -54,6 +54,7 @@ from .qfim import (
     QuadratureSpec,
     expected_fim,
     expected_fq,
+    expected_fq_batch,
     fq,
     q_function,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "burn_in_blocks",
     "expected_fim",
     "expected_fq",
+    "expected_fq_batch",
     "filter_bim_sequence",
     "filtered_information",
     "forward_info_step",

@@ -26,12 +26,11 @@ import numpy as np
 from .core import (
     GaussMarkovModel,
     MeasurementChannel,
-    StateMoments,
     forward_info_step,
     gain_step,
     marginal_moments,
 )
-from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fim
+from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fq_batch
 
 __all__ = [
     "BimKind",
@@ -117,21 +116,25 @@ def per_block_fims(model: GaussMarkovModel, channel: MeasurementChannel, num_blo
 
     Notes
     -----
-    The block marginals come from :func:`~bitbounds.core.marginal_moments`
-    as plain floats, and :func:`~bitbounds.qfim.expected_fim` runs once per
-    distinct ``(mean, variance)`` pair of the call: once the prior's offset
-    from the stationary marginal has decayed below rounding, every later
-    block repeats one pair. The block index does not enter the value, so
-    the array is bit-identical to evaluating every block on its own.
+    The unquantized channel gives the constant ``1 / sigma_eta^2`` without
+    computing marginals. For the one-bit channel the block marginals come
+    from :func:`~bitbounds.core.marginal_moments` as plain floats, and
+    :func:`~bitbounds.qfim.expected_fq_batch` evaluates every distinct
+    ``(mean, variance)`` pair of the call in one array quadrature: once the
+    prior's offset from the stationary marginal has decayed below rounding,
+    every later block repeats one pair. The block index does not enter the
+    value, so the array is bit-identical to evaluating every block on its
+    own with :func:`~bitbounds.qfim.expected_fim`.
     """
     if num_blocks < 0:
         raise ValueError(f"num_blocks must be nonnegative, got {num_blocks}.")
+    if channel is MeasurementChannel.UNQUANTIZED:
+        return np.full(num_blocks + 1, 1.0 / model.sigma_eta**2)
     moments = marginal_moments(model, range(num_blocks + 1))
-    fim_of: dict[tuple[float, float], float] = {}
-    for k, pair in enumerate(moments):
-        if pair not in fim_of:
-            fim_of[pair] = expected_fim(channel, StateMoments(k, *pair), model.sigma_eta, spec)
-    return np.array([fim_of[pair] for pair in moments])
+    row_of: dict[tuple[float, float], int] = {}
+    rows = [row_of.setdefault(pair, len(row_of)) for pair in moments]
+    means, variances = zip(*row_of)
+    return expected_fq_batch(means, variances, model.sigma_eta, spec)[rows]
 
 
 def filtered_information(model: GaussMarkovModel, fims: np.ndarray) -> np.ndarray:

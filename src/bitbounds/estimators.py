@@ -627,8 +627,8 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     grid : GridSpec
         Grid geometry for the grid path.
     batch_size : int
-        Trials per grid sub-batch (memory control only; results are
-        independent of it).
+        Trials per grid sub-batch, at least 1 (memory control only; results
+        are independent of it).
     spec : QuadratureSpec
         Quadrature for the bound values.
 
@@ -642,6 +642,8 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         raise ValueError("the kalman estimator requires the unquantized channel.")
     if estimator == "grid" and lag != 0:
         raise ValueError(f"the grid estimator smooths over the whole interval; got lag {lag}.")
+    if not batch_size >= 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}.")
     burn = burn_in_blocks(model, horizon)
     batch = simulate(model, channel, seed, num_trials, horizon)
     states = batch.states

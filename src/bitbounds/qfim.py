@@ -9,7 +9,10 @@ Fisher information about ``theta`` is
 
 which peaks at ``F_q(0) = 2 / (pi sigma_eta^2)`` and decays like a Gaussian
 half-width away from the threshold. Bound recursions need the expectation of
-``F_q`` under the Gaussian marginal of the state, computed here by quadrature.
+``F_q`` under the Gaussian marginal of the state, computed here by quadrature:
+:func:`expected_fq` for one marginal (memoized), :func:`expected_fq_batch` for
+all marginals of a finite-horizon bound in one array evaluation. Both run the
+same formulas and give bit-identical values.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "q_function",
     "fq",
     "expected_fq",
+    "expected_fq_batch",
     "expected_fim",
 ]
 
@@ -137,15 +141,29 @@ def _residual_gain(theta, sigma_eta: float):
     Splitting off one Gaussian factor of ``F_q`` leaves this slowly varying
     residual, which a Hermite rule integrates accurately at any state spread.
     """
-    u = np.abs(np.asarray(theta, dtype=float)) / sigma_eta
-    return (1.0 / (np.pi * sigma_eta**2)) / (
-        special.erfcx(u / math.sqrt(2.0)) * q_function(-u)
-    )
+    # (1/(pi s^2)) / (erfcx(z) Q(-u)) with z = u/sqrt(2), u = |theta|/s, and
+    # Q(-u) = 0.5 erfc(-z) (negating z is exact), computed in place.
+    z = np.abs(theta) / sigma_eta
+    z /= math.sqrt(2.0)
+    denominator = special.erfc(-z)
+    denominator *= 0.5
+    denominator *= special.erfcx(z)
+    return np.divide(1.0 / (np.pi * sigma_eta**2), denominator, out=denominator)
 
 
 @lru_cache(maxsize=None)
 def _hermgauss(n: int):
-    return np.polynomial.hermite.hermgauss(n)
+    """Nodes, weights and mirror map of the n-node Gauss-Hermite rule.
+
+    numpy's ``hermgauss`` makes the rule exactly symmetric (``t[i] ==
+    -t[n - 1 - i]``, equal weights, a middle node of exactly 0 at odd
+    ``n``), so ``half.take(mirror, axis=-1)`` spreads values taken at the
+    nonnegative nodes ``t[n // 2:]`` over all ``n`` nodes.
+    """
+    t, w = np.polynomial.hermite.hermgauss(n)
+    h = n - n // 2
+    mirror = np.concatenate((np.arange(h - 1, n % 2 - 1, -1), np.arange(h)))
+    return t, w, mirror
 
 
 def _raise_nonfinite(nodes: np.ndarray, values: np.ndarray):
@@ -164,45 +182,89 @@ def _raise_nonfinite(nodes: np.ndarray, values: np.ndarray):
     raise QuadratureError("expected_fq: the quadrature sum overflowed.")
 
 
-@lru_cache(maxsize=4096)
-def _expected_fq_cached(mean: float, variance: float, sigma_eta: float,
-                        spec: QuadratureSpec) -> float:
-    if spec.rule is QuadratureRule.GAUSS_HERMITE:
-        t, w = _hermgauss(spec.nodes)
-        # Merge the Gaussian factor of F_q with the state marginal before
-        # applying the Hermite change of variable; sampling the raw product
-        # at the marginal's scale misses the information peak once the state
-        # spread greatly exceeds sigma_eta.
-        precision = 1.0 / sigma_eta**2 + 1.0 / variance
-        v_merged = 1.0 / precision
-        m_merged = v_merged * mean / variance
-        nodes = m_merged + math.sqrt(2.0 * v_merged) * t
-        values = _residual_gain(nodes, sigma_eta)
-        weighted = float(np.dot(w, values))
+def _gauss_hermite(means: list[float], variances: list[float], sigma_eta: float,
+                   n: int) -> list[float]:
+    """Gauss-Hermite ``E[F_q]`` for each marginal ``N(means[i], variances[i])``.
+
+    All marginals share one array evaluation of the integrand: a single
+    marginal on 1-D arrays, several on rows of a 2-D array. Each row is then
+    reduced on its own with ``np.dot`` and its prefactor taken in plain
+    floats, so every value is bit-identical to a quadrature of its marginal
+    alone (a matrix-vector product may round differently from row to row).
+    """
+    t, w, mirror = _hermgauss(n)
+    single = len(means) == 1
+    if single:
+        mean, variance, sqrt = means[0], variances[0], math.sqrt
+    else:
+        mean, variance, sqrt = np.array(means)[:, None], np.array(variances)[:, None], np.sqrt
+    # Merge the Gaussian factor of F_q with the state marginal before
+    # applying the Hermite change of variable; sampling the raw product at
+    # the marginal's scale misses the information peak once the state
+    # spread greatly exceeds sigma_eta.
+    precision = 1.0 / sigma_eta**2 + 1.0 / variance
+    v_merged = 1.0 / precision
+    m_merged = v_merged * mean / variance
+    scale = sqrt(2.0 * v_merged)
+    if any(means):
+        values = _residual_gain(m_merged + scale * t, sigma_eta)
+    else:
+        # Zero means put each node pair +-t at one |theta|: evaluate the
+        # nonnegative half and mirror it.
+        values = _residual_gain(scale * t[n // 2 :], sigma_eta).take(mirror, axis=-1)
+    if single:
+        rows, merged = [values], [v_merged]
+    else:
+        rows, merged = values, v_merged.ravel().tolist()
+    totals = []
+    for i, (row, mean_i, variance_i, v_i) in enumerate(zip(rows, means, variances, merged)):
+        weighted = float(np.dot(w, row))
         if not math.isfinite(weighted):
-            _raise_nonfinite(nodes, values)
+            _raise_nonfinite(np.reshape(m_merged + scale * t, (-1, n))[i], row)
         # The exponent 0.5 m^2/v - 0.5 mean^2/variance collapses exactly to
         # -mean^2 / (2 (variance + sigma_eta^2)); the raw difference of the
         # two terms loses ~mean^2/variance * eps at small variance.
-        prefactor = math.sqrt(v_merged / (math.pi * variance)) * math.exp(
-            -0.5 * mean**2 / (variance + sigma_eta**2)
+        prefactor = math.sqrt(v_i / (math.pi * variance_i)) * math.exp(
+            -0.5 * mean_i**2 / (variance_i + sigma_eta**2)
         )
-        total = prefactor * weighted
-    else:
-        sd = math.sqrt(variance)
-        nodes = np.linspace(
-            mean - spec.half_width_sigmas * sd,
-            mean + spec.half_width_sigmas * sd,
-            spec.nodes,
-        )
-        density = np.exp(-0.5 * (nodes - mean) ** 2 / variance) / math.sqrt(
-            2.0 * math.pi * variance
-        )
-        values = fq(nodes, sigma_eta) * density
-        total = float(np.trapezoid(values, nodes))
-        if not math.isfinite(total):
-            _raise_nonfinite(nodes, values)
+        totals.append(prefactor * weighted)
+    return totals
+
+
+def _trapezoid(mean: float, variance: float, sigma_eta: float, spec: QuadratureSpec) -> float:
+    """Trapezoid ``E[F_q]`` under ``N(mean, variance)`` on ``mean +- half_width_sigmas * sd``."""
+    sd = math.sqrt(variance)
+    nodes = np.linspace(
+        mean - spec.half_width_sigmas * sd,
+        mean + spec.half_width_sigmas * sd,
+        spec.nodes,
+    )
+    density = np.exp(-0.5 * (nodes - mean) ** 2 / variance) / math.sqrt(
+        2.0 * math.pi * variance
+    )
+    values = fq(nodes, sigma_eta) * density
+    total = float(np.trapezoid(values, nodes))
+    if not math.isfinite(total):
+        _raise_nonfinite(nodes, values)
     return total
+
+
+# Marginals per array evaluation. A horizon-500 bound takes one; a longer one
+# takes several, so the node arrays stay near 1 MB however long the horizon.
+_ROWS_PER_EVALUATION = 512
+
+
+def _quadrature(means: list[float], variances: list[float], sigma_eta: float,
+                spec: QuadratureSpec) -> list[float]:
+    if spec.rule is QuadratureRule.GAUSS_HERMITE:
+        return _gauss_hermite(means, variances, sigma_eta, spec.nodes)
+    return [_trapezoid(m, v, sigma_eta, spec) for m, v in zip(means, variances)]
+
+
+@lru_cache(maxsize=4096)
+def _expected_fq_cached(mean: float, variance: float, sigma_eta: float,
+                        spec: QuadratureSpec) -> float:
+    return _quadrature([mean], [variance], sigma_eta, spec)[0]
 
 
 def expected_fq(moments: StateMoments, sigma_eta: float,
@@ -210,8 +272,9 @@ def expected_fq(moments: StateMoments, sigma_eta: float,
     """Expected one-bit Fisher information under a Gaussian state marginal.
 
     Computes ``E[F_q(theta)]`` for ``theta ~ N(moments.mean,
-    moments.variance)``. Results are memoized on (mean, variance, sigma_eta,
-    spec); the block index plays no role in the value.
+    moments.variance)``: the one-marginal case of :func:`expected_fq_batch`,
+    evaluated on 1-D node arrays. Results are memoized on (mean, variance,
+    sigma_eta, spec); the block index plays no role in the value.
 
     Parameters
     ----------
@@ -231,6 +294,54 @@ def expected_fq(moments: StateMoments, sigma_eta: float,
         raise ValueError(f"expected_fq requires sigma_eta > 0, got {sigma_eta}.")
     return _expected_fq_cached(float(moments.mean), float(moments.variance),
                                float(sigma_eta), spec)
+
+
+def expected_fq_batch(means, variances, sigma_eta: float,
+                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
+    """:func:`expected_fq` for many Gaussian marginals in one array quadrature.
+
+    Gauss-Hermite evaluates the integrand of up to 512 marginals in one
+    array operation, on the nonnegative half of the nodes when all their
+    means are zero; the trapezoid rule runs one marginal at a time. Entry
+    ``i`` is bit-identical to ``expected_fq`` under ``N(means[i],
+    variances[i])``. Nothing is memoized.
+
+    Parameters
+    ----------
+    means, variances : sequence of float
+        Marginal means and variances, one entry per marginal; every
+        variance must be positive and finite.
+    sigma_eta : float
+        Measurement noise standard deviation, must be positive.
+    spec : QuadratureSpec, optional
+        Quadrature rule; the default is 128-node Gauss-Hermite.
+
+    Returns
+    -------
+    ndarray, shape (len(means),)
+
+    Raises
+    ------
+    QuadratureError
+        For the first marginal, in input order, whose quadrature sum is not
+        finite (a NaN mean, for one).
+    """
+    if not sigma_eta > 0.0:
+        raise ValueError(f"expected_fq_batch requires sigma_eta > 0, got {sigma_eta}.")
+    means = np.asarray(means, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    if means.ndim != 1 or means.shape != variances.shape:
+        raise ValueError(f"means and variances must be 1-D of one length, got shapes "
+                         f"{means.shape} and {variances.shape}.")
+    bad = variances[~((variances > 0.0) & np.isfinite(variances))]
+    if bad.size:
+        raise ValueError(f"expected_fq_batch requires finite variances > 0, got {bad[0]}.")
+    out = np.empty(means.size)
+    for start in range(0, means.size, _ROWS_PER_EVALUATION):
+        rows = slice(start, start + _ROWS_PER_EVALUATION)
+        out[rows] = _quadrature(means[rows].tolist(), variances[rows].tolist(),
+                                float(sigma_eta), spec)
+    return out
 
 
 def expected_fim(channel: MeasurementChannel, moments: StateMoments, sigma_eta: float,

@@ -18,17 +18,17 @@ def acceptance_report() -> list[str]:
 
 
 @pytest.fixture
-def fim_calls(monkeypatch) -> list:
-    """Records the arguments of each ``expected_fim`` call made by ``bitbounds.bim``."""
-    calls = []
-    original = bitbounds.bim.expected_fim
+def quadrature_rows(monkeypatch) -> list:
+    """Records the row count of each ``expected_fq_batch`` call made by ``bitbounds.bim``."""
+    rows = []
+    original = bitbounds.bim.expected_fq_batch
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(means, *args, **kwargs):
+        rows.append(len(means))
+        return original(means, *args, **kwargs)
 
-    monkeypatch.setattr(bitbounds.bim, "expected_fim", counted)
-    return calls
+    monkeypatch.setattr(bitbounds.bim, "expected_fq_batch", counted)
+    return rows
 
 
 @pytest.fixture

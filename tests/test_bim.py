@@ -1,4 +1,5 @@
 """Finite-horizon information recursions: filter, predict, smooth."""
+import functools
 import math
 
 import mpmath
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import linalg
+from scipy import linalg, special
 
 from bitbounds import (
     BimKind,
@@ -16,13 +17,15 @@ from bitbounds import (
     MeasurementChannel,
     QuadratureRule,
     QuadratureSpec,
-    expected_fim,
     expected_fq,
+    expected_fq_batch,
     filter_bim_sequence,
     forward_info_step,
+    fq,
     gain_step,
     per_block_fims,
     predict_bim,
+    q_function,
     smooth_bim_compact,
     smoothing_gain,
     state_moments,
@@ -161,20 +164,57 @@ class TestPerBlockFims:
 
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
     @pytest.mark.parametrize("num_blocks", [1, 2, 40])
-    def test_one_quadrature_per_distinct_marginal(self, channel, num_blocks, fim_calls):
+    def test_one_quadrature_per_distinct_marginal(self, channel, num_blocks, quadrature_rows):
         # At alpha = 0 block 0 has the prior marginal N(mu0, sigma0^2) and
-        # every later block N(0, sigma_z^2): two distinct marginals.
+        # every later block N(0, sigma_z^2): two distinct marginals, one
+        # batch of two rows. The unquantized channel needs no quadrature.
         m = GaussMarkovModel(alpha=0.0, sigma_z=0.5, sigma_eta=1.0, sigma0=2.0, mu0=0.5)
         fims = per_block_fims(m, channel, num_blocks)
-        assert len(fim_calls) == 2
+        assert quadrature_rows == ([2] if channel is MeasurementChannel.ONE_BIT else [])
         assert fims.shape == (num_blocks + 1,)
         assert np.all(fims[1:] == fims[1])
 
 
+_hermgauss = functools.lru_cache(np.polynomial.hermite.hermgauss)
+
+
+def _expected_fq_oracle(mean, variance, sigma_eta, spec):
+    """``E[F_q]`` of one marginal by the scalar quadrature, one node array per marginal.
+
+    This is the one-marginal body the package ran before it batched the
+    marginals of a call and mirrored zero-mean integrands, kept verbatim
+    (residual gain included) so the batch is checked against an
+    independent copy, not against itself.
+    """
+    if spec.rule is QuadratureRule.GAUSS_HERMITE:
+        t, w = _hermgauss(spec.nodes)
+        precision = 1.0 / sigma_eta**2 + 1.0 / variance
+        v_merged = 1.0 / precision
+        m_merged = v_merged * mean / variance
+        nodes = m_merged + math.sqrt(2.0 * v_merged) * t
+        u = np.abs(nodes) / sigma_eta
+        values = (1.0 / (np.pi * sigma_eta**2)) / (
+            special.erfcx(u / math.sqrt(2.0)) * q_function(-u)
+        )
+        weighted = float(np.dot(w, values))
+        prefactor = math.sqrt(v_merged / (math.pi * variance)) * math.exp(
+            -0.5 * mean**2 / (variance + sigma_eta**2)
+        )
+        return prefactor * weighted
+    sd = math.sqrt(variance)
+    nodes = np.linspace(mean - spec.half_width_sigmas * sd, mean + spec.half_width_sigmas * sd,
+                        spec.nodes)
+    density = np.exp(-0.5 * (nodes - mean) ** 2 / variance) / math.sqrt(2.0 * math.pi * variance)
+    return float(np.trapezoid(fq(nodes, sigma_eta) * density, nodes))
+
+
 def _per_block_fims_oracle(model, channel, num_blocks, spec):
-    """The per-block form: one ``expected_fim`` call per block, in block order."""
-    return np.array([expected_fim(channel, state_moments(model, k), model.sigma_eta, spec)
-                     for k in range(num_blocks + 1)])
+    """The per-block form: one scalar quadrature per block, in block order."""
+    if channel is MeasurementChannel.UNQUANTIZED:
+        return np.array([1.0 / model.sigma_eta**2] * (num_blocks + 1))
+    moments = [state_moments(model, k) for k in range(num_blocks + 1)]
+    return np.array([_expected_fq_oracle(m.mean, m.variance, model.sigma_eta, spec)
+                     for m in moments])
 
 
 def _filtered_oracle(model, fims):
@@ -202,16 +242,18 @@ def _gain_oracle(model, fims, anchor):
     return gains
 
 
-_ORACLE_SPECS = (QuadratureSpec(), QuadratureSpec(rule=QuadratureRule.TRAPEZOID, nodes=400))
+_ORACLE_SPECS = (QuadratureSpec(), QuadratureSpec(rule=QuadratureRule.TRAPEZOID, nodes=400),
+                 QuadratureSpec(nodes=17), QuadratureSpec(nodes=129))
+_ORACLE_SPEC_IDS = ("gauss_hermite", "trapezoid", "gauss_hermite17", "gauss_hermite129")
 
 
 class TestPerBlockOracle:
-    """Deduplicated marginals and float recursions equal the per-block form bit for bit."""
+    """Batched marginals and float recursions equal the per-block form bit for bit."""
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.9, 1.0 - 1e-9, 1.0])
     @pytest.mark.parametrize("mu0", [0.0, 0.5])
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
-    @pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=lambda spec: spec.rule.value)
+    @pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=_ORACLE_SPEC_IDS)
     def test_bit_identical_to_per_block_loop(self, alpha, mu0, channel, spec):
         m = GaussMarkovModel(alpha=alpha, sigma_z=0.3, sigma_eta=0.8, sigma0=1.7, mu0=mu0)
         horizon = 120
@@ -227,6 +269,16 @@ class TestPerBlockOracle:
         want = _filtered_oracle(m, fims) + _gain_oracle(m, fims, horizon)
         assert np.array_equal(smoothed.values, want)
         assert np.array_equal(smoothing_gain(m, fims, 50), _gain_oracle(m, fims, 50))
+
+    @pytest.mark.parametrize("mu0", [0.0, 0.5])
+    def test_long_horizon_spans_several_array_evaluations(self, mu0):
+        # At alpha = 1 every block has its own marginal: 1025 rows make two
+        # array evaluations of 512 rows and a one-row tail.
+        m = GaussMarkovModel(alpha=1.0, sigma_z=0.3, sigma_eta=0.8, sigma0=1.7, mu0=mu0)
+        spec = QuadratureSpec()
+        channel = MeasurementChannel.ONE_BIT
+        assert np.array_equal(per_block_fims(m, channel, 1024, spec),
+                              _per_block_fims_oracle(m, channel, 1024, spec))
 
 
 class TestPrediction:
@@ -351,7 +403,36 @@ def _models(draw, stationary_prior=False):
     return GaussMarkovModel(alpha=alpha, sigma_z=sigma_z, sigma_eta=sigma_eta, sigma0=sigma0)
 
 
+@st.composite
+def _marginal_batches(draw):
+    """A quadrature spec and a batch of marginals whose means are all zero, none or mixed."""
+    rule = draw(st.sampled_from(list(QuadratureRule)))
+    if rule is QuadratureRule.GAUSS_HERMITE:
+        nodes = draw(st.sampled_from((16, 17, 128, 129, 370)))
+    else:
+        nodes = draw(st.sampled_from((64, 65, 400)))
+    means_kind = draw(st.sampled_from(("zero", "nonzero", "mixed")))
+    size = draw(st.integers(2 if means_kind == "mixed" else 1, 6))
+    variances = [10.0 ** draw(st.floats(-12.0, 12.0)) for _ in range(size)]
+    if means_kind == "mixed":
+        zero = draw(st.permutations([True, False] + [draw(st.booleans()) for _ in range(size - 2)]))
+    else:
+        zero = [means_kind == "zero"] * size
+    means = [0.0 if z else draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1e-3, 8.0))
+             * math.sqrt(v) for z, v in zip(zero, variances)]
+    sigma_eta = 10.0 ** draw(st.floats(-2.0, 2.0))
+    return QuadratureSpec(rule=rule, nodes=nodes), means, variances, sigma_eta
+
+
 class TestProperties:
+    @_PROPERTY_SETTINGS
+    @given(batch=_marginal_batches())
+    def test_batch_quadrature_equals_one_marginal_oracle(self, batch):
+        spec, means, variances, sigma_eta = batch
+        got = expected_fq_batch(means, variances, sigma_eta, spec)
+        want = [_expected_fq_oracle(m, v, sigma_eta, spec) for m, v in zip(means, variances)]
+        assert np.array_equal(got, want)
+
     @_PROPERTY_SETTINGS
     @given(model=_models(), channel=st.sampled_from(list(MeasurementChannel)))
     def test_smoothing_never_loses_information(self, model, channel):

@@ -341,6 +341,13 @@ class TestMonteCarloMse:
             monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid",
                             seed=1, num_trials=4, horizon=50, lag=5)
 
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_rejects_a_batch_size_below_one(self, batch_size):
+        m = model_for_snr(0.95, 0.0)
+        with pytest.raises(ValueError, match="batch_size"):
+            monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid",
+                            seed=1, num_trials=4, horizon=50, batch_size=batch_size)
+
     @pytest.mark.parametrize("channel,estimator", [
         (MeasurementChannel.UNQUANTIZED, "kalman"), (MeasurementChannel.ONE_BIT, "grid"),
     ])

@@ -17,6 +17,7 @@ from bitbounds import (
     StateMoments,
     expected_fim,
     expected_fq,
+    expected_fq_batch,
     fq,
     q_function,
 )
@@ -212,6 +213,40 @@ class TestQuadratureFailure:
             expected_fq(StateMoments(0, 0.3173, 2.0417), 1.0, spec)
         assert err.value.node == seen[0]
 
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    @pytest.mark.parametrize("means", [[0.0, 0.0, 0.0], [0.41, -1.3, 2.2]], ids=["zero", "nonzero"])
+    @pytest.mark.parametrize("bad_row", [0, 1, 2])
+    def test_batch_raises_with_the_node_of_its_bad_row(self, rule, means, bad_row, monkeypatch):
+        name, spec = self.RULES[rule]
+        original = getattr(qfim, name)
+        done, seen = [0], []
+
+        def one_infinite(theta, sigma_eta):
+            # Gauss-Hermite sees every row at once, the trapezoid one row per call.
+            values = np.array(original(theta, sigma_eta))
+            rows = values.reshape(-1, values.shape[-1])
+            first = done[0]
+            done[0] += rows.shape[0]
+            if first <= bad_row < done[0]:
+                rows[bad_row - first, 37] = np.inf
+                seen.append(float(np.reshape(theta, rows.shape)[bad_row - first, 37]))
+            return values
+
+        monkeypatch.setattr(qfim, name, one_infinite)
+        with pytest.raises(QuadratureError) as err:
+            expected_fq_batch(means, [0.7, 2.0, 5.0], 1.0, spec)
+        # A zero-mean Gauss-Hermite batch evaluates the nonnegative nodes and
+        # mirrors them: the first non-finite node is the mirror image.
+        mirrored = rule is QuadratureRule.GAUSS_HERMITE and not any(means)
+        assert err.value.node == (-seen[0] if mirrored else seen[0])
+
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    def test_nan_mean_inside_a_batch_raises_with_its_node(self, rule):
+        _, spec = self.RULES[rule]
+        with pytest.raises(QuadratureError) as err:
+            expected_fq_batch([0.0, float("nan"), 0.0], [1.0, 1.0, 1.0], 1.0, spec)
+        assert math.isnan(err.value.node)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("rule", list(QuadratureRule))
     def test_overflowing_sum_of_finite_values_raises_without_a_node(self, rule, monkeypatch):
@@ -223,3 +258,31 @@ class TestQuadratureFailure:
         with pytest.raises(QuadratureError) as err:
             expected_fq(StateMoments(0, 0.0, 0.30017), 1.0, spec)
         assert err.value.node is None
+
+
+class TestBatch:
+    @pytest.mark.parametrize("rule", list(QuadratureRule))
+    def test_entries_equal_one_marginal_calls(self, rule):
+        spec = QuadratureSpec(rule=rule, nodes=129)
+        means, variances = [0.0, 0.3, -2.0, 0.0], [1e-6, 2.5, 9.0, 1e6]
+        got = expected_fq_batch(means, variances, 0.7, spec)
+        assert got.shape == (4,)
+        for value, mean, variance in zip(got, means, variances):
+            assert value == expected_fq(StateMoments(0, mean, variance), 0.7, spec)
+
+    def test_empty_batch(self):
+        assert expected_fq_batch([], [], 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_nonpositive_or_nonfinite_variance(self, variance):
+        with pytest.raises(ValueError, match="variances"):
+            expected_fq_batch([0.0, 0.0], [1.0, variance], 1.0)
+
+    @pytest.mark.parametrize("sigma_eta", [0.0, -1.0])
+    def test_rejects_nonpositive_sigma_eta(self, sigma_eta):
+        with pytest.raises(ValueError, match="sigma_eta"):
+            expected_fq_batch([0.0], [1.0], sigma_eta)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="1-D"):
+            expected_fq_batch([0.0, 1.0], [1.0], 1.0)
