@@ -42,15 +42,18 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .bim import filter_bim_sequence, predict_bim, smooth_bim_compact
 from .core import GaussMarkovModel, MeasurementChannel
 from .estimators import (
+    TrajectoryBatch,
+    burn_in_blocks,
     kalman_filter,
     kalman_steady_variance,
     monte_carlo_mse,
     rts_smoother,
     rts_steady_variance,
-    simulate,
 )
 from .qfim import QuadratureRule, QuadratureSpec, fq
 from .qfim import q_function as _default_q_function
@@ -67,6 +70,7 @@ from .steady import (
 __all__ = [
     "ExperimentConfig",
     "EXPERIMENTS",
+    "MAX_SNR_POINTS",
     "default_config",
     "parse_config",
     "serialize_config",
@@ -81,6 +85,9 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("fig1", "fig2", "ratios", "mse-validate", "selftest")
+
+# Most points an SNR grid may have; the default sweeps have 101.
+MAX_SNR_POINTS = 100_000
 
 _RATIO_COLUMNS = (
     "snr_db", "rho_sl_db", "rho_f_db", "rho_s_db",
@@ -125,18 +132,28 @@ class ExperimentConfig:
             if not abs(a) < 1.0:
                 raise _UsageError(f"alphas must satisfy |alpha| < 1, got {a}.")
         object.__setattr__(self, "alphas", alphas)
-        if not self.sigma_eta > 0.0:
-            raise _UsageError(f"sigma_eta must be > 0, got {self.sigma_eta}.")
-        if self.sigma0 is not None and not self.sigma0 > 0.0:
-            raise _UsageError(f"sigma0 must be > 0 or 'stationary', got {self.sigma0}.")
-        if not math.isfinite(self.mu0):
-            raise _UsageError(f"mu0 must be finite, got {self.mu0}.")
-        if not self.snr_step_db > 0.0:
-            raise _UsageError(f"snr_step_db must be > 0, got {self.snr_step_db}.")
+        if not 0.0 < self.sigma_eta < math.inf:
+            raise _UsageError(f"sigma_eta must be finite and > 0, got {self.sigma_eta}.")
+        if self.sigma0 is not None and not 0.0 < self.sigma0 < math.inf:
+            raise _UsageError(
+                f"sigma0 must be finite and > 0, or 'stationary', got {self.sigma0}."
+            )
+        for name in ("mu0", "snr_min_db", "snr_max_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise _UsageError(f"{name} must be finite, got {getattr(self, name)}.")
+        if not 0.0 < self.snr_step_db < math.inf:
+            raise _UsageError(f"snr_step_db must be finite and > 0, got {self.snr_step_db}.")
         if not self.snr_min_db < self.snr_max_db:
             raise _UsageError(
                 f"snr_min_db must be below snr_max_db, got {self.snr_min_db} "
                 f">= {self.snr_max_db}."
+            )
+        # _snr_grid takes floor(steps) + 1 points, so this bounds the count.
+        steps = (self.snr_max_db - self.snr_min_db) / self.snr_step_db + 1e-9
+        if not steps < MAX_SNR_POINTS:
+            raise _UsageError(
+                f"the SNR grid from {self.snr_min_db} to {self.snr_max_db} dB in steps of "
+                f"{self.snr_step_db} dB exceeds {MAX_SNR_POINTS} points."
             )
         if not 0 <= self.seed < 2**64:
             raise _UsageError(f"seed must fit in 64 bits, got {self.seed}.")
@@ -449,6 +466,11 @@ def run_mse_validate(config: ExperimentConfig) -> tuple[Path, int]:
     written path with the number of failures.
     """
     model = _mse_model(config)
+    burn = burn_in_blocks(model, config.horizon)
+    if not config.horizon > burn + config.delta:
+        raise _UsageError(
+            f"horizon {config.horizon} too short for burn-in {burn} plus delta {config.delta}."
+        )
     spec = config.quadrature
     checks: list[tuple[str, str, str]] = []
 
@@ -558,14 +580,17 @@ def run_selftest(q_function=None) -> tuple[str, int]:
     check("one-bit information peak from the tail function", measured_peak, expected_peak, 1e-12)
     check("one-bit information peak from the library", library_peak, expected_peak, 1e-12)
 
-    # The RTS variances do not depend on the data, so one trial suffices.
+    # The RTS variances do not depend on the data, so one all-zero trial
+    # suffices.
+    batch = TrajectoryBatch(seed=0, num_trials=1, horizon=30,
+                            channel=MeasurementChannel.UNQUANTIZED,
+                            states=np.zeros((1, 31)), observations=np.zeros((1, 30)))
     worst = 0.0
     for alpha in (0.5, 0.9, 0.99):
         for sigma_z in (0.5, 1.0, 2.0):
             for s_eta in (0.5, 1.0, 2.0):
                 model = GaussMarkovModel(alpha=alpha, sigma_z=sigma_z,
                                          sigma_eta=s_eta, sigma0=1.0)
-                batch = simulate(model, MeasurementChannel.UNQUANTIZED, 0, 1, 30)
                 rts = rts_smoother(kalman_filter(batch, model), model)
                 compact = smooth_bim_compact(model, MeasurementChannel.UNQUANTIZED, 30)
                 worst = max(worst, float(abs(compact.values * rts.variances - 1.0).max()))

@@ -11,7 +11,9 @@ This module provides:
   the conditional mean for the one-bit channel, where no closed form
   exists;
 * a seeded trajectory simulator and a Monte Carlo harness that compares
-  empirical MSE per block against the matching bound values.
+  empirical MSE per block against the matching bound values. The simulator
+  runs the state recursion as a numpy loop over blocks, bit-identical to
+  ``scipy.signal.lfilter`` (the tests' oracle) without importing it.
 
 Randomness contract: trial ``i`` draws from ``default_rng`` seeded with the
 ``i``-th child of ``numpy.random.SeedSequence(seed)``; within a trial a
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, sparse
+from scipy import sparse
 
 from .bim import filtered_information, per_block_fims, smoothing_gain
 from .core import GaussMarkovModel, MeasurementChannel, gain_step, state_moments
@@ -278,12 +280,16 @@ def simulate(model: GaussMarkovModel, channel: MeasurementChannel, seed: int,
     theta0 = model.mu0 + model.sigma0 * draws[:, 0]
     noise_z = model.sigma_z * draws[:, 1 : horizon + 1]
     noise_eta = model.sigma_eta * draws[:, horizon + 1 :]
-    # theta_k = alpha theta_{k-1} + z_k as an IIR filter seeded by theta_0
-    later, _ = signal.lfilter(
-        [1.0], [1.0, -model.alpha], noise_z, axis=1,
-        zi=(model.alpha * theta0)[:, None],
-    )
-    states = np.concatenate([theta0[:, None], later], axis=1)
+    # theta_k = alpha theta_{k-1} + z_k, one block (a contiguous row) at a
+    # time over all trials. Each element gets one product and one sum, as in
+    # lfilter's first-order IIR filter, so the bits match it. The copy back
+    # to C order matters: the reductions downstream sum in memory order.
+    states = np.empty((horizon + 1, num_trials))
+    states[0] = theta0
+    states[1:] = noise_z.T
+    for k in range(1, horizon + 1):
+        states[k] += model.alpha * states[k - 1]
+    states = np.ascontiguousarray(states.T)
     raw = states[:, 1:] + noise_eta
     if channel is MeasurementChannel.ONE_BIT:
         observations = np.where(raw >= 0.0, 1.0, -1.0)
@@ -645,6 +651,8 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     if not batch_size >= 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}.")
     burn = burn_in_blocks(model, horizon)
+    if estimator == "kalman" and not horizon > burn + lag:
+        raise ValueError(f"horizon {horizon} too short for burn-in {burn} plus lag {lag}.")
     batch = simulate(model, channel, seed, num_trials, horizon)
     states = batch.states
 
@@ -654,10 +662,6 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     steady_j = quadratic_filter_root(model, steady_fim)
 
     if estimator == "kalman":
-        if not horizon > burn + lag:
-            raise ValueError(
-                f"horizon {horizon} too short for burn-in {burn} plus lag {lag}."
-            )
         filtered = kalman_filter(batch, model)
         smoothed = rts_smoother(filtered, model, lag)
         err_f = (filtered.means - states) ** 2

@@ -8,7 +8,9 @@ import pytest
 from bitbounds import model_for_snr, performance_ratios
 from bitbounds.cli import (
     EXPERIMENTS,
+    MAX_SNR_POINTS,
     _UsageError,
+    _snr_grid,
     _validate_table,
     config_hash,
     default_config,
@@ -71,6 +73,14 @@ class TestConfigHash:
         config = default_config("fig1")
         assert config_hash(config) != config_hash(replace(config, seed=1))
         assert config_hash(config) != config_hash(replace(config, snr_step_db=1.0))
+
+    def test_default_hashes_are_stable(self):
+        # Output files carry these hashes; a change in validation must not move them.
+        assert {e: config_hash(default_config(e)) for e in EXPERIMENTS} == {
+            "fig1": "7f45bce7a2f04ed7", "fig2": "23d1ba1e7350b25c",
+            "ratios": "8b6149ccfe75c0ef", "mse-validate": "683e18a5c2db6d73",
+            "selftest": "10e4bd9592ad2606",
+        }
 
     def test_is_16_hex_digits(self):
         digest = config_hash(default_config("ratios"))
@@ -240,6 +250,32 @@ class TestExitCodes:
         assert main(["fig1", "--config", str(tmp_path / "missing.ini")]) == 1
         assert main(["fig1", "--trials", "0"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["ratios", "--sigma-eta", "inf"],
+        ["ratios", "--sigma-eta", "nan"],
+        ["ratios", "--sigma0", "inf"],
+        ["ratios", "--snr-step-db", "inf"],
+        ["ratios", "--snr-step-db", "nan"],
+        ["ratios", "--snr-max-db", "inf"],
+        ["ratios", "--snr-min-db", "-inf"],
+        ["fig1", "--snr-step-db", "1e-9"],
+        ["fig1", "--snr-min-db", "-1e308", "--snr-max-db", "1e308"],
+        ["mse-validate", "--horizon", "5"],
+    ])
+    def test_bad_inputs_exit_1_with_an_error_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_snr_grid_cap_is_inclusive(self):
+        config = default_config("fig1")
+        at_cap = replace(config, snr_min_db=0.0, snr_max_db=MAX_SNR_POINTS - 1.0, snr_step_db=1.0)
+        assert len(_snr_grid(at_cap)) == MAX_SNR_POINTS
+        with pytest.raises(_UsageError):
+            replace(at_cap, snr_max_db=float(MAX_SNR_POINTS))
 
     def test_unparseable_arguments_return_1(self, capsys):
         assert main(["unknown-experiment"]) == 1

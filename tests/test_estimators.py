@@ -88,7 +88,39 @@ def _lagged_rts_variance(model: GaussMarkovModel, lag: int) -> float:
     return v
 
 
+def _lfilter_batch(model, channel, seed, num_trials, horizon):
+    """Reference ``simulate``: the state recursion through scipy's IIR filter."""
+    from scipy import signal
+
+    children = np.random.SeedSequence(seed).spawn(num_trials)
+    draws = np.stack([np.random.default_rng(c).standard_normal(2 * horizon + 1)
+                      for c in children])
+    theta0 = model.mu0 + model.sigma0 * draws[:, 0]
+    noise_z = model.sigma_z * draws[:, 1 : horizon + 1]
+    later, _ = signal.lfilter([1.0], [1.0, -model.alpha], noise_z, axis=1,
+                              zi=(model.alpha * theta0)[:, None])
+    states = np.concatenate([theta0[:, None], later], axis=1)
+    raw = states[:, 1:] + model.sigma_eta * draws[:, horizon + 1 :]
+    if channel is MeasurementChannel.ONE_BIT:
+        return states, np.where(raw >= 0.0, 1.0, -1.0)
+    return states, raw
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("alpha", (0.0, -0.5, 0.5, 0.9, 0.999, 1.0 - 1e-9, 1.0))
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_matches_the_iir_filter_bit_for_bit(self, alpha, channel):
+        model = GaussMarkovModel(alpha=alpha, sigma_z=0.7, sigma_eta=1.3, sigma0=1.1, mu0=0.2)
+        for num_trials, horizon in ((1, 1), (1, 30), (7, 64), (300, 500)):
+            batch = simulate(model, channel, 20260814, num_trials, horizon)
+            states, observations = _lfilter_batch(model, channel, 20260814, num_trials, horizon)
+            assert np.array_equal(batch.states, states)
+            assert np.array_equal(batch.observations, observations)
+            # Downstream reductions sum in memory order, so the layout is part
+            # of the result: a Fortran-ordered batch changes the MSE digits.
+            assert batch.states.flags.c_contiguous
+            assert batch.observations.flags.c_contiguous
+
     def test_deterministic_for_fixed_seed(self):
         a = simulate(_model(), MeasurementChannel.UNQUANTIZED, 7, 4, 20)
         b = simulate(_model(), MeasurementChannel.UNQUANTIZED, 7, 4, 20)

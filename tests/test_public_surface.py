@@ -2,15 +2,19 @@
 import contextlib
 import importlib
 import io
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import bitbounds
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 MODULES = ["bitbounds"] + [f"bitbounds.{m.name}" for m in pkgutil.iter_modules(bitbounds.__path__)]
 
 
@@ -37,3 +41,15 @@ def test_readme_library_example_prints_its_stated_values():
     assert len(printed) == len(stated)
     for value, (number, decimals) in zip(printed, stated):
         assert round(value, len(decimals)) == float(number), (value, number)
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # scipy.signal (which loads scipy.stats) took most of the start-up time.
+    code = ("import sys, bitbounds, bitbounds.cli; "
+            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
