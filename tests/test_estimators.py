@@ -1,5 +1,7 @@
 """Reference estimators and the Monte-Carlo bound comparison."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from bitbounds import (
     kalman_steady_variance,
     model_for_snr,
     monte_carlo_mse,
+    q_function,
     quadratic_filter_root,
     quadratic_gain_root,
     rts_smoother,
@@ -28,6 +31,7 @@ from bitbounds import (
     steady_expected_fim,
     steady_lag_gain,
 )
+from bitbounds import estimators
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -104,6 +108,38 @@ def _lfilter_batch(model, channel, seed, num_trials, horizon):
     if channel is MeasurementChannel.ONE_BIT:
         return states, np.where(raw >= 0.0, 1.0, -1.0)
     return states, raw
+
+
+def _transition_matrix(axis: np.ndarray, model: GaussMarkovModel):
+    """Reference grid operator T as one ``scipy.sparse`` CSR matrix.
+
+    Column j holds the cell masses of ``N(alpha * axis[j], sigma_z^2)``,
+    truncated beyond 8.5 sigma_z of the center: the same entries as the
+    package's row tiles, summed in CSR order.
+    """
+    from scipy import sparse
+
+    n = axis.size
+    h = axis[1] - axis[0]
+    centers = model.alpha * axis
+    halfband = int(np.ceil(8.5 * model.sigma_z / h)) + 1
+    offsets = np.arange(-halfband, halfband + 1)
+    base = np.rint((centers - axis[0]) / h).astype(int)
+    rows = base[:, None] + offsets[None, :]
+    cols = np.broadcast_to(np.arange(n)[:, None], rows.shape)
+    valid = (rows >= 0) & (rows < n)
+    rows_v = rows[valid]
+    cols_v = cols[valid]
+    lo = (axis[rows_v] - 0.5 * h - centers[cols_v]) / model.sigma_z
+    hi = (axis[rows_v] + 0.5 * h - centers[cols_v]) / model.sigma_z
+    data = q_function(lo) - q_function(hi)
+    return sparse.csr_array((data, (rows_v, cols_v)), shape=(n, n))
+
+
+def _csr_apply(matrix, x, out):
+    """Stands in for ``estimators._apply_tiles`` when the operators are CSR matrices."""
+    out[...] = matrix @ x
+    return out
 
 
 class TestSimulate:
@@ -271,7 +307,7 @@ class TestGridFilter:
         m = _model()
         batch = simulate(m, MeasurementChannel.UNQUANTIZED, 21, 8, 25)
         exact = rts_smoother(kalman_filter(batch, m), m)
-        approx = grid_smoother(grid_filter(batch, m, GridSpec(num_points=2000)), m)
+        approx = grid_smoother(grid_filter(batch, m, GridSpec(num_points=2000)))
         assert_allclose(approx.means, exact.means, atol=1e-3 * m.sigma_eta)
 
     def test_one_bit_single_block_posterior_mean(self):
@@ -296,12 +332,107 @@ class TestGridFilter:
         assert_allclose(b.means, -a.means, atol=1e-10)
         assert_allclose(b.variances, a.variances, atol=1e-10)
 
+    def test_pmfs_are_per_trial_float32_posteriors(self):
+        m = model_for_snr(0.9, 0.0)
+        batch = simulate(m, MeasurementChannel.ONE_BIT, 40, 5, 12)
+        res = grid_filter(batch, m, GridSpec(num_points=300))
+        assert res.pmfs.shape == (5, 13, 300)
+        assert res.pmfs.dtype == np.float32 and res.pmfs.nbytes == 5 * 13 * 300 * 4
+        assert_allclose(res.pmfs.sum(axis=2, dtype=float), 1.0, rtol=1e-5)
+        assert_allclose(res.pmfs @ res.axis, res.means, atol=1e-5)
+
     def test_refinement_stability(self):
         m = model_for_snr(0.9, 0.0)
         batch = simulate(m, MeasurementChannel.ONE_BIT, 40, 4, 15)
         coarse = grid_filter(batch, m, GridSpec(num_points=1500))
         fine = grid_filter(batch, m, GridSpec(num_points=3000))
         assert_allclose(coarse.means, fine.means, atol=2e-4)
+
+
+def _operator_case(alpha: float, step_ratio: float, grid: GridSpec):
+    """A grid axis from ``grid`` and a model whose sigma_z is ``step_ratio`` grid steps."""
+    base = GaussMarkovModel(alpha=alpha, sigma_z=1.0, sigma_eta=1.0, sigma0=1.0)
+    axis = estimators._grid_axis(base, grid, 20)
+    model = dataclasses.replace(base, sigma_z=step_ratio * (axis[1] - axis[0]))
+    return axis, model
+
+
+class TestTiledOperator:
+    @pytest.mark.parametrize("alpha", (0.0, -0.7, 0.5, 0.999, 1.0))
+    @pytest.mark.parametrize("step_ratio", (0.3, 4.0))
+    @pytest.mark.parametrize("grid", (GridSpec(num_points=64), GridSpec(num_points=64, half_width=32.0),
+                                      GridSpec(num_points=1000, half_width=32.0)))
+    def test_products_match_the_csr_oracle(self, alpha, step_ratio, grid):
+        axis, model = _operator_case(alpha, step_ratio, grid)
+        ops = estimators._grid_operators(axis, model, MeasurementChannel.ONE_BIT)
+        matrix = _transition_matrix(axis, model)
+        n = axis.size
+        x = np.random.default_rng(7).random((n, 9))
+        for tiles, oracle in ((ops.forward, matrix), (ops.adjoint, matrix.T)):
+            # NaN-filled outputs: a row that no tile writes shows up.
+            out = estimators._apply_tiles(tiles, x, np.full_like(x, np.nan))
+            assert_allclose(out, oracle @ x, rtol=1e-13, atol=0.0)
+            # Unit vectors read every entry back exactly, down to the 1e-17
+            # masses at the band edges that a random input cannot see.
+            unit = estimators._apply_tiles(tiles, np.eye(n), np.full((n, n), np.nan))
+            assert np.array_equal(unit, oracle.toarray())
+
+    @pytest.mark.parametrize("alpha", (0.999, 0.0, -0.7))
+    def test_large_grid_stays_within_the_band(self, alpha):
+        # 100,000 points, sigma_z about a sixth of the grid step: the band
+        # half-width is 3 cells. An n x n operator would need 80 GB. Each
+        # operator may hold c = 2 times n * (tile rows + band) elements; near
+        # alpha = 1 it holds about 0.98 of that.
+        n = 100_000
+        model = GaussMarkovModel(alpha=alpha, sigma_z=1.0, sigma_eta=1.0, sigma0=1e4)
+        axis = estimators._grid_axis(model, GridSpec(num_points=n, half_width=32.0), 1)
+        halfband = math.ceil(8.5 * model.sigma_z / (axis[1] - axis[0])) + 1
+        budget = n * (estimators._TILE_ROWS + 2 * halfband + 1)
+        tracemalloc.start()
+        try:
+            ops = estimators._grid_operators(axis, model, MeasurementChannel.ONE_BIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for tiles in (ops.forward, ops.adjoint):
+            assert sum(block.size for *_, block in tiles) <= 2 * budget
+        assert peak <= 8 * 4 * budget
+
+    def test_grid_report_matches_the_csr_oracle(self, monkeypatch):
+        m = model_for_snr(0.95, 0.0)
+        kwargs = dict(seed=5, num_trials=12, horizon=80, grid=GridSpec(num_points=400),
+                      batch_size=5)
+        tiled = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", **kwargs)
+        build = estimators._grid_operators
+
+        def with_oracle(axis, model, channel):
+            matrix = _transition_matrix(axis, model)
+            return dataclasses.replace(build(axis, model, channel), forward=matrix,
+                                       adjoint=matrix.T.tocsr())
+
+        monkeypatch.setattr(estimators, "_grid_operators", with_oracle)
+        monkeypatch.setattr(estimators, "_apply_tiles", _csr_apply)
+        oracle = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", **kwargs)
+        for field in dataclasses.fields(MseReport):
+            a, b = getattr(tiled, field.name), getattr(oracle, field.name)
+            if isinstance(a, (float, np.ndarray)):
+                assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=field.name)
+            else:
+                assert a == b
+
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_operators_are_built_once_per_call(self, channel, monkeypatch):
+        builds = []
+        build = estimators._grid_operators
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(estimators, "_grid_operators", counted)
+        monte_carlo_mse(model_for_snr(0.9, 0.0), channel, "grid", seed=3, num_trials=7,
+                        horizon=40, grid=GridSpec(num_points=200), batch_size=3)
+        assert len(builds) == 1
 
 
 class TestBurnIn:
