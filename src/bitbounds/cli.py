@@ -24,8 +24,11 @@ capped at 125). The steady-state solvers are closed forms, so no run fails
 to converge.
 
 Configs are INI files with sections [experiment], [model], [sweep],
-[quadrature], [mc], [output]; every key can be overridden by a
-command-line flag of the same name (dashes for underscores). Output files
+[quadrature], [mc], [output]; ``_KEYS`` declares each key once, with the
+command-line flag that overrides it. Each experiment reads only the keys in
+its ``_EXPERIMENTS`` record (``half_width_sigmas`` only under the trapezoid
+rule, ``mu0`` only with a numeric ``sigma0``); a key it does not read must
+keep the experiment's default, or the run exits 1. Output files
 are written atomically (temp file, then rename), start with ``# config-hash:``
 and ``# columns:`` header lines, and format floats with 9 significant
 digits (scientific notation once the decimal exponent reaches 6).
@@ -35,12 +38,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -83,8 +88,6 @@ __all__ = [
     "run_selftest",
     "main",
 ]
-
-EXPERIMENTS = ("fig1", "fig2", "ratios", "mse-validate", "selftest")
 
 # Most points an SNR grid may have; the default sweeps have 101.
 MAX_SNR_POINTS = 100_000
@@ -143,7 +146,9 @@ class ExperimentConfig:
                 raise _UsageError(f"{name} must be finite, got {getattr(self, name)}.")
         if not 0.0 < self.snr_step_db < math.inf:
             raise _UsageError(f"snr_step_db must be finite and > 0, got {self.snr_step_db}.")
-        if not self.snr_min_db < self.snr_max_db:
+        # An experiment that does not read snr_max_db evaluates at snr_min_db alone.
+        sweeps = "snr_max_db" in _EXPERIMENTS[self.experiment].reads
+        if sweeps and not self.snr_min_db < self.snr_max_db:
             raise _UsageError(
                 f"snr_min_db must be below snr_max_db, got {self.snr_min_db} "
                 f">= {self.snr_max_db}."
@@ -165,78 +170,95 @@ class ExperimentConfig:
             raise _UsageError(f"delta must be >= 0, got {self.delta}.")
 
 
+_COMMON_DEFAULTS = dict(
+    alphas=(0.99999,), sigma_eta=1.0, sigma0=1.0, mu0=0.0,
+    snr_min_db=-40.0, snr_max_db=10.0, snr_step_db=0.5, quadrature=QuadratureSpec(),
+    seed=20260814, trials=2000, horizon=500, delta=100,
+)
+
+
 def default_config(experiment: str) -> ExperimentConfig:
     """Built-in defaults for one experiment."""
     if experiment not in EXPERIMENTS:
         raise _UsageError(f"unknown experiment {experiment!r}.")
-    common = dict(
-        sigma_eta=1.0,
-        mu0=0.0,
-        quadrature=QuadratureSpec(),
-        seed=20260814,
-        trials=2000,
-        horizon=500,
-        delta=100,
-    )
-    if experiment == "fig1":
-        return ExperimentConfig(
-            experiment=experiment, alphas=(0.99999,), sigma0=1.0,
-            snr_min_db=-40.0, snr_max_db=10.0, snr_step_db=0.5,
-            output_path="fig1_rho_sl.txt", **common,
-        )
-    if experiment == "fig2":
-        return ExperimentConfig(
-            experiment=experiment, alphas=(0.9, 0.999, 0.99999), sigma0=1.0,
-            snr_min_db=-40.0, snr_max_db=10.0, snr_step_db=0.5,
-            output_path="fig2", **common,
-        )
-    if experiment == "ratios":
-        return ExperimentConfig(
-            experiment=experiment, alphas=(0.99999,), sigma0=1.0,
-            snr_min_db=-40.0, snr_max_db=10.0, snr_step_db=0.5,
-            output_path="ratios.txt", **common,
-        )
-    if experiment == "mse-validate":
-        return ExperimentConfig(
-            experiment=experiment, alphas=(0.999,), sigma0=None,
-            snr_min_db=-10.0, snr_max_db=10.0, snr_step_db=20.0,
-            output_path="mse_validate.txt", **common,
-        )
-    return ExperimentConfig(
-        experiment=experiment, alphas=(0.999,), sigma0=1.0,
-        snr_min_db=-10.0, snr_max_db=10.0, snr_step_db=20.0,
-        output_path="", **common,
-    )
+    return ExperimentConfig(experiment=experiment,
+                            **{**_COMMON_DEFAULTS, **_EXPERIMENTS[experiment].defaults})
+
+
+class _Key(NamedTuple):
+    """One config key: its INI section and key, its config field and flag,
+    and how its value is parsed and written."""
+
+    section: str
+    key: str
+    field: str  # of QuadratureSpec in [quadrature], else of ExperimentConfig
+    flag: str
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+    help: str | None = None
+    aliases: tuple[str, ...] = ()  # further INI keys, and hidden flags ("--...")
+
+
+# Every config key, in serialization order.
+_KEYS = (
+    _Key("model", "alphas", "alphas", "--alpha",
+         lambda raw: tuple(float(t) for t in raw.replace(",", " ").split()),
+         lambda alphas: ", ".join(repr(a) for a in alphas),
+         "state correlation coefficient(s)", aliases=("alpha", "--alphas")),
+    _Key("model", "sigma_eta", "sigma_eta", "--sigma-eta", float, repr),
+    _Key("model", "sigma0", "sigma0", "--sigma0",
+         lambda raw: None if raw.strip().lower() == "stationary" else float(raw),
+         lambda sigma0: "stationary" if sigma0 is None else repr(sigma0),
+         "prior standard deviation or 'stationary'"),
+    _Key("model", "mu0", "mu0", "--mu0", float, repr),
+    _Key("sweep", "snr_min_db", "snr_min_db", "--snr-min-db", float, repr),
+    _Key("sweep", "snr_max_db", "snr_max_db", "--snr-max-db", float, repr),
+    _Key("sweep", "snr_step_db", "snr_step_db", "--snr-step-db", float, repr),
+    _Key("quadrature", "rule", "rule", "--rule", QuadratureRule, lambda rule: rule.value,
+         " or ".join(rule.value for rule in QuadratureRule)),
+    _Key("quadrature", "nodes", "nodes", "--nodes", int, repr),
+    _Key("quadrature", "half_width_sigmas", "half_width_sigmas", "--half-width-sigmas",
+         float, repr),
+    _Key("mc", "seed", "seed", "--seed", int, repr, "Monte Carlo root seed"),
+    _Key("mc", "trials", "trials", "--trials", int, repr),
+    _Key("mc", "horizon", "horizon", "--horizon", int, repr),
+    _Key("mc", "delta", "delta", "--delta", int, repr),
+    _Key("output", "path", "output_path", "--out", str, str,
+         "output file (or directory for fig2)"),
+)
+
+
+def _value(config: ExperimentConfig, key: _Key) -> Any:
+    return getattr(config.quadrature if key.section == "quadrature" else config, key.field)
+
+
+def _parse(key: _Key, raw: str, where: str) -> Any:
+    try:
+        return key.parse(raw)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"bad value for {where}: {raw!r}") from exc
+
+
+def _updated(config: ExperimentConfig, values: dict[str, Any]) -> ExperimentConfig:
+    """``config`` with ``{field: value}`` applied; quadrature fields go to its spec."""
+    quadrature = {key.field: values.pop(key.field) for key in _KEYS
+                  if key.section == "quadrature" and key.field in values}
+    if quadrature:
+        try:
+            values["quadrature"] = replace(config.quadrature, **quadrature)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
+    return replace(config, **values)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical INI form; hashing input and round-trip target."""
-    quad = config.quadrature
-    sigma0 = "stationary" if config.sigma0 is None else repr(config.sigma0)
-    return (
-        "[experiment]\n"
-        f"name = {config.experiment}\n"
-        "\n[model]\n"
-        f"alphas = {', '.join(repr(a) for a in config.alphas)}\n"
-        f"sigma_eta = {config.sigma_eta!r}\n"
-        f"sigma0 = {sigma0}\n"
-        f"mu0 = {config.mu0!r}\n"
-        "\n[sweep]\n"
-        f"snr_min_db = {config.snr_min_db!r}\n"
-        f"snr_max_db = {config.snr_max_db!r}\n"
-        f"snr_step_db = {config.snr_step_db!r}\n"
-        "\n[quadrature]\n"
-        f"rule = {quad.rule.value}\n"
-        f"nodes = {quad.nodes}\n"
-        f"half_width_sigmas = {quad.half_width_sigmas!r}\n"
-        "\n[mc]\n"
-        f"seed = {config.seed}\n"
-        f"trials = {config.trials}\n"
-        f"horizon = {config.horizon}\n"
-        f"delta = {config.delta}\n"
-        "\n[output]\n"
-        f"path = {config.output_path}\n"
-    )
+    lines = ["[experiment]", f"name = {config.experiment}"]
+    for i, key in enumerate(_KEYS):
+        if i == 0 or key.section != _KEYS[i - 1].section:
+            lines += ["", f"[{key.section}]"]
+        lines.append(f"{key.key} = {key.format(_value(config, key))}")
+    return "\n".join(lines) + "\n"
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -247,23 +269,6 @@ def config_hash(config: ExperimentConfig) -> str:
     """
     canonical = serialize_config(config).split("\n[output]\n")[0]
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _parse_alphas(raw: str) -> tuple[float, ...]:
-    tokens = [t for chunk in raw.split(",") for t in chunk.split()]
-    try:
-        return tuple(float(t) for t in tokens)
-    except ValueError as exc:
-        raise _UsageError(f"cannot parse alphas from {raw!r}.") from exc
-
-
-def _parse_sigma0(raw: str) -> float | None:
-    if raw.strip().lower() == "stationary":
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise _UsageError(f"cannot parse sigma0 from {raw!r}.") from exc
 
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
@@ -290,45 +295,14 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     resolved = experiment or named
     if resolved is None:
         raise _UsageError("no experiment named on the command line or in the config.")
-    base = default_config(resolved)
-
-    def get(section: str, key: str, cast, fallback):
-        raw = parser.get(section, key, fallback=None)
-        if raw is None:
-            return fallback
-        try:
-            return cast(raw)
-        except _UsageError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-    try:
-        quadrature = QuadratureSpec(
-            rule=get("quadrature", "rule", QuadratureRule, base.quadrature.rule),
-            nodes=get("quadrature", "nodes", int, base.quadrature.nodes),
-            half_width_sigmas=get("quadrature", "half_width_sigmas", float,
-                                  base.quadrature.half_width_sigmas),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    return ExperimentConfig(
-        experiment=resolved,
-        alphas=get("model", "alphas", _parse_alphas,
-                   get("model", "alpha", _parse_alphas, base.alphas)),
-        sigma_eta=get("model", "sigma_eta", float, base.sigma_eta),
-        sigma0=get("model", "sigma0", _parse_sigma0, base.sigma0),
-        mu0=get("model", "mu0", float, base.mu0),
-        snr_min_db=get("sweep", "snr_min_db", float, base.snr_min_db),
-        snr_max_db=get("sweep", "snr_max_db", float, base.snr_max_db),
-        snr_step_db=get("sweep", "snr_step_db", float, base.snr_step_db),
-        quadrature=quadrature,
-        seed=get("mc", "seed", int, base.seed),
-        trials=get("mc", "trials", int, base.trials),
-        horizon=get("mc", "horizon", int, base.horizon),
-        delta=get("mc", "delta", int, base.delta),
-        output_path=get("output", "path", str, base.output_path),
-    )
+    values = {}
+    for key in _KEYS:
+        for name in (key.key, *(a for a in key.aliases if not a.startswith("--"))):
+            raw = parser.get(key.section, name, fallback=None)
+            if raw is not None:
+                values[key.field] = _parse(key, raw, f"[{key.section}] {name}")
+                break
+    return _updated(default_config(resolved), values)
 
 
 def format_value(x: float) -> str:
@@ -363,11 +337,13 @@ def _write_atomic(path: Path, text: str) -> None:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _render_table(config: ExperimentConfig, columns: tuple[str, ...],
-                  rows: list[tuple]) -> str:
+def _write_table(path: Path, config: ExperimentConfig, columns: tuple[str, ...],
+                 rows: list[tuple]) -> Path:
     lines = [f"# config-hash: {config_hash(config)}", f"# columns: {' '.join(columns)}"]
     lines.extend(" ".join(format_value(float(value)) for value in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    _write_atomic(path, "\n".join(lines) + "\n")
+    _validate_table(path, columns)
+    return path
 
 
 def _validate_table(path: Path, columns: tuple[str, ...]) -> None:
@@ -395,9 +371,21 @@ def _snr_grid(config: ExperimentConfig) -> list[float]:
     return [config.snr_min_db + i * config.snr_step_db for i in range(count + 1)]
 
 
+@contextlib.contextmanager
+def _computable(config: ExperimentConfig):
+    """Report a model or steady bound that overflows or degenerates as a usage error."""
+    try:
+        yield
+    except (ArithmeticError, ValueError) as exc:
+        raise _UsageError(f"cannot compute the bounds at sigma_eta {config.sigma_eta!r} "
+                          f"({type(exc).__name__}: {exc}).") from exc
+
+
 def _sweep(config: ExperimentConfig, alpha: float) -> list[SteadyStateReport]:
-    return [performance_ratios(model_for_snr(alpha, snr_db, config.sigma_eta), config.quadrature)
-            for snr_db in _snr_grid(config)]
+    with _computable(config):
+        return [performance_ratios(model_for_snr(alpha, snr_db, config.sigma_eta),
+                                   config.quadrature)
+                for snr_db in _snr_grid(config)]
 
 
 def run_fig1(config: ExperimentConfig) -> Path:
@@ -406,12 +394,8 @@ def run_fig1(config: ExperimentConfig) -> Path:
     Columns: ``snr_db rho_sl_db``. Uses the first configured alpha.
     """
     rows = _sweep(config, config.alphas[0])
-    columns = ("snr_db", "rho_sl_db")
-    path = Path(config.output_path)
-    _write_atomic(path, _render_table(config, columns,
-                                      [(r.snr_db, r.rho_sl_db) for r in rows]))
-    _validate_table(path, columns)
-    return path
+    return _write_table(Path(config.output_path), config, ("snr_db", "rho_sl_db"),
+                        [(r.snr_db, r.rho_sl_db) for r in rows])
 
 
 def run_fig2(config: ExperimentConfig) -> list[Path]:
@@ -425,36 +409,25 @@ def run_fig2(config: ExperimentConfig) -> list[Path]:
     for alpha in config.alphas:
         rows = _sweep(config, alpha)
         for kind, getter in (("rho_s", lambda r: r.rho_s_db), ("rho_f", lambda r: r.rho_f_db)):
-            columns = ("snr_db", f"{kind}_db")
-            path = out_dir / f"{kind}_alpha_{alpha!r}.txt"
-            _write_atomic(path, _render_table(config, columns,
-                                              [(r.snr_db, getter(r)) for r in rows]))
-            _validate_table(path, columns)
-            paths.append(path)
+            paths.append(_write_table(out_dir / f"{kind}_alpha_{alpha!r}.txt", config,
+                                      ("snr_db", f"{kind}_db"),
+                                      [(r.snr_db, getter(r)) for r in rows]))
     return paths
 
 
 def run_ratios(config: ExperimentConfig) -> Path:
-    """Write the full steady-state report table for a single alpha."""
-    if len(config.alphas) != 1:
-        raise _UsageError("ratios expects exactly one alpha.")
+    """Write the full steady-state report table for the first configured alpha."""
     rows = _sweep(config, config.alphas[0])
-    path = Path(config.output_path)
-    _write_atomic(path, _render_table(config, _RATIO_COLUMNS, [
-        tuple(getattr(r, name) for name in _RATIO_COLUMNS) for r in rows
-    ]))
-    _validate_table(path, _RATIO_COLUMNS)
-    return path
+    return _write_table(Path(config.output_path), config, _RATIO_COLUMNS,
+                        [tuple(getattr(r, name) for name in _RATIO_COLUMNS) for r in rows])
 
 
 def _mse_model(config: ExperimentConfig) -> GaussMarkovModel:
-    alpha = config.alphas[0]
-    snr_db = config.snr_min_db
-    sigma_z = snr_to_sigma_z(alpha, snr_db, config.sigma_eta)
+    alpha, snr_db = config.alphas[0], config.snr_min_db
     if config.sigma0 is None:
         return model_for_snr(alpha, snr_db, config.sigma_eta)
-    return GaussMarkovModel(alpha=alpha, sigma_z=sigma_z, sigma_eta=config.sigma_eta,
-                            sigma0=config.sigma0, mu0=config.mu0)
+    return GaussMarkovModel(alpha=alpha, sigma_z=snr_to_sigma_z(alpha, snr_db, config.sigma_eta),
+                            sigma_eta=config.sigma_eta, sigma0=config.sigma0, mu0=config.mu0)
 
 
 def run_mse_validate(config: ExperimentConfig) -> tuple[Path, int]:
@@ -465,30 +438,28 @@ def run_mse_validate(config: ExperimentConfig) -> tuple[Path, int]:
     (statistical checks are SKIPPED with a single trial) and returns the
     written path with the number of failures.
     """
-    model = _mse_model(config)
-    burn = burn_in_blocks(model, config.horizon)
-    if not config.horizon > burn + config.delta:
-        raise _UsageError(
-            f"horizon {config.horizon} too short for burn-in {burn} plus delta {config.delta}."
-        )
     spec = config.quadrature
+    with _computable(config):
+        model = _mse_model(config)
+        burn = burn_in_blocks(model, config.horizon)
+        if not config.horizon > burn + config.delta:
+            raise _UsageError(f"horizon {config.horizon} too short for burn-in {burn} "
+                              f"plus delta {config.delta}.")
+        fim = steady_expected_fim(model, MeasurementChannel.UNQUANTIZED, spec)
+        j_unq = quadratic_filter_root(model, fim)
+        kappa_unq = quadratic_gain_root(model, fim)
+        riccati_rel = abs(kalman_steady_variance(model) * j_unq - 1.0)
+        rts_rel = abs(rts_steady_variance(model) * (j_unq + kappa_unq) - 1.0)
     checks: list[tuple[str, str, str]] = []
 
     def add(name: str, passed: bool | None, detail: str) -> None:
         status = "SKIPPED" if passed is None else ("PASS" if passed else "FAIL")
         checks.append((name, status, detail))
 
-    fim = steady_expected_fim(model, MeasurementChannel.UNQUANTIZED, spec)
-    j_unq = quadratic_filter_root(model, fim)
-    kappa_unq = quadratic_gain_root(model, fim)
-    riccati = kalman_steady_variance(model)
-    rel = abs(riccati * j_unq - 1.0)
-    add("riccati variance equals inverse filter information", rel <= 1e-9,
-        f"relative error {rel:.3e}, tolerance 1e-09")
-    smoothed = rts_steady_variance(model)
-    rel = abs(smoothed * (j_unq + kappa_unq) - 1.0)
-    add("rts variance equals inverse smoothing information", rel <= 1e-6,
-        f"relative error {rel:.3e}, tolerance 1e-06")
+    add("riccati variance equals inverse filter information", riccati_rel <= 1e-9,
+        f"relative error {riccati_rel:.3e}, tolerance 1e-09")
+    add("rts variance equals inverse smoothing information", rts_rel <= 1e-6,
+        f"relative error {rts_rel:.3e}, tolerance 1e-06")
 
     reports = [
         monte_carlo_mse(model, MeasurementChannel.UNQUANTIZED, "kalman", config.seed,
@@ -605,6 +576,86 @@ def run_selftest(q_function=None) -> tuple[str, int]:
     return "\n".join(lines), failures
 
 
+def _wrote(*paths: Path) -> int:
+    for path in paths:
+        print(f"wrote {path}")
+    return 0
+
+
+def _exit_code(failures: int) -> int:
+    return 0 if failures == 0 else min(2 + failures, 125)
+
+
+def _main_mse_validate(config: ExperimentConfig) -> int:
+    path, failures = run_mse_validate(config)
+    print(Path(path).read_text(), end="")
+    _wrote(path)
+    return _exit_code(failures)
+
+
+def _main_selftest(config: ExperimentConfig) -> int:
+    text, failures = run_selftest()
+    print(text)
+    if config.output_path:
+        _write_atomic(Path(config.output_path), text + "\n")
+    return _exit_code(failures)
+
+
+class _Experiment(NamedTuple):
+    """One experiment: its defaults over ``_COMMON_DEFAULTS``, the fields it
+    reads, and its runner, which prints and returns the exit code."""
+
+    defaults: dict[str, Any]
+    reads: frozenset[str]
+    run: Callable[[ExperimentConfig], int]
+    one_alpha: bool = False  # reads only alphas[0], so exactly one is allowed
+
+
+_SWEEP_READS = frozenset({"alphas", "sigma_eta", "snr_min_db", "snr_max_db", "snr_step_db",
+                          "rule", "nodes", "half_width_sigmas", "output_path"})
+_SINGLE_POINT = dict(snr_min_db=-10.0, snr_max_db=10.0, snr_step_db=20.0)
+
+# The runners look the run_* functions up when called, so that tests and the
+# benchmark can rebind them on the module.
+_EXPERIMENTS = {
+    "fig1": _Experiment(dict(output_path="fig1_rho_sl.txt"), _SWEEP_READS,
+                        lambda config: _wrote(run_fig1(config)), one_alpha=True),
+    "fig2": _Experiment(dict(alphas=(0.9, 0.999, 0.99999), output_path="fig2"), _SWEEP_READS,
+                        lambda config: _wrote(*run_fig2(config))),
+    "ratios": _Experiment(dict(output_path="ratios.txt"), _SWEEP_READS,
+                          lambda config: _wrote(run_ratios(config)), one_alpha=True),
+    "mse-validate": _Experiment(
+        dict(alphas=(0.999,), sigma0=None, output_path="mse_validate.txt", **_SINGLE_POINT),
+        _SWEEP_READS - {"snr_max_db", "snr_step_db"}
+        | {"sigma0", "mu0", "seed", "trials", "horizon", "delta"},
+        _main_mse_validate, one_alpha=True),
+    "selftest": _Experiment(dict(alphas=(0.999,), output_path="", **_SINGLE_POINT),
+                            frozenset({"output_path"}), _main_selftest),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def _check_reads(config: ExperimentConfig) -> None:
+    """Reject a key the experiment does not read unless it holds the default."""
+    record = _EXPERIMENTS[config.experiment]
+    default = default_config(config.experiment)
+    unread = {key.field: "" for key in _KEYS if key.field not in record.reads}
+    if config.quadrature.rule is not QuadratureRule.TRAPEZOID:
+        unread.setdefault("half_width_sigmas", " under the Gauss-Hermite rule")
+    if config.sigma0 is None:
+        unread.setdefault("mu0", " under the stationary prior")
+    for key in _KEYS:
+        if key.field in unread:
+            value, fixed = (key.format(_value(c, key)) for c in (config, default))
+            if value != fixed:
+                raise _UsageError(
+                    f"{config.experiment} does not read {key.flag} ([{key.section}] {key.key})"
+                    f"{unread[key.field]}; leave it at {fixed}."
+                )
+    if record.one_alpha and len(config.alphas) != 1:
+        raise _UsageError(f"{config.experiment} expects exactly one alpha.")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     class Parser(argparse.ArgumentParser):
         def error(self, message):
@@ -616,49 +667,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="INI config path")
-        sp.add_argument("--out", dest="output_path", help="output file (or directory for fig2)")
-        sp.add_argument("--seed", type=int, help="Monte Carlo root seed")
-        sp.add_argument("--alpha", dest="alphas", help="state correlation coefficient(s)")
-        sp.add_argument("--alphas", dest="alphas", help=argparse.SUPPRESS)
-        sp.add_argument("--sigma-eta", type=float, dest="sigma_eta")
-        sp.add_argument("--sigma0", help="prior standard deviation or 'stationary'")
-        sp.add_argument("--mu0", type=float)
-        sp.add_argument("--snr-min-db", type=float, dest="snr_min_db")
-        sp.add_argument("--snr-max-db", type=float, dest="snr_max_db")
-        sp.add_argument("--snr-step-db", type=float, dest="snr_step_db")
-        sp.add_argument("--rule", choices=[r.value for r in QuadratureRule])
-        sp.add_argument("--nodes", type=int)
-        sp.add_argument("--half-width-sigmas", type=float, dest="half_width_sigmas")
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--horizon", type=int)
-        sp.add_argument("--delta", type=int)
+        for key in _KEYS:
+            sp.add_argument(key.flag, dest=key.field, help=key.help)
+            for alias in key.aliases:
+                if alias.startswith("--"):
+                    sp.add_argument(alias, dest=key.field, help=argparse.SUPPRESS)
     return parser
-
-
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    if args.alphas is not None:
-        updates["alphas"] = _parse_alphas(args.alphas)
-    if args.sigma0 is not None:
-        updates["sigma0"] = _parse_sigma0(args.sigma0)
-    for key in ("sigma_eta", "mu0", "snr_min_db", "snr_max_db", "snr_step_db",
-                "seed", "trials", "horizon", "delta", "output_path"):
-        value = getattr(args, key)
-        if value is not None:
-            updates[key] = value
-    quad_updates = {}
-    if args.rule is not None:
-        quad_updates["rule"] = QuadratureRule(args.rule)
-    if args.nodes is not None:
-        quad_updates["nodes"] = args.nodes
-    if args.half_width_sigmas is not None:
-        quad_updates["half_width_sigmas"] = args.half_width_sigmas
-    if quad_updates:
-        try:
-            updates["quadrature"] = replace(config.quadrature, **quad_updates)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-    return replace(config, **updates) if updates else config
 
 
 def main(argv=None) -> int:
@@ -673,27 +687,10 @@ def main(argv=None) -> int:
             config = parse_config(text, args.experiment)
         else:
             config = default_config(args.experiment)
-        config = _apply_overrides(config, args)
-        if config.experiment == "fig1":
-            print(f"wrote {run_fig1(config)}")
-            return 0
-        if config.experiment == "fig2":
-            for path in run_fig2(config):
-                print(f"wrote {path}")
-            return 0
-        if config.experiment == "ratios":
-            print(f"wrote {run_ratios(config)}")
-            return 0
-        if config.experiment == "mse-validate":
-            path, failures = run_mse_validate(config)
-            print(Path(path).read_text(), end="")
-            print(f"wrote {path}")
-            return 0 if failures == 0 else min(2 + failures, 125)
-        text, failures = run_selftest()
-        print(text)
-        if config.output_path:
-            _write_atomic(Path(config.output_path), text + "\n")
-        return 0 if failures == 0 else min(2 + failures, 125)
+        config = _updated(config, {key.field: _parse(key, raw, key.flag) for key in _KEYS
+                                   if (raw := getattr(args, key.field)) is not None})
+        _check_reads(config)
+        return _EXPERIMENTS[config.experiment].run(config)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

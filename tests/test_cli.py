@@ -10,6 +10,7 @@ from bitbounds.cli import (
     EXPERIMENTS,
     MAX_SNR_POINTS,
     _UsageError,
+    _check_reads,
     _snr_grid,
     _validate_table,
     config_hash,
@@ -23,6 +24,7 @@ from bitbounds.cli import (
 
 FAST_SWEEP = ["--alpha", "0.99", "--snr-min-db", "-20", "--snr-max-db", "-18",
               "--snr-step-db", "0.5"]
+FIG1_SEED_INI = str(Path(__file__).parent / "data" / "fig1_seed.ini")
 
 
 class TestConfigRoundTrip:
@@ -54,6 +56,17 @@ class TestConfigRoundTrip:
     def test_malformed_ini_rejected(self):
         with pytest.raises(_UsageError):
             parse_config("not an ini file", "fig1")
+
+    def test_alias_spellings_still_parse(self, tmp_path, capsys):
+        assert parse_config("[model]\nalpha = 0.9\n", "fig1").alphas == (0.9,)
+        both = parse_config("[model]\nalphas = 0.9, 0.95\nalpha = 0.5\n", "fig2")
+        assert both.alphas == (0.9, 0.95)
+        out = tmp_path / "fig2"
+        assert main(["fig2", "--alphas", "0.9 0.95", "--snr-min-db", "-20", "--snr-max-db", "-19",
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir())[:2] == ["rho_f_alpha_0.9.txt",
+                                                             "rho_f_alpha_0.95.txt"]
+        capsys.readouterr()
 
     def test_bad_values_rejected(self):
         with pytest.raises(_UsageError):
@@ -262,6 +275,34 @@ class TestExitCodes:
         ["fig1", "--snr-step-db", "1e-9"],
         ["fig1", "--snr-min-db", "-1e308", "--snr-max-db", "1e308"],
         ["mse-validate", "--horizon", "5"],
+        # Keys the experiment does not read, set away from its default.
+        ["fig1", "--trials", "7"],
+        ["fig1", "--seed", "3"],
+        ["fig1", "--horizon", "9"],
+        ["fig1", "--delta", "2"],
+        ["fig1", "--mu0", "5"],
+        ["fig1", "--config", FIG1_SEED_INI],
+        ["fig2", "--sigma0", "0.1"],
+        ["ratios", "--trials", "7"],
+        ["selftest", "--alpha", "0.5"],
+        ["selftest", "--nodes", "20"],
+        ["selftest", "--snr-min-db", "-20"],
+        ["mse-validate", "--snr-max-db", "40"],
+        ["mse-validate", "--snr-step-db", "1"],
+        # Conditional reads: the half-width only under the trapezoid rule,
+        # mu0 only with a numeric sigma0.
+        ["fig1", "--half-width-sigmas", "5"],
+        ["mse-validate", "--half-width-sigmas", "5"],
+        ["mse-validate", "--mu0", "5"],
+        # Experiments that read only the first alpha take exactly one.
+        ["fig1", "--alpha", "0.9,0.5"],
+        ["mse-validate", "--alpha", "0.9 0.5"],
+        # sigma_eta out of the range the bounds can be computed in.
+        ["ratios", "--sigma-eta", "1e300"],
+        ["ratios", "--sigma-eta", "1e-200"],
+        ["ratios", "--sigma-eta", "1e-77"],
+        ["mse-validate", "--sigma-eta", "1e300"],
+        ["mse-validate", "--sigma-eta", "1e-200"],
     ])
     def test_bad_inputs_exit_1_with_an_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -269,6 +310,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
+
+    def test_unread_keys_at_their_defaults_are_accepted(self, tmp_path, capsys):
+        plain, extra = tmp_path / "plain.txt", tmp_path / "extra.txt"
+        assert main(["fig1", *FAST_SWEEP, "--out", str(plain)]) == 0
+        assert main(["fig1", *FAST_SWEEP, "--trials", "2000", "--seed", "20260814",
+                     "--horizon", "500", "--delta", "100", "--mu0", "0", "--sigma0", "1",
+                     "--half-width-sigmas", "10", "--out", str(extra)]) == 0
+        assert extra.read_text() == plain.read_text()
+        assert main(["fig1", *FAST_SWEEP, "--rule", "trapezoid", "--half-width-sigmas", "5",
+                     "--out", str(extra)]) == 0
+        assert main(["selftest", "--alpha", "0.999", "--nodes", "128",
+                     "--snr-max-db", "10"]) == 0
+        _check_reads(replace(default_config("mse-validate"), sigma0=1.0, mu0=5.0))
+        # mse-validate reads snr_min_db alone, so it may lie above snr_max_db.
+        _check_reads(replace(default_config("mse-validate"), snr_min_db=15.0))
+        with pytest.raises(_UsageError):
+            replace(default_config("ratios"), snr_min_db=15.0)
+        capsys.readouterr()
 
     def test_snr_grid_cap_is_inclusive(self):
         config = default_config("fig1")

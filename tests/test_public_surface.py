@@ -43,6 +43,21 @@ def test_readme_library_example_prints_its_stated_values():
         assert round(value, len(decimals)) == float(number), (value, number)
 
 
+def test_readme_flag_table_matches_the_experiment_records():
+    from bitbounds.cli import _EXPERIMENTS, _KEYS, EXPERIMENTS
+    lines = README.read_text().split("| flag |", 1)[1].split("\n\n", 1)[0].splitlines()
+    header = ["flag"] + [c.strip() for c in lines[0].strip(" |").split("|")]
+    rows = [[c.strip() for c in line.strip()[1:-1].split("|")] for line in lines[2:]]
+    assert header == ["flag", *EXPERIMENTS]
+    assert [row[0] for row in rows] == [f"`{key.flag}`" for key in _KEYS]
+    for key, row in zip(_KEYS, rows):
+        for name, cell in zip(EXPERIMENTS, row[1:]):
+            record = _EXPERIMENTS[name]
+            assert bool(cell) == (key.field in record.reads), (key.flag, name)
+            if cell and key.field == "alphas":
+                assert cell == ("one" if record.one_alpha else "list"), name
+
+
 def test_import_leaves_out_scipy_signal_and_stats():
     # scipy.signal (which loads scipy.stats) took most of the start-up time;
     # the grid operators are dense numpy tiles, so scipy.sparse is not needed either.
