@@ -25,13 +25,14 @@ to converge.
 
 Configs are INI files with sections [experiment], [model], [sweep],
 [quadrature], [mc], [output]; ``_KEYS`` declares each key once, with the
-command-line flag that overrides it. Each experiment reads only the keys in
-its ``_EXPERIMENTS`` record (``half_width_sigmas`` only under the trapezoid
-rule, ``mu0`` only with a numeric ``sigma0``); a key it does not read must
-keep the experiment's default, or the run exits 1. Output files
-are written atomically (temp file, then rename), start with ``# config-hash:``
-and ``# columns:`` header lines, and format floats with 9 significant
-digits (scientific notation once the decimal exponent reaches 6).
+command-line flag that overrides it, and any other section or key exits 1.
+Each experiment reads only the keys in its ``_EXPERIMENTS`` record
+(``half_width_sigmas`` only under the trapezoid rule, ``mu0`` only with a
+numeric ``sigma0``); a key it does not read must keep the experiment's
+default, or the run exits 1. Output files are written atomically (temp
+file, then rename), start with ``# config-hash:`` and ``# columns:`` header
+lines, and format floats with 9 significant digits (scientific notation
+once the decimal exponent reaches 6).
 """
 
 from __future__ import annotations
@@ -282,11 +283,21 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
         Experiment selected on the command line; must match the config's
         ``[experiment] name`` when both are present.
     """
-    parser = configparser.ConfigParser()
+    # no default section: a [DEFAULT] section is as unknown as any other
+    parser = configparser.ConfigParser(default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise _UsageError(f"malformed config: {exc}") from exc
+    ini_keys = {(key.section, name): key for key in _KEYS
+                for name in (key.key, *(a for a in key.aliases if not a.startswith("--")))}
+    known = {*ini_keys, ("experiment", "name")}
+    for section in parser.sections():
+        for name in parser.options(section):
+            if (section, name) not in known:
+                raise _UsageError(f"unknown config key [{section}] {name}.")
+        if section not in {known_section for known_section, _ in known}:
+            raise _UsageError(f"unknown config section [{section}].")
     named = parser.get("experiment", "name", fallback=None)
     if named is not None and experiment is not None and named != experiment:
         raise _UsageError(
@@ -296,12 +307,10 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     if resolved is None:
         raise _UsageError("no experiment named on the command line or in the config.")
     values = {}
-    for key in _KEYS:
-        for name in (key.key, *(a for a in key.aliases if not a.startswith("--"))):
-            raw = parser.get(key.section, name, fallback=None)
-            if raw is not None:
-                values[key.field] = _parse(key, raw, f"[{key.section}] {name}")
-                break
+    for (section, name), key in ini_keys.items():  # each key before its aliases
+        raw = parser.get(section, name, fallback=None)
+        if raw is not None and key.field not in values:
+            values[key.field] = _parse(key, raw, f"[{section}] {name}")
     return _updated(default_config(resolved), values)
 
 
@@ -448,6 +457,8 @@ def run_mse_validate(config: ExperimentConfig) -> tuple[Path, int]:
         fim = steady_expected_fim(model, MeasurementChannel.UNQUANTIZED, spec)
         j_unq = quadratic_filter_root(model, fim)
         kappa_unq = quadratic_gain_root(model, fim)
+        if not (math.isfinite(j_unq) and math.isfinite(kappa_unq)):
+            raise ArithmeticError(f"steady information {j_unq!r}, smoothing gain {kappa_unq!r}")
         riccati_rel = abs(kalman_steady_variance(model) * j_unq - 1.0)
         rts_rel = abs(rts_steady_variance(model) * (j_unq + kappa_unq) - 1.0)
     checks: list[tuple[str, str, str]] = []

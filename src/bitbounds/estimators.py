@@ -10,8 +10,9 @@ This module provides:
 * a grid (point-mass) filter and fixed-interval smoother that approximate
   the conditional mean for the one-bit channel, where no closed form
   exists. The banded transition operator and its adjoint are stored as
-  dense row tiles, each over only the columns its rows touch, and applied
-  with one BLAS matrix product per tile; the n x n matrix is never formed;
+  dense row tiles, each over only the columns its rows touch and filled
+  from its own band entries, and applied with one BLAS matrix product per
+  tile; neither the n x n matrix nor a list of all band entries is formed;
 * a seeded trajectory simulator and a Monte Carlo harness that compares
   empirical MSE per block against the matching bound values. The simulator
   runs the state recursion as a numpy loop over blocks, bit-identical to
@@ -428,11 +429,10 @@ def _grid_axis(model: GaussMarkovModel, spec: GridSpec, horizon: int) -> np.ndar
     return np.linspace(-width, width, spec.num_points)
 
 
-def _cell_masses(axis: np.ndarray, centers: np.ndarray, sd: float) -> np.ndarray:
-    """Probability mass of N(center, sd^2) in each grid cell, one column per center."""
-    h = axis[1] - axis[0]
-    lo = (axis[:, None] - 0.5 * h - centers[None, :]) / sd
-    hi = (axis[:, None] + 0.5 * h - centers[None, :]) / sd
+def _cell_masses(points, centers, sd: float, h: float) -> np.ndarray:
+    """Mass of ``N(center, sd^2)`` in the width-``h`` cell around each point, elementwise."""
+    lo = (points - 0.5 * h - centers) / sd
+    hi = (points + 0.5 * h - centers) / sd
     return q_function(lo) - q_function(hi)
 
 
@@ -441,54 +441,6 @@ def _cell_masses(axis: np.ndarray, centers: np.ndarray, sd: float) -> np.ndarray
 # against 0.7-1.1 ms for CSR; 96 and 128 rows ran slower (2 vCPUs, one BLAS
 # thread).
 _TILE_ROWS = 48
-
-
-def _band(axis: np.ndarray, model: GaussMarkovModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries ``(rows, cols, data)`` of the banded column-stochastic transition operator.
-
-    Column j holds the cell masses of ``N(alpha * axis[j], sigma_z^2)``,
-    truncated beyond 8.5 sigma_z of the center. Exact cell masses (CDF
-    differences) keep the operator well defined even when sigma_z is
-    smaller than the grid step. Each (row, column) pair appears once.
-    """
-    n = axis.size
-    h = axis[1] - axis[0]
-    centers = model.alpha * axis
-    halfband = int(np.ceil(8.5 * model.sigma_z / h)) + 1
-    offsets = np.arange(-halfband, halfband + 1)
-    base = np.rint((centers - axis[0]) / h).astype(int)
-    rows = base[:, None] + offsets[None, :]
-    cols = np.broadcast_to(np.arange(n)[:, None], rows.shape)
-    valid = (rows >= 0) & (rows < n)
-    rows_v = rows[valid]
-    cols_v = cols[valid]
-    lo = (axis[rows_v] - 0.5 * h - centers[cols_v]) / model.sigma_z
-    hi = (axis[rows_v] + 0.5 * h - centers[cols_v]) / model.sigma_z
-    return rows_v, cols_v, q_function(lo) - q_function(hi)
-
-
-def _row_tiles(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int) -> tuple:
-    """Cut the n x n operator with the given entries into dense row tiles.
-
-    Tile ``(r0, r1, c0, c1, block)`` holds rows ``r0..r1-1`` over the columns
-    ``c0..c1-1`` that their entries span. Rows without entries get a tile
-    with no columns, whose product is zero. The n x n matrix is never
-    formed: a band of half-width b costs about ``n * (_TILE_ROWS + 2 b + 1)``
-    elements when ``|alpha|`` is near 1, and a small multiple of that for
-    any other alpha.
-    """
-    order = np.argsort(rows, kind="stable")
-    rows, cols, data = rows[order], cols[order], data[order]
-    tiles = []
-    for r0 in range(0, n, _TILE_ROWS):
-        r1 = min(r0 + _TILE_ROWS, n)
-        lo, hi = np.searchsorted(rows, (r0, r1))
-        span = cols[lo:hi]
-        c0, c1 = (int(span.min()), int(span.max()) + 1) if hi > lo else (0, 0)
-        block = np.zeros((r1 - r0, c1 - c0))
-        block[rows[lo:hi] - r0, span - c0] = data[lo:hi]
-        tiles.append((r0, r1, c0, c1, block))
-    return tuple(tiles)
 
 
 def _apply_tiles(tiles: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -502,10 +454,15 @@ def _apply_tiles(tiles: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 class _GridOperators:
     """The grid's tiled operators and likelihood tables, built once per grid.
 
-    ``forward`` holds the row tiles of the transition operator ``T``,
-    ``adjoint`` those of ``T'``. ``sign_likes`` is the one-bit likelihood
-    table and ``None`` for the unquantized channel. The filter, the smoother
-    and every sub-batch of :func:`monte_carlo_mse` share one instance.
+    ``forward`` holds the row tiles of the transition operator ``T``, whose
+    column j holds the exact cell masses of ``N(alpha * axis[j], sigma_z^2)``
+    within 8.5 sigma_z of the center; ``adjoint`` holds those of ``T'``.
+    Tile ``(r0, r1, c0, c1, block)`` is the dense block of rows ``r0..r1-1``
+    over the columns ``c0..c1-1`` their entries span (none for rows without
+    entries), filled from its own band entries only. ``sign_likes`` is the
+    one-bit likelihood table, ``None`` for the unquantized channel. The
+    filter, the smoother and every sub-batch of :func:`monte_carlo_mse`
+    share one instance.
     """
 
     axis: np.ndarray
@@ -523,14 +480,45 @@ class _GridOperators:
 
 def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
                     channel: MeasurementChannel) -> _GridOperators:
-    rows, cols, data = _band(axis, model)
+    n = axis.size
+    h = axis[1] - axis[0]
+    centers = model.alpha * axis
+    halfband = int(np.ceil(8.5 * model.sigma_z / h)) + 1
+    # column j of T has entries in rows base[j] - halfband .. base[j] + halfband
+    base = np.rint((centers - axis[0]) / h).astype(int)
+
+    def entries(c0: int, c1: int, r0: int, r1: int) -> tuple:
+        """Rows, columns and values of T's entries in columns c0..c1-1 and rows r0..r1-1."""
+        first = np.maximum(base[c0:c1] - halfband, r0)
+        count = np.maximum(np.minimum(base[c0:c1] + halfband + 1, r1) - first, 0)
+        cols = np.repeat(np.arange(c0, c1), count)
+        rows = np.arange(cols.size) + np.repeat(first - (np.cumsum(count) - count), count)
+        return rows, cols, _cell_masses(axis[rows], centers[cols], model.sigma_z, h)
+
+    def tile(r0: int, r1: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> tuple:
+        c0, c1 = (int(cols.min()), int(cols.max()) + 1) if cols.size else (0, 0)
+        block = np.zeros((r1 - r0, c1 - c0))
+        block[rows - r0, cols - c0] = values
+        return r0, r1, c0, c1, block
+
+    # base is monotone in the column (decreasing for alpha < 0), so the
+    # columns whose band reaches rows r0..r1-1 are one range
+    sign = 1 if model.alpha >= 0.0 else -1
+    ordered = sign * base
+    forward, adjoint = [], []
+    for r0 in range(0, n, _TILE_ROWS):
+        r1 = min(r0 + _TILE_ROWS, n)
+        lo, hi = sorted((sign * (r0 - halfband), sign * (r1 - 1 + halfband)))
+        c0, c1 = np.searchsorted(ordered, lo, "left"), np.searchsorted(ordered, hi, "right")
+        forward.append(tile(r0, r1, *entries(c0, c1, r0, r1)))
+        rows, cols, values = entries(r0, r1, 0, n)
+        adjoint.append(tile(r0, r1, cols, rows, values))
     sign_likes = None
     if channel is MeasurementChannel.ONE_BIT:
         # column 0: P(y = -1 | theta), column 1: P(y = +1 | theta)
         sign_likes = np.stack((q_function(axis / model.sigma_eta),
                                q_function(-axis / model.sigma_eta)), axis=1)
-    return _GridOperators(axis=axis, forward=_row_tiles(rows, cols, data, axis.size),
-                          adjoint=_row_tiles(cols, rows, data, axis.size),
+    return _GridOperators(axis=axis, forward=tuple(forward), adjoint=tuple(adjoint),
                           sign_likes=sign_likes, inv_two_var=0.5 / model.sigma_eta**2)
 
 
@@ -569,7 +557,7 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     axis = operators.axis
     n, trials, k_max = axis.size, batch.num_trials, batch.horizon
 
-    prior = _cell_masses(axis, np.array([model.mu0]), model.sigma0)[:, 0]
+    prior = _cell_masses(axis, model.mu0, model.sigma0, axis[1] - axis[0])
     total = prior.sum()
     if not total > 0.0:
         raise NumericalDegeneracyError("prior mass vanished on the grid; widen the grid.")
@@ -652,23 +640,14 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     return GridSmootherResult(means=means, variances=variances)
 
 
-def _per_block_stats(errors_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error over trials of per-block squared errors."""
+def _trial_stats(errors_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over trials (axis 0) of squared errors."""
     trials = errors_sq.shape[0]
     mse = errors_sq.mean(axis=0)
     if trials < 2:
         return mse, np.full_like(mse, np.nan)
     se = errors_sq.std(axis=0, ddof=1) / math.sqrt(trials)
     return mse, se
-
-
-def _steady_stats(per_trial: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of per-trial steady-region aggregates."""
-    trials = per_trial.shape[0]
-    mean = float(per_trial.mean())
-    if trials < 2:
-        return mean, float("nan")
-    return mean, float(per_trial.std(ddof=1) / math.sqrt(trials))
 
 
 def _lagged_gains(model: GaussMarkovModel, fims: np.ndarray, lag: int) -> np.ndarray:
@@ -684,9 +663,19 @@ def _lagged_gains(model: GaussMarkovModel, fims: np.ndarray, lag: int) -> np.nda
     return gains
 
 
+# Bytes of float32 posteriors that one grid sub-batch may store: 50 trials
+# on the default 1000-point grid at horizon 500, 100.2 MB.
+_POSTERIOR_STORE_BYTES = 50 * 1000 * 501 * 4
+
+
+def _sub_batch_trials(num_points: int, horizon: int) -> int:
+    """Trials per grid sub-batch whose posterior store fits the budget, at least one."""
+    return max(1, _POSTERIOR_STORE_BYTES // (4 * num_points * (horizon + 1)))
+
+
 def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estimator: str,
                     seed: int, num_trials: int, horizon: int, lag: int = 0,
-                    grid: GridSpec = GridSpec(), batch_size: int = 50,
+                    grid: GridSpec = GridSpec(),
                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> MseReport:
     """Empirical filtering and smoothing MSE paired with their bounds.
 
@@ -703,10 +692,9 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         Smoothing lag for the Kalman path; the steady region must fit,
         ``horizon > burn-in + lag``. The grid path requires 0.
     grid : GridSpec
-        Grid geometry for the grid path.
-    batch_size : int
-        Trials per grid sub-batch, at least 1 (memory control only; results
-        are independent of it).
+        Grid geometry for the grid path, which runs its trials in
+        sub-batches sized by :func:`_sub_batch_trials`; the split moves
+        results by summation order only.
     spec : QuadratureSpec
         Quadrature for the bound values.
 
@@ -720,8 +708,6 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         raise ValueError("the kalman estimator requires the unquantized channel.")
     if estimator == "grid" and lag != 0:
         raise ValueError(f"the grid estimator smooths over the whole interval; got lag {lag}.")
-    if not batch_size >= 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}.")
     burn = burn_in_blocks(model, horizon)
     if estimator == "kalman" and not horizon > burn + lag:
         raise ValueError(f"horizon {horizon} too short for burn-in {burn} plus lag {lag}.")
@@ -748,25 +734,27 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         err_f = np.empty_like(states)
         err_s = np.empty_like(states)
         operators = _grid_operators(_grid_axis(model, grid, horizon), model, channel)
-        for start in range(0, num_trials, batch_size):
-            stop = min(start + batch_size, num_trials)
-            sub = TrajectoryBatch(
-                seed=seed, num_trials=stop - start, horizon=horizon, channel=channel,
-                states=states[start:stop], observations=batch.observations[start:stop],
-            )
+        step = _sub_batch_trials(grid.num_points, horizon)
+        for start in range(0, num_trials, step):
+            trials = slice(start, start + step)
+            sub = TrajectoryBatch(seed=seed, num_trials=len(states[trials]), horizon=horizon,
+                                  channel=channel, states=states[trials],
+                                  observations=batch.observations[trials])
             gf = grid_filter(sub, model, grid, operators=operators)
             gs = grid_smoother(gf)
-            err_f[start:stop] = (gf.means - sub.states) ** 2
-            err_s[start:stop] = (gs.means - sub.states) ** 2
+            err_f[trials] = (gf.means - sub.states) ** 2
+            err_s[trials] = (gs.means - sub.states) ** 2
             # free this sub-batch's posteriors before the next one allocates its own
             del gf, gs
         smooth_lo, smooth_hi = burn, max(burn, horizon - burn // 2)
         report_lag = None
 
-    filter_mse, filter_se = _per_block_stats(err_f)
-    smooth_mse, smooth_se = _per_block_stats(err_s)
-    steady_f_mse, steady_f_se = _steady_stats(err_f[:, burn : horizon + 1].mean(axis=1))
-    steady_s_mse, steady_s_se = _steady_stats(err_s[:, smooth_lo : smooth_hi + 1].mean(axis=1))
+    filter_mse, filter_se = _trial_stats(err_f)
+    smooth_mse, smooth_se = _trial_stats(err_s)
+    steady_f = err_f[:, burn : horizon + 1].mean(axis=1)  # one steady-region MSE per trial
+    steady_s = err_s[:, smooth_lo : smooth_hi + 1].mean(axis=1)
+    steady_f_mse, steady_f_se = map(float, _trial_stats(steady_f))
+    steady_s_mse, steady_s_se = map(float, _trial_stats(steady_s))
     return MseReport(
         channel=channel,
         estimator=estimator,

@@ -1,5 +1,6 @@
 """Experiment CLI: config handling, output files, exit codes."""
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from bitbounds.cli import (
 FAST_SWEEP = ["--alpha", "0.99", "--snr-min-db", "-20", "--snr-max-db", "-18",
               "--snr-step-db", "0.5"]
 FIG1_SEED_INI = str(Path(__file__).parent / "data" / "fig1_seed.ini")
+FIG1_MISSPELT_INI = str(Path(__file__).parent / "data" / "fig1_misspelt.ini")
 
 
 class TestConfigRoundTrip:
@@ -75,6 +77,14 @@ class TestConfigRoundTrip:
             parse_config("[model]\nalphas = 1.5\n", "fig1")
         with pytest.raises(_UsageError):
             parse_config("[quadrature]\nnodes = 3\n", "fig1")
+        # Unknown keys and sections, including an empty section and [DEFAULT].
+        for text, where in (("[mc]\nseeds = 3\n", "[mc] seeds"),
+                            ("[sweeps]\nsnr_min_db = 5\n", "[sweeps] snr_min_db"),
+                            ("[experiment]\nname = fig1\nseed = 3\n", "[experiment] seed"),
+                            ("[DEFAULT]\nseed = 3\n", "[DEFAULT] seed"),
+                            ("[sweeps]\n", "[sweeps]")):
+            with pytest.raises(_UsageError, match=re.escape(where)):
+                parse_config(text, "fig1")
 
 
 class TestConfigHash:
@@ -282,6 +292,7 @@ class TestExitCodes:
         ["fig1", "--delta", "2"],
         ["fig1", "--mu0", "5"],
         ["fig1", "--config", FIG1_SEED_INI],
+        ["fig1", "--config", FIG1_MISSPELT_INI],
         ["fig2", "--sigma0", "0.1"],
         ["ratios", "--trials", "7"],
         ["selftest", "--alpha", "0.5"],
@@ -303,6 +314,7 @@ class TestExitCodes:
         ["ratios", "--sigma-eta", "1e-77"],
         ["mse-validate", "--sigma-eta", "1e300"],
         ["mse-validate", "--sigma-eta", "1e-200"],
+        ["mse-validate", "--sigma-eta", "1e-77"],
     ])
     def test_bad_inputs_exit_1_with_an_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"

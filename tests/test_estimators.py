@@ -400,8 +400,9 @@ class TestTiledOperator:
 
     def test_grid_report_matches_the_csr_oracle(self, monkeypatch):
         m = model_for_snr(0.95, 0.0)
-        kwargs = dict(seed=5, num_trials=12, horizon=80, grid=GridSpec(num_points=400),
-                      batch_size=5)
+        # sub-batches of 5 trials
+        monkeypatch.setattr(estimators, "_POSTERIOR_STORE_BYTES", 5 * 4 * 400 * 81)
+        kwargs = dict(seed=5, num_trials=12, horizon=80, grid=GridSpec(num_points=400))
         tiled = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", **kwargs)
         build = estimators._grid_operators
 
@@ -430,9 +431,26 @@ class TestTiledOperator:
             return build(*args)
 
         monkeypatch.setattr(estimators, "_grid_operators", counted)
+        # sub-batches of 3 trials
+        monkeypatch.setattr(estimators, "_POSTERIOR_STORE_BYTES", 3 * 4 * 200 * 41)
         monte_carlo_mse(model_for_snr(0.9, 0.0), channel, "grid", seed=3, num_trials=7,
-                        horizon=40, grid=GridSpec(num_points=200), batch_size=3)
+                        horizon=40, grid=GridSpec(num_points=200))
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("num_points", (1000, 5000))
+    def test_build_peak_stays_near_the_tiles(self, num_points):
+        # The mse-validate model: each tile is filled from its own band
+        # entries, so the build holds little beyond the tiles it returns.
+        model = model_for_snr(0.999, -10.0)
+        axis = estimators._grid_axis(model, GridSpec(num_points=num_points), 500)
+        tracemalloc.start()
+        try:
+            ops = estimators._grid_operators(axis, model, MeasurementChannel.ONE_BIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tiles = sum(block.nbytes for t in (ops.forward, ops.adjoint) for *_, block in t)
+        assert peak <= 1.5 * tiles
 
 
 class TestBurnIn:
@@ -504,13 +522,6 @@ class TestMonteCarloMse:
             monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid",
                             seed=1, num_trials=4, horizon=50, lag=5)
 
-    @pytest.mark.parametrize("batch_size", [0, -2])
-    def test_rejects_a_batch_size_below_one(self, batch_size):
-        m = model_for_snr(0.95, 0.0)
-        with pytest.raises(ValueError, match="batch_size"):
-            monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid",
-                            seed=1, num_trials=4, horizon=50, batch_size=batch_size)
-
     @pytest.mark.parametrize("channel,estimator", [
         (MeasurementChannel.UNQUANTIZED, "kalman"), (MeasurementChannel.ONE_BIT, "grid"),
     ])
@@ -526,13 +537,23 @@ class TestMonteCarloMse:
         assert math.isnan(report.steady_filter_se)
         assert np.all(np.isnan(report.filter_se))
 
-    def test_grid_batching_does_not_change_results(self):
+    def test_grid_batching_does_not_change_results(self, monkeypatch):
         m = model_for_snr(0.9, 0.0)
         kwargs = dict(seed=17, num_trials=30, horizon=60, grid=GridSpec(num_points=800))
-        a = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", batch_size=7, **kwargs)
-        b = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", batch_size=30, **kwargs)
+        store = 4 * 800 * 61  # bytes of one trial's posteriors
+        monkeypatch.setattr(estimators, "_POSTERIOR_STORE_BYTES", 7 * store)
+        a = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", **kwargs)
+        monkeypatch.setattr(estimators, "_POSTERIOR_STORE_BYTES", 30 * store)
+        b = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", **kwargs)
         assert_allclose(a.filter_mse, b.filter_mse, rtol=1e-12)
         assert_allclose(a.smooth_mse, b.smooth_mse, rtol=1e-12)
+
+    def test_sub_batches_are_sized_from_the_grid(self):
+        # The default grid and horizon keep 50 trials per sub-batch (100.2 MB
+        # of float32 posteriors); the largest grid runs one trial at a time.
+        assert estimators._sub_batch_trials(1000, 500) == 50
+        assert estimators._sub_batch_trials(100_000, 500) == 1
+        assert estimators._sub_batch_trials(1000, 500) * 4 * 1000 * 501 == 100_200_000
 
 
 class TestMseReportValidation:
