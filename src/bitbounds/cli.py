@@ -288,7 +288,8 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise _UsageError(f"malformed config: {exc}") from exc
+        # configparser's messages span lines; a usage error is one line.
+        raise _UsageError(f"malformed config: {' '.join(str(exc).split())}") from exc
     ini_keys = {(key.section, name): key for key in _KEYS
                 for name in (key.key, *(a for a in key.aliases if not a.startswith("--")))}
     known = {*ini_keys, ("experiment", "name")}

@@ -441,6 +441,11 @@ def _cell_masses(points, centers, sd: float, h: float) -> np.ndarray:
 # against 0.7-1.1 ms for CSR; 96 and 128 rows ran slower (2 vCPUs, one BLAS
 # thread).
 _TILE_ROWS = 48
+# Groups of columns whose band entries the build evaluates together: a
+# group holds 1/32 of the entries (at least one tile's columns), few enough
+# to keep the build near the tiles' own memory, and a narrow band does not
+# pay numpy's per-call cost once per tile.
+_BUILD_GROUPS = 32
 
 
 def _apply_tiles(tiles: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -484,41 +489,61 @@ def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
     h = axis[1] - axis[0]
     centers = model.alpha * axis
     halfband = int(np.ceil(8.5 * model.sigma_z / h)) + 1
-    # column j of T has entries in rows base[j] - halfband .. base[j] + halfband
+    # column j of T has entries in rows top[j] .. bottom[j] - 1: the band
+    # base[j] +- halfband, clipped to the grid
     base = np.rint((centers - axis[0]) / h).astype(int)
+    top = np.maximum(base - halfband, 0)
+    bottom = np.maximum(np.minimum(base + halfband + 1, n), top)
+    starts = np.arange(0, n, _TILE_ROWS)
+    ends = np.minimum(starts + _TILE_ROWS, n)
 
-    def entries(c0: int, c1: int, r0: int, r1: int) -> tuple:
-        """Rows, columns and values of T's entries in columns c0..c1-1 and rows r0..r1-1."""
-        first = np.maximum(base[c0:c1] - halfband, r0)
-        count = np.maximum(np.minimum(base[c0:c1] + halfband + 1, r1) - first, 0)
-        cols = np.repeat(np.arange(c0, c1), count)
-        rows = np.arange(cols.size) + np.repeat(first - (np.cumsum(count) - count), count)
-        return rows, cols, _cell_masses(axis[rows], centers[cols], model.sigma_z, h)
+    def tiling(c0: np.ndarray, c1: np.ndarray) -> tuple:
+        """Spans, offsets and one zeroed buffer of the row tiles over columns c0..c1-1."""
+        c0, c1 = np.where(c1 > c0, c0, 0), np.where(c1 > c0, c1, 0)
+        sizes = (ends - starts) * (c1 - c0)
+        return c0, c1, np.cumsum(sizes) - sizes, np.zeros(int(sizes.sum()))
 
-    def tile(r0: int, r1: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> tuple:
-        c0, c1 = (int(cols.min()), int(cols.max()) + 1) if cols.size else (0, 0)
-        block = np.zeros((r1 - r0, c1 - c0))
-        block[rows - r0, cols - c0] = values
-        return r0, r1, c0, c1, block
+    def scatter(layout: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+        c0, c1, offsets, buffer = layout
+        tile = rows // _TILE_ROWS
+        buffer[offsets[tile] + (rows - starts[tile]) * (c1 - c0)[tile] + cols - c0[tile]] = values
 
-    # base is monotone in the column (decreasing for alpha < 0), so the
-    # columns whose band reaches rows r0..r1-1 are one range
+    def tiles(layout: tuple) -> tuple:
+        """``(r0, r1, c0, c1, block)`` per row tile, each block a view of the buffer."""
+        c0, c1, offsets, buffer = layout
+        return tuple((r0, r1, a, b, buffer[o:o + (r1 - r0) * (b - a)].reshape(r1 - r0, b - a))
+                     for r0, r1, a, b, o in zip(starts.tolist(), ends.tolist(), c0.tolist(),
+                                                c1.tolist(), offsets.tolist()))
+
+    # Row tile i of T spans the columns whose band reaches its rows. base is
+    # monotone in the column (decreasing for alpha < 0), so they are one
+    # range, found by searchsorted for all tiles at once.
     sign = 1 if model.alpha >= 0.0 else -1
-    ordered = sign * base
-    forward, adjoint = [], []
-    for r0 in range(0, n, _TILE_ROWS):
-        r1 = min(r0 + _TILE_ROWS, n)
-        lo, hi = sorted((sign * (r0 - halfband), sign * (r1 - 1 + halfband)))
-        c0, c1 = np.searchsorted(ordered, lo, "left"), np.searchsorted(ordered, hi, "right")
-        forward.append(tile(r0, r1, *entries(c0, c1, r0, r1)))
-        rows, cols, values = entries(r0, r1, 0, n)
-        adjoint.append(tile(r0, r1, cols, rows, values))
+    lo, hi = np.sort([sign * (starts - halfband), sign * (ends - 1 + halfband)], axis=0)
+    forward = tiling(np.searchsorted(sign * base, lo, "left"),
+                     np.searchsorted(sign * base, hi, "right"))
+    # Row tile i of T' (columns starts[i] .. ends[i] - 1 of T) spans the rows
+    # of T that those columns' bands reach.
+    nonempty = bottom > top
+    adjoint = tiling(np.minimum.reduceat(np.where(nonempty, top, n), starts),
+                     np.maximum.reduceat(np.where(nonempty, bottom, 0), starts))
+    # Each entry is evaluated once, for both operators, a group of columns
+    # at a time.
+    step = max(_TILE_ROWS, -(-n // _BUILD_GROUPS))
+    for c0 in range(0, n, step):
+        count = bottom[c0:c0 + step] - top[c0:c0 + step]
+        cols = np.repeat(np.arange(c0, c0 + count.size), count)
+        rows = np.arange(cols.size) + np.repeat(top[c0:c0 + step] - (np.cumsum(count) - count),
+                                                count)
+        values = _cell_masses(axis[rows], centers[cols], model.sigma_z, h)
+        scatter(forward, rows, cols, values)
+        scatter(adjoint, cols, rows, values)
     sign_likes = None
     if channel is MeasurementChannel.ONE_BIT:
         # column 0: P(y = -1 | theta), column 1: P(y = +1 | theta)
         sign_likes = np.stack((q_function(axis / model.sigma_eta),
                                q_function(-axis / model.sigma_eta)), axis=1)
-    return _GridOperators(axis=axis, forward=tuple(forward), adjoint=tuple(adjoint),
+    return _GridOperators(axis=axis, forward=tiles(forward), adjoint=tiles(adjoint),
                           sign_likes=sign_likes, inv_two_var=0.5 / model.sigma_eta**2)
 
 

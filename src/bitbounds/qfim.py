@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
+from . import _erf
+from ._tables import HERMGAUSS_128
 from .core import MeasurementChannel, StateMoments
 from .exceptions import QuadratureError
 
@@ -88,7 +89,8 @@ def q_function(x):
     """Gaussian tail probability ``Q(x) = P(N(0,1) > x)``.
 
     Evaluated as ``0.5 * erfc(x / sqrt(2))``, which stays positive and
-    accurate far into the tail (no underflow to zero for ``|x| <= 37``).
+    accurate far into the tail (no underflow to zero for ``|x| <= 37``);
+    ``q_function(0.0)`` is exactly 0.5.
 
     Parameters
     ----------
@@ -98,15 +100,15 @@ def q_function(x):
     -------
     float or ndarray
     """
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return 0.5 * _erf.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def fq(theta, sigma_eta: float):
     """Per-sample Fisher information of the one-bit channel at state ``theta``.
 
-    Uses the identity ``Q(u) = 0.5 * exp(-u^2/2) * erfcx(u / sqrt(2))`` to
-    cancel the Gaussian factors analytically, so the tail is evaluated
-    without underflow for any finite ``theta``.
+    Computed as ``exp(-theta^2 / (2 sigma_eta^2))`` times the residual gain,
+    whose scaled-erfc form cancels the Gaussian factors analytically, so the
+    tail is evaluated without underflow for any finite ``theta``.
 
     Parameters
     ----------
@@ -124,14 +126,9 @@ def fq(theta, sigma_eta: float):
     if not sigma_eta > 0.0:
         raise ValueError(f"fq requires sigma_eta > 0, got {sigma_eta}.")
     theta = np.asarray(theta, dtype=float)
-    u = np.abs(theta) / sigma_eta
-    # F_q = (1/(2 pi s^2)) e^{-u^2} / (Q(u) Q(-u)) with the positive-branch
-    # Q(u) rewritten through erfcx; Q(-u) >= 1/2 needs no rewriting.
-    value = (
-        np.exp(-0.5 * u * u)
-        / (np.pi * sigma_eta**2)
-        / (special.erfcx(u / math.sqrt(2.0)) * q_function(-u))
-    )
+    flat = theta.reshape(-1)
+    u = np.abs(flat) / sigma_eta
+    value = (np.exp(-0.5 * u * u) * _residual_gain(flat, sigma_eta)).reshape(theta.shape)
     return value if value.ndim else float(value)
 
 
@@ -140,15 +137,18 @@ def _residual_gain(theta, sigma_eta: float):
 
     Splitting off one Gaussian factor of ``F_q`` leaves this slowly varying
     residual, which a Hermite rule integrates accurately at any state spread.
+    ``theta`` is an array of at least one dimension.
     """
     # (1/(pi s^2)) / (erfcx(z) Q(-u)) with z = u/sqrt(2), u = |theta|/s, and
-    # Q(-u) = 0.5 erfc(-z) (negating z is exact), computed in place.
+    # Q(-u) = 1 - Q(u) = (2 - erfc(z)) / 2 from the same erfcx(z), rounded
+    # as q_function(-u) rounds it; erfc(z) <= 1, so the difference does not
+    # cancel. The factor 1/2 moves to the numerator, an exact scaling.
     z = np.abs(theta) / sigma_eta
     z /= math.sqrt(2.0)
-    denominator = special.erfc(-z)
-    denominator *= 0.5
-    denominator *= special.erfcx(z)
-    return np.divide(1.0 / (np.pi * sigma_eta**2), denominator, out=denominator)
+    scaled, denominator = _erf.erfcx_erfc(z)
+    np.subtract(2.0, denominator, out=denominator)
+    denominator *= scaled
+    return np.divide(2.0 / (np.pi * sigma_eta**2), denominator, out=denominator)
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +158,14 @@ def _hermgauss(n: int):
     numpy's ``hermgauss`` makes the rule exactly symmetric (``t[i] ==
     -t[n - 1 - i]``, equal weights, a middle node of exactly 0 at odd
     ``n``), so ``half.take(mirror, axis=-1)`` spreads values taken at the
-    nonnegative nodes ``t[n // 2:]`` over all ``n`` nodes.
+    nonnegative nodes ``t[n // 2:]`` over all ``n`` nodes. The default
+    128-node rule is numpy's, frozen in :mod:`._tables`; other node counts
+    load ``numpy.polynomial`` on first use.
     """
-    t, w = np.polynomial.hermite.hermgauss(n)
+    if n == 128:
+        t, w = np.array([line.split() for line in HERMGAUSS_128.split("\n") if line], dtype=float)
+    else:
+        t, w = np.polynomial.hermite.hermgauss(n)
     h = n - n // 2
     mirror = np.concatenate((np.arange(h - 1, n % 2 - 1, -1), np.arange(h)))
     return t, w, mirror

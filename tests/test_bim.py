@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import linalg, special
+from scipy import linalg
 
 from bitbounds import (
     BimKind,
@@ -31,6 +31,7 @@ from bitbounds import (
     state_moments,
     steady_lag_gain,
 )
+from bitbounds._erf import erfcx
 from bitbounds.estimators import _lagged_gains
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -182,9 +183,11 @@ def _expected_fq_oracle(mean, variance, sigma_eta, spec):
     """``E[F_q]`` of one marginal by the scalar quadrature, one node array per marginal.
 
     This is the one-marginal body the package ran before it batched the
-    marginals of a call and mirrored zero-mean integrands, kept verbatim
-    (residual gain included) so the batch is checked against an
-    independent copy, not against itself.
+    marginals of a call, mirrored zero-mean integrands and took both tail
+    factors from one erfcx, kept verbatim (residual gain included) so the
+    batch is checked against an independent copy, not against itself. It
+    calls the package's own ``erfcx`` and ``q_function``, so the bits it
+    pins are those of the batching, not of one error-function library.
     """
     if spec.rule is QuadratureRule.GAUSS_HERMITE:
         t, w = _hermgauss(spec.nodes)
@@ -194,7 +197,7 @@ def _expected_fq_oracle(mean, variance, sigma_eta, spec):
         nodes = m_merged + math.sqrt(2.0 * v_merged) * t
         u = np.abs(nodes) / sigma_eta
         values = (1.0 / (np.pi * sigma_eta**2)) / (
-            special.erfcx(u / math.sqrt(2.0)) * q_function(-u)
+            erfcx(u / math.sqrt(2.0)) * q_function(-u)
         )
         weighted = float(np.dot(w, values))
         prefactor = math.sqrt(v_merged / (math.pi * variance)) * math.exp(

@@ -27,6 +27,7 @@ FAST_SWEEP = ["--alpha", "0.99", "--snr-min-db", "-20", "--snr-max-db", "-18",
               "--snr-step-db", "0.5"]
 FIG1_SEED_INI = str(Path(__file__).parent / "data" / "fig1_seed.ini")
 FIG1_MISSPELT_INI = str(Path(__file__).parent / "data" / "fig1_misspelt.ini")
+NO_SECTION_INI = str(Path(__file__).parent / "data" / "no_section.ini")
 
 
 class TestConfigRoundTrip:
@@ -293,6 +294,7 @@ class TestExitCodes:
         ["fig1", "--mu0", "5"],
         ["fig1", "--config", FIG1_SEED_INI],
         ["fig1", "--config", FIG1_MISSPELT_INI],
+        ["fig1", "--config", NO_SECTION_INI],
         ["fig2", "--sigma0", "0.1"],
         ["ratios", "--trials", "7"],
         ["selftest", "--alpha", "0.5"],

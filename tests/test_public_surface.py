@@ -59,13 +59,19 @@ def test_readme_flag_table_matches_the_experiment_records():
 
 
 def test_import_leaves_out_scipy_signal_and_stats():
-    # scipy.signal (which loads scipy.stats) took most of the start-up time;
-    # the grid operators are dense numpy tiles, so scipy.sparse is not needed either.
+    # scipy took most of the start-up time. The package's own erfcx/erfc
+    # replace scipy.special, dense numpy tiles replace scipy.sparse, and the
+    # default Gauss-Hermite rule is frozen, so numpy.polynomial loads only
+    # for another node count, not even at the first default quadrature.
     code = ("import sys, bitbounds, bitbounds.cli; "
-            "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.sparse') if m in sys.modules))")
+            "bitbounds.expected_fq(bitbounds.StateMoments(0, 0.0, 1.0), 1.0); "
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy') "
+            "or m.startswith('numpy.polynomial')))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+    imports = re.compile(r"^\s*(import|from)\s+scipy\b", flags=re.MULTILINE)
+    assert not [path.name for path in (ROOT / "src").rglob("*.py") if imports.search(path.read_text())]

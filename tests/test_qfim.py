@@ -172,6 +172,11 @@ class TestQuadratureAgreement:
         trap = expected_fq(mom, 1.0, self.TRAPEZOID)
         assert_allclose(gh, trap, rtol=1e-7)
 
+    def test_frozen_default_rule_is_numpys_bit_for_bit(self):
+        t, w, _ = qfim._hermgauss(128)
+        want_t, want_w = np.polynomial.hermite.hermgauss(128)
+        assert t.tobytes() == want_t.tobytes() and w.tobytes() == want_w.tobytes()
+
     def test_node_count_already_converged(self):
         # Halving the default node count must not move the result.
         mom = StateMoments(0, 0.0, 1e2)
