@@ -12,7 +12,9 @@ This module provides:
   exists. The banded transition operator and its adjoint are stored as
   dense row tiles, each over only the columns its rows touch and filled
   from its own band entries, and applied with one BLAS matrix product per
-  tile; neither the n x n matrix nor a list of all band entries is formed;
+  tile; neither the n x n matrix nor a list of all band entries is formed.
+  Each block's posterior totals, means and variances come from one more
+  product, of ``[1; x; x^2]`` with the unnormalised posterior;
 * a seeded trajectory simulator and a Monte Carlo harness that compares
   empirical MSE per block against the matching bound values. The simulator
   runs the state recursion as a numpy loop over blocks, bit-identical to
@@ -476,11 +478,31 @@ class _GridOperators:
     sign_likes: np.ndarray | None
     inv_two_var: float
 
-    def likelihood(self, obs_col: np.ndarray) -> np.ndarray:
-        """Likelihood of each trial's observation at each grid point, shape (n, trials)."""
+    def likelihood_keys(self, observations: np.ndarray) -> np.ndarray:
+        """What :meth:`likelihood` reads per block: entry ``k - 1`` for block k.
+
+        The observations themselves for the unquantized channel, shape (K,
+        trials). For the one-bit channel, shape (K, 2, trials): each trial's
+        column is one-hot on the column of ``sign_likes`` its sign selects.
+        """
         if self.sign_likes is None:
-            return np.exp(-self.inv_two_var * (self.axis[:, None] - obs_col[None, :]) ** 2)
-        return self.sign_likes[:, (obs_col > 0.0).astype(np.intp)]
+            return np.ascontiguousarray(observations.T)
+        up = (observations > 0.0).T
+        return np.stack((~up, up), axis=1).astype(float)
+
+    def likelihood(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Likelihood of each trial's observation at each grid point, into ``out`` (n, trials).
+
+        For the one-bit channel a product with the one-hot ``keys`` gathers the
+        table's columns exactly (each entry is ``1 * q + 0 * q'``), and, unlike
+        ``np.take`` or fancy indexing, writes into ``out`` at BLAS speed.
+        """
+        if self.sign_likes is None:
+            np.subtract(self.axis[:, None], keys[None, :], out=out)
+            np.square(out, out=out)
+            out *= -self.inv_two_var
+            return np.exp(out, out=out)
+        return np.matmul(self.sign_likes, keys, out=out)
 
 
 def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
@@ -547,10 +569,25 @@ def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
                           sign_likes=sign_likes, inv_two_var=0.5 / model.sigma_eta**2)
 
 
-def _pmf_moments(axis: np.ndarray, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = axis @ pmf
-    var = (axis * axis) @ pmf - mean * mean
-    return mean, np.maximum(var, 0.0)
+def _powers(axis: np.ndarray) -> np.ndarray:
+    """``[1; x; x^2]`` on the grid, shape (3, n): one product with it gives a pmf's raw moments."""
+    return np.stack((np.ones_like(axis), axis, axis * axis))
+
+
+def _moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's mean and variance from its raw moments ``raw = _powers(axis) @ mass``.
+
+    ``raw`` (3, trials) holds the total, first and second moment of an
+    unnormalised (n, trials) ``mass``, whose moments are the last two divided
+    by the total, so the mass itself need not be normalised. Rows 1 and 2 of
+    ``raw`` are overwritten with the mean and variance and returned.
+    """
+    total, mean, var = raw
+    mean /= total
+    var /= total
+    var -= mean * mean
+    np.maximum(var, 0.0, out=var)
+    return mean, var
 
 
 def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
@@ -588,25 +625,29 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
         raise NumericalDegeneracyError("prior mass vanished on the grid; widen the grid.")
     pmf = np.repeat((prior / total)[:, None], trials, axis=1)
     posterior = np.empty_like(pmf)
+    lik = np.empty_like(pmf)
+    keys = operators.likelihood_keys(batch.observations)
+    powers = _powers(axis)
+    raw = np.empty((3, trials))
 
     # block-major, so each block is one contiguous (n, trials) slab
     store = np.empty((k_max + 1, n, trials), dtype=np.float32)
     means = np.empty((trials, k_max + 1))
     variances = np.empty((trials, k_max + 1))
     store[0] = pmf
-    means[:, 0], variances[:, 0] = _pmf_moments(axis, pmf)
+    means[:, 0], variances[:, 0] = _moments(np.matmul(powers, pmf, out=raw))
     for k in range(1, k_max + 1):
         _apply_tiles(operators.forward, pmf, posterior)
-        posterior *= operators.likelihood(batch.observations[:, k - 1])
-        total = posterior.sum(axis=0)
-        if not np.all(total > 0.0) or not np.all(np.isfinite(total)):
+        posterior *= operators.likelihood(keys[k - 1], lik)
+        total = np.matmul(powers, posterior, out=raw)[0]
+        if not (total.min() > 0.0 and total.max() < math.inf):
             raise NumericalDegeneracyError(
                 f"posterior mass vanished at block {k}; widen the grid.", block=k
             )
-        posterior /= total
+        means[:, k], variances[:, k] = _moments(raw)
+        posterior *= 1.0 / total
         pmf, posterior = posterior, pmf
         store[k] = pmf
-        means[:, k], variances[:, k] = _pmf_moments(axis, pmf)
     return GridFilterResult(axis=axis, means=means, variances=variances,
                             pmfs=store.transpose(2, 0, 1), batch=batch, operators=operators)
 
@@ -620,7 +661,9 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     fixed-lag variant would need one backward pass per block; the
     fixed-interval form costs one pass and bounds for it come from the
     smoothing recursion anchored at the final block.) It runs on the
-    filter's grid with the filter's operators, so it needs no model.
+    filter's grid with the filter's operators, so it needs no model. The
+    smoothed posterior is never normalised: its moments are divided by its
+    own total.
 
     Returns
     -------
@@ -636,6 +679,9 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     operators = filtered.operators
     store = filtered.pmfs.transpose(1, 2, 0)
     trials, k_max = batch.num_trials, filtered.horizon
+    keys = operators.likelihood_keys(batch.observations)
+    powers = _powers(axis)
+    raw = np.empty((3, trials))
 
     means = np.empty((trials, k_max + 1))
     variances = np.empty((trials, k_max + 1))
@@ -645,23 +691,22 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     weighted = np.empty_like(beta)
     posterior = np.empty_like(beta)
     for l in range(k_max - 1, -1, -1):
-        beta, weighted = weighted, beta
-        weighted *= operators.likelihood(batch.observations[:, l])
+        operators.likelihood(keys[l], weighted)
+        weighted *= beta
         _apply_tiles(operators.adjoint, weighted, beta)
         peak = beta.max(axis=0)
-        if not np.all(peak > 0.0) or not np.all(np.isfinite(peak)):
+        if not (peak.min() > 0.0 and peak.max() < math.inf):
             raise NumericalDegeneracyError(
                 f"backward evidence vanished at block {l}; widen the grid.", block=l
             )
         beta /= peak
         np.multiply(store[l], beta, out=posterior)
-        total = posterior.sum(axis=0)
-        if not np.all(total > 0.0):
+        total = np.matmul(powers, posterior, out=raw)[0]
+        if not total.min() > 0.0:
             raise NumericalDegeneracyError(
                 f"smoothed posterior mass vanished at block {l}; widen the grid.", block=l
             )
-        posterior /= total
-        means[:, l], variances[:, l] = _pmf_moments(axis, posterior)
+        means[:, l], variances[:, l] = _moments(raw)
     return GridSmootherResult(means=means, variances=variances)
 
 

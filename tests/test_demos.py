@@ -1,6 +1,6 @@
 """Smoke test: the quick demos run against the current API and print something.
 
-Demo 04 runs Monte Carlo batches for about half a minute and is left out.
+Demo 04 runs Monte Carlo batches for about seven seconds (2 vCPUs) and is left out.
 """
 import os
 import subprocess

@@ -12,6 +12,7 @@ from bitbounds import (
     GridSpec,
     MeasurementChannel,
     MseReport,
+    NumericalDegeneracyError,
     burn_in_blocks,
     filter_bim_sequence,
     grid_filter,
@@ -140,6 +141,68 @@ def _csr_apply(matrix, x, out):
     """Stands in for ``estimators._apply_tiles`` when the operators are CSR matrices."""
     out[...] = matrix @ x
     return out
+
+
+def _oracle_likelihood(ops, obs_col: np.ndarray) -> np.ndarray:
+    """Likelihood of one block's observations, shape (n, trials), as a new array."""
+    if ops.sign_likes is None:
+        return np.exp(-ops.inv_two_var * (ops.axis[:, None] - obs_col[None, :]) ** 2)
+    return ops.sign_likes[:, (obs_col > 0.0).astype(np.intp)]
+
+
+def _oracle_moments(axis: np.ndarray, pmf: np.ndarray):
+    mean = axis @ pmf
+    var = (axis * axis) @ pmf - mean * mean
+    return mean, np.maximum(var, 0.0)
+
+
+def _two_pass_filter(batch, model, grid=GridSpec()):
+    """Reference ``grid_filter``: per block, normalise by the column sums, then
+    take each moment from the normalised posterior in a pass of its own."""
+    ops = estimators._grid_operators(estimators._grid_axis(model, grid, batch.horizon), model,
+                                     batch.channel)
+    axis = ops.axis
+    prior = estimators._cell_masses(axis, model.mu0, model.sigma0, axis[1] - axis[0])
+    pmf = np.repeat((prior / prior.sum())[:, None], batch.num_trials, axis=1)
+    store = np.empty((batch.horizon + 1, axis.size, batch.num_trials), dtype=np.float32)
+    means = np.empty((batch.num_trials, batch.horizon + 1))
+    variances = np.empty_like(means)
+    store[0] = pmf
+    means[:, 0], variances[:, 0] = _oracle_moments(axis, pmf)
+    for k in range(1, batch.horizon + 1):
+        posterior = estimators._apply_tiles(ops.forward, pmf, np.empty_like(pmf))
+        posterior *= _oracle_likelihood(ops, batch.observations[:, k - 1])
+        pmf = posterior / posterior.sum(axis=0)
+        store[k] = pmf
+        means[:, k], variances[:, k] = _oracle_moments(axis, pmf)
+    return estimators.GridFilterResult(axis=axis, means=means, variances=variances,
+                                       pmfs=store.transpose(2, 0, 1), batch=batch,
+                                       operators=ops)
+
+
+def _two_pass_smoother(filtered):
+    """Reference ``grid_smoother``: normalises each smoothed posterior before its moments."""
+    ops, batch = filtered.operators, filtered.batch
+    store = filtered.pmfs.transpose(1, 2, 0)
+    k_max = filtered.horizon
+    means = filtered.means.copy()
+    variances = filtered.variances.copy()
+    beta = np.ones((filtered.axis.size, batch.num_trials))
+    for l in range(k_max - 1, -1, -1):
+        weighted = beta * _oracle_likelihood(ops, batch.observations[:, l])
+        beta = estimators._apply_tiles(ops.adjoint, weighted, np.empty_like(weighted))
+        beta /= beta.max(axis=0)
+        posterior = store[l] * beta
+        posterior /= posterior.sum(axis=0)
+        means[:, l], variances[:, l] = _oracle_moments(filtered.axis, posterior)
+    return estimators.GridSmootherResult(means=means, variances=variances)
+
+
+def _assert_moments_match(result, oracle):
+    """Variances to 1e-12 relative; means to 1e-12 of the smallest posterior SD (some are ~0)."""
+    assert_allclose(result.variances, oracle.variances, rtol=1e-12, atol=0.0)
+    assert_allclose(result.means, oracle.means, rtol=0.0,
+                    atol=1e-12 * np.sqrt(oracle.variances.min()))
 
 
 class TestSimulate:
@@ -341,12 +404,80 @@ class TestGridFilter:
         assert_allclose(res.pmfs.sum(axis=2, dtype=float), 1.0, rtol=1e-5)
         assert_allclose(res.pmfs @ res.axis, res.means, atol=1e-5)
 
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_matches_the_two_pass_oracle(self, channel):
+        # One moment product and one normalisation per block move only the
+        # summation order: 1e-12 relative on the default grid, both channels.
+        m = model_for_snr(0.999, -10.0)
+        batch = simulate(m, channel, 20260814, 7, 60)
+        filtered = grid_filter(batch, m)
+        oracle = _two_pass_filter(batch, m)
+        _assert_moments_match(filtered, oracle)
+        assert_allclose(filtered.pmfs, oracle.pmfs, rtol=3e-7, atol=1e-30)
+        _assert_moments_match(grid_smoother(filtered), _two_pass_smoother(oracle))
+
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_likelihood_buffer_matches_the_table_gather_exactly(self, channel):
+        m = model_for_snr(0.9, 0.0)
+        batch = simulate(m, channel, 8, 9, 30)
+        ops = grid_filter(batch, m, GridSpec(num_points=300)).operators
+        keys = ops.likelihood_keys(batch.observations)
+        out = np.empty((300, 9))
+        for k in range(30):
+            expected = _oracle_likelihood(ops, batch.observations[:, k])
+            assert np.array_equal(ops.likelihood(keys[k], out), expected)
+
     def test_refinement_stability(self):
         m = model_for_snr(0.9, 0.0)
         batch = simulate(m, MeasurementChannel.ONE_BIT, 40, 4, 15)
         coarse = grid_filter(batch, m, GridSpec(num_points=1500))
         fine = grid_filter(batch, m, GridSpec(num_points=3000))
         assert_allclose(coarse.means, fine.means, atol=2e-4)
+
+
+def _with_observation(batch, trial: int, column: int, value: float):
+    """``batch`` with one observation replaced."""
+    observations = batch.observations.copy()
+    observations[trial, column] = value
+    return dataclasses.replace(batch, observations=observations)
+
+
+class TestGridDegeneracy:
+    """Each check names the block where the grid lost the state."""
+
+    def _batch(self):
+        m = model_for_snr(0.9, 0.0)
+        return m, simulate(m, MeasurementChannel.UNQUANTIZED, 4, 5, 40)
+
+    def test_filter_raises_on_an_observation_far_outside_the_grid(self):
+        m, batch = self._batch()
+        with pytest.raises(NumericalDegeneracyError, match="posterior mass vanished") as info:
+            grid_filter(_with_observation(batch, 2, 9, 1e6), m, GridSpec(num_points=200))
+        assert info.value.block == 10
+
+    def test_filter_raises_on_a_nan_observation(self):
+        m, batch = self._batch()
+        with pytest.raises(NumericalDegeneracyError, match="posterior mass vanished") as info:
+            grid_filter(_with_observation(batch, 1, 4, math.nan), m, GridSpec(num_points=200))
+        assert info.value.block == 5
+
+    def test_smoother_raises_when_backward_evidence_vanishes(self):
+        # Observation column l is block l + 1's, which the step into block l reads.
+        m, batch = self._batch()
+        filtered = grid_filter(batch, m, GridSpec(num_points=200))
+        replaced = dataclasses.replace(filtered, batch=_with_observation(batch, 3, 20, 1e6))
+        with pytest.raises(NumericalDegeneracyError, match="backward evidence vanished") as info:
+            grid_smoother(replaced)
+        assert info.value.block == 20
+
+    def test_smoother_raises_when_the_smoothed_mass_vanishes(self):
+        m, batch = self._batch()
+        filtered = grid_filter(batch, m, GridSpec(num_points=200))
+        filtered.pmfs[:, 30] = 0.0
+        with pytest.raises(NumericalDegeneracyError,
+                           match="smoothed posterior mass vanished") as info:
+            grid_smoother(filtered)
+        assert info.value.block == 30
 
 
 def _operator_case(alpha: float, step_ratio: float, grid: GridSpec):
