@@ -327,34 +327,57 @@ def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResu
     if batch.channel is not MeasurementChannel.UNQUANTIZED:
         raise ValueError("kalman_filter requires an unquantized batch.")
     k_max = batch.horizon
+    # The loop runs block-major, each block one contiguous row over all
+    # trials, and is copied back to C order at the end: the reductions
+    # downstream sum in memory order. The output is allocated before the
+    # block-major buffer, which then frees at the top of the heap.
     means = np.empty((batch.num_trials, k_max + 1))
+    mt = np.empty((k_max + 1, batch.num_trials))
     variances = np.empty(k_max + 1)
     predicted = np.empty(k_max + 1)
-    means[:, 0] = model.mu0
+    mt[0] = model.mu0
     variances[0] = model.sigma0**2
     predicted[0] = model.sigma0**2
+    obs = batch.observations.T
     r = model.sigma_eta**2
     for k in range(1, k_max + 1):
         p_pred = model.alpha**2 * variances[k - 1] + model.sigma_z**2
         gain = p_pred / (p_pred + r)
-        m_pred = model.alpha * means[:, k - 1]
-        means[:, k] = m_pred + gain * (batch.observations[:, k - 1] - m_pred)
+        m_pred = model.alpha * mt[k - 1]
+        mt[k] = m_pred + gain * (obs[k - 1] - m_pred)
         variances[k] = (1.0 - gain) * p_pred
         predicted[k] = p_pred
+    means[...] = mt.T
     return KalmanResult(means=means, variances=variances, predicted_variances=predicted)
 
 
 def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
                  lag: int | None = None) -> RtsResult:
-    """Rauch-Tung-Striebel smoother, fixed-interval or fixed-lag.
+    """Rauch-Tung-Striebel smoother, fixed-interval or fixed-lag, in one backward pass.
+
+    With the backward gains ``C_l = alpha P_{l|l} / P_{l+1|l}`` and the
+    differences ``d_l = m_{l+1} - alpha m_l`` of the filtered means, the
+    fixed-interval correction ``R_l = E[theta_l | y_1..y_K] - m_l`` obeys
+    ``R_l = C_l (d_l + R_{l+1})`` with ``R_K = 0``, and the variance
+    correction ``S_l = V_l - P_l`` obeys ``S_l = C_l^2 (P_{l+1} - P_{l+1|l}
+    + S_{l+1})`` with ``S_K = 0``. The gains do not depend on the data, so a
+    smoother that stops at block ``l + delta`` differs from the
+    fixed-interval one only by the tail propagated back through the window
+    product ``W_l = C_l ... C_{l+delta-1}``:
+    ``R_l - W_l R_{l+delta}`` and ``S_l - W_l^2 S_{l+delta}`` (Anderson &
+    Moore, *Optimal Filtering*, 1979, ch. 7). Every lag therefore costs one
+    O(K) pass over the trials, plus an O(delta K) product of scalars for
+    ``W``. The correction is formed before the filtered value is added, so
+    ``lag=0`` returns the filter output and ``lag=K`` the fixed-interval
+    block 0, bit for bit.
 
     Parameters
     ----------
     filtered : KalmanResult
     model : GaussMarkovModel
     lag : int or None
-        ``None`` runs the classic fixed-interval backward pass over all
-        blocks. An integer ``delta`` returns, for each block ``l`` with
+        ``None`` returns the fixed-interval smoother over all blocks. An
+        integer ``delta`` returns, for each block ``l`` with
         ``l + delta <= K``, the estimate of ``theta_l`` given measurements
         1..l+delta; ``lag=0`` reproduces the filter output.
 
@@ -369,30 +392,41 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
         If the horizon is shorter than the requested lag.
     """
     k_max = filtered.horizon
-    m, p, p_pred = filtered.means, filtered.variances, filtered.predicted_variances
-    # backward gain per block, C_l = alpha P_{l|l} / P_{l+1|l}
-    gains = model.alpha * p[:-1] / p_pred[1:]
-    if lag is None:
-        means = np.empty_like(m)
-        variances = np.empty_like(p)
-        means[:, k_max] = m[:, k_max]
-        variances[k_max] = p[k_max]
-        for l in range(k_max - 1, -1, -1):
-            means[:, l] = m[:, l] + gains[l] * (means[:, l + 1] - model.alpha * m[:, l])
-            variances[l] = p[l] + gains[l] ** 2 * (variances[l + 1] - p_pred[l + 1])
-        return RtsResult(lag=None, means=means, variances=variances)
-    if not 0 <= lag <= k_max:
+    if lag is not None and not 0 <= lag <= k_max:
         raise ValueError(f"lag must be in [0, horizon], got {lag} with horizon {k_max}.")
-    # Dynamic program over lag j: row j holds E[theta_l | y_1..l+j] for all
-    # valid l, built from row j-1 shifted by one block.
-    means_row = m.copy()
-    var_row = p.copy()
-    for j in range(1, lag + 1):
-        width = k_max - j + 1
-        c = gains[:width]
-        means_row = m[:, :width] + c * (means_row[:, 1 : width + 1] - model.alpha * m[:, :width])
-        var_row = p[:width] + c**2 * (var_row[1 : width + 1] - p_pred[1 : width + 1])
-    return RtsResult(lag=lag, means=means_row, variances=var_row)
+    m, p, p_pred = filtered.means, filtered.variances, filtered.predicted_variances
+    gains = model.alpha * p[:-1] / p_pred[1:]
+    # the output first, so the block-major buffers free at the top of the heap
+    width = k_max + 1 if lag is None else k_max - lag + 1
+    means = np.empty((m.shape[0], width))
+    # Block-major corrections: row l of ``tail`` starts as d_l and becomes
+    # R_l in the backward pass, which runs on contiguous rows.
+    mt = np.ascontiguousarray(m.T)
+    tail = np.empty_like(mt)
+    np.multiply(mt[:-1], -model.alpha, out=tail[:-1])
+    tail[:-1] += mt[1:]
+    tail[k_max] = 0.0
+    del mt
+    c = gains.tolist()
+    steps = (p[1:] - p_pred[1:]).tolist()
+    spread = [0.0] * (k_max + 1)
+    for l in range(k_max - 1, -1, -1):
+        row = tail[l]
+        row += tail[l + 1]
+        row *= c[l]
+        spread[l] = c[l] * c[l] * (steps[l] + spread[l + 1])
+    spread = np.array(spread)
+    correction = tail
+    if lag is not None:
+        # W_l = C_l ... C_{l+lag-1}, one shifted slice of the gains at a time
+        window = np.ones(width)
+        for j in range(lag):
+            window *= gains[j : j + width]
+        correction = np.multiply(window[:, None], tail[lag:])
+        np.subtract(tail[:width], correction, out=correction)
+        spread = spread[:width] - window * window * spread[lag:]
+    np.add(m[:, :width], correction.T, out=means)
+    return RtsResult(lag=lag, means=means, variances=p[:width] + spread)
 
 
 def kalman_steady_variance(model: GaussMarkovModel) -> float:
@@ -724,7 +758,8 @@ def _lagged_gains(model: GaussMarkovModel, fims: np.ndarray, lag: int) -> np.nda
     """Smoothing gains kappa(l | l + lag) for blocks 0..K-lag, all anchors at once.
 
     Step ``j`` (from ``lag`` down to 1) folds in block ``l + j`` for every
-    ``l``, as the fixed-lag pass of :func:`rts_smoother` does.
+    ``l``: the information-side bound of the fixed-lag smoother, O(lag K)
+    in scalars.
     """
     width = fims.shape[0] - lag
     gains = np.zeros(width)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import GaussMarkovModel, MeasurementChannel, StateMoments, gain_step, stationary_variance
+from .core import GaussMarkovModel, MeasurementChannel, StateMoments, stationary_variance
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fim
 
 __all__ = [
@@ -141,20 +141,37 @@ def quadratic_gain_root(model: GaussMarkovModel, fim: float) -> float:
 
 def steady_lag_gain(model: GaussMarkovModel, channel: MeasurementChannel, lag: int,
                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Steady smoothing gain of a finite lag.
+    """Steady smoothing gain of a finite lag, in closed form.
 
-    Applies exactly ``lag`` backward gain steps from 0 with the steady
-    expected measurement information, giving the information a lag-``lag``
-    smoother adds over the steady filter. Increases monotonically in
-    ``lag`` toward the root of :func:`quadratic_gain_root`.
+    The information a lag-``lag`` smoother adds over the steady filter:
+    ``lag`` backward gain steps from 0 with the steady expected measurement
+    information ``f``. The step ``kappa <- alpha^2 s (f + kappa) / (s + f +
+    kappa)`` is a Moebius map with the fixed points ``p`` (the root of
+    :func:`quadratic_gain_root`) and ``q = -(B + sqrt(B^2 + 4C)) / 2``, so
+    ``(kappa - p) / (kappa - q)`` shrinks by ``k = (q + s + f) / (p + s + f)``
+    per step. From ``kappa = 0`` that gives
+    ``p (1 - k^lag) / (1 - k^lag p / q)``, with ``1 - k^lag`` taken from
+    ``expm1`` and ``log1p`` of ``k - 1 = -(p - q) / (p + s + f)``. Increases
+    monotonically in ``lag`` toward ``p``; 0 at ``lag = 0`` and when
+    ``alpha = 0``.
     """
     if lag < 0:
         raise ValueError(f"steady_lag_gain requires lag >= 0, got {lag}.")
     fim = steady_expected_fim(model, channel, spec)
-    kappa = 0.0
-    for _ in range(lag):
-        kappa = gain_step(model, kappa, fim)
-    return kappa
+    s = 1.0 / model.sigma_z**2
+    b = (1.0 - model.alpha**2) * s + fim
+    c = model.alpha**2 * s * fim
+    if lag == 0 or c == 0.0:
+        return 0.0
+    root = math.sqrt(b * b + 4.0 * c)
+    p = 2.0 * c / (b + root)
+    q = -0.5 * (b + root)
+    # k = 1 - root / (p + s + f) is of order alpha^2: where that rounds to
+    # 0 or below, k^lag is far below the rounding of p and is taken as 0
+    total = p + s + fim
+    log_k = math.log1p(-root / total) if root < total else -math.inf
+    power = math.exp(lag * log_k)
+    return p * -math.expm1(lag * log_k) / (1.0 - power * p / q)
 
 
 def performance_ratios(model: GaussMarkovModel,

@@ -93,6 +93,37 @@ def _lagged_rts_variance(model: GaussMarkovModel, lag: int) -> float:
     return v
 
 
+def _column_kalman(batch, model: GaussMarkovModel) -> np.ndarray:
+    """Reference Kalman means: the forward loop on (trials, K+1) columns."""
+    means = np.empty((batch.num_trials, batch.horizon + 1))
+    means[:, 0] = model.mu0
+    p = model.sigma0**2
+    for k in range(1, batch.horizon + 1):
+        p_pred = model.alpha**2 * p + model.sigma_z**2
+        gain = p_pred / (p_pred + model.sigma_eta**2)
+        m_pred = model.alpha * means[:, k - 1]
+        means[:, k] = m_pred + gain * (batch.observations[:, k - 1] - m_pred)
+        p = (1.0 - gain) * p_pred
+    return means
+
+
+def _lag_dp_rts(filtered, model: GaussMarkovModel, lag: int):
+    """Reference fixed-lag RTS: a dynamic program over the lag, O(lag K).
+
+    Row ``j`` holds ``E[theta_l | y_1..y_{l+j}]`` for every valid ``l``, built
+    from row ``j - 1`` shifted by one block. Returns ``(means, variances)``.
+    """
+    m, p, p_pred = filtered.means, filtered.variances, filtered.predicted_variances
+    gains = model.alpha * p[:-1] / p_pred[1:]
+    means_row, var_row = m.copy(), p.copy()
+    for j in range(1, lag + 1):
+        width = filtered.horizon - j + 1
+        c = gains[:width]
+        means_row = m[:, :width] + c * (means_row[:, 1 : width + 1] - model.alpha * m[:, :width])
+        var_row = p[:width] + c**2 * (var_row[1 : width + 1] - p_pred[1 : width + 1])
+    return means_row, var_row
+
+
 def _lfilter_batch(model, channel, seed, num_trials, horizon):
     """Reference ``simulate``: the state recursion through scipy's IIR filter."""
     from scipy import signal
@@ -280,6 +311,14 @@ class TestKalmanFilter:
         m = model_for_snr(alpha, snr_db)
         assert_allclose(kalman_steady_variance(m), _iterated_riccati(m), rtol=1e-9)
 
+    @pytest.mark.parametrize("alpha,snr_db", ((0.0, 0.0), (0.9, -5.0), (0.999, 20.0)))
+    def test_matches_the_column_loop_bit_for_bit(self, alpha, snr_db):
+        m = model_for_snr(alpha, snr_db)
+        batch = simulate(m, MeasurementChannel.UNQUANTIZED, 11, 7, 40)
+        res = kalman_filter(batch, m)
+        assert res.means.flags.c_contiguous
+        assert np.array_equal(res.means, _column_kalman(batch, m))
+
     def test_rejects_one_bit_batch(self):
         batch = simulate(_model(), MeasurementChannel.ONE_BIT, 5, 2, 10)
         with pytest.raises(ValueError):
@@ -320,6 +359,30 @@ class TestRtsSmoother:
             rts_smoother(filtered, m, lag=31)
         with pytest.raises(ValueError):
             rts_smoother(filtered, m, lag=-1)
+
+    @pytest.mark.parametrize("alpha", (0.0, -0.5, 0.5, 0.999, 0.99999))
+    @pytest.mark.parametrize("snr_db", (-30.0, -10.0, 0.0, 10.0, 20.0))
+    def test_matches_the_lag_dp_oracle(self, alpha, snr_db):
+        horizon = 40
+        m = model_for_snr(alpha, snr_db)
+        filtered = kalman_filter(simulate(m, MeasurementChannel.UNQUANTIZED, 3, 5, horizon), m)
+        full = rts_smoother(filtered, m)
+        for lag in (0, 1, 10, horizon - 1, horizon):
+            got = rts_smoother(filtered, m, lag=lag)
+            means, variances = _lag_dp_rts(filtered, m, lag)
+            assert got.lag == lag and got.means.flags.c_contiguous
+            assert np.all(np.abs(got.means - means) <= 1e-12 * np.sqrt(variances))
+            assert_allclose(got.variances, variances, rtol=1e-12, atol=0)
+            # block K - lag of every lag is a block of the fixed-interval pass
+            assert np.all(np.abs(full.means[:, horizon - lag] - means[:, -1])
+                          <= 1e-12 * math.sqrt(variances[-1]))
+            assert_allclose(full.variances[horizon - lag], variances[-1], rtol=1e-12)
+        zero = rts_smoother(filtered, m, lag=0)
+        assert np.array_equal(zero.means, filtered.means)
+        assert np.array_equal(zero.variances, filtered.variances)
+        edge = rts_smoother(filtered, m, lag=horizon)
+        assert np.array_equal(edge.means[:, 0], full.means[:, 0])
+        assert edge.variances[0] == full.variances[0]
 
     def test_lag_never_increases_variance(self):
         m = _model()

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 from bitbounds import (
     GaussMarkovModel,
     MeasurementChannel,
+    gain_step,
     model_for_snr,
     performance_ratios,
     quadratic_filter_root,
@@ -171,10 +172,28 @@ class TestFixedPointRoots:
         assert quadratic_gain_root(m, f) == 0.0
 
 
+# Alphas where the closed-form lag gain meets the gain-step loop, over -60 to
+# +40 dB and lags 0 to 1000. At 1e-30 the per-step factor k rounds to 0; at
+# 1 - 1e-9 it is within 1e-7 of 1.
+LAG_GAIN_ALPHAS = (0.0, 1e-30, 1e-3, 0.5, -0.5, -0.999, 0.9, 0.999, 0.99999, 1.0 - 1e-9)
+
+
 class TestLagGain:
     def test_zero_lag_is_zero(self):
         m = model_for_snr(0.999, -10.0)
         assert steady_lag_gain(m, MeasurementChannel.UNQUANTIZED, 0) == 0.0
+
+    @pytest.mark.parametrize("alpha", LAG_GAIN_ALPHAS)
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_closed_form_matches_the_gain_step_loop(self, alpha, channel):
+        for snr_db in range(-60, 41, 10):
+            m = model_for_snr(alpha, snr_db)
+            fim = steady_expected_fim(m, channel)
+            loop = [0.0]
+            for _ in range(1000):
+                loop.append(gain_step(m, loop[-1], fim))
+            closed = [steady_lag_gain(m, channel, lag) for lag in range(1001)]
+            assert_allclose(closed, loop, rtol=1e-12, atol=0, err_msg=f"snr {snr_db} dB")
 
     def test_single_lag_closed_form(self):
         m = model_for_snr(0.999, -10.0)
