@@ -31,7 +31,7 @@ fixed trial order so repeated runs agree to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -283,22 +283,21 @@ def simulate(model: GaussMarkovModel, channel: MeasurementChannel, seed: int,
         raise ValueError(f"horizon must be >= 1, got {horizon}.")
     children = np.random.SeedSequence(seed).spawn(num_trials)
     draws = np.empty((num_trials, 2 * horizon + 1))
-    for i, child in enumerate(children):
-        draws[i] = np.random.default_rng(child).standard_normal(2 * horizon + 1)
-    theta0 = model.mu0 + model.sigma0 * draws[:, 0]
-    noise_z = model.sigma_z * draws[:, 1 : horizon + 1]
-    noise_eta = model.sigma_eta * draws[:, horizon + 1 :]
+    for row, child in zip(draws, children):
+        np.random.default_rng(child).standard_normal(out=row)
     # theta_k = alpha theta_{k-1} + z_k, one block (a contiguous row) at a
     # time over all trials. Each element gets one product and one sum, as in
     # lfilter's first-order IIR filter, so the bits match it. The copy back
     # to C order matters: the reductions downstream sum in memory order.
     states = np.empty((horizon + 1, num_trials))
-    states[0] = theta0
-    states[1:] = noise_z.T
+    states[0] = model.mu0 + model.sigma0 * draws[:, 0]
+    np.multiply(draws[:, 1 : horizon + 1].T, model.sigma_z, out=states[1:])
     for k in range(1, horizon + 1):
         states[k] += model.alpha * states[k - 1]
     states = np.ascontiguousarray(states.T)
-    raw = states[:, 1:] + noise_eta
+    # eta_k + theta_k, in the buffer of the scaled eta draws (the sum commutes)
+    raw = np.multiply(draws[:, horizon + 1 :], model.sigma_eta)
+    raw += states[:, 1:]
     if channel is MeasurementChannel.ONE_BIT:
         observations = np.where(raw >= 0.0, 1.0, -1.0)
     else:
@@ -504,6 +503,12 @@ class _GridOperators:
     one-bit likelihood table, ``None`` for the unquantized channel. The
     filter, the smoother and every sub-batch of :func:`monte_carlo_mse`
     share one instance.
+
+    ``store``, when set, is a flat float32 buffer (see
+    :func:`_posterior_store`) that :func:`grid_filter` writes its posteriors
+    into instead of allocating its own, so the results of two calls alias.
+    Only :func:`monte_carlo_mse` sets it, to reuse one store for all its
+    sub-batches; operators that :func:`_grid_operators` builds have none.
     """
 
     axis: np.ndarray
@@ -511,6 +516,7 @@ class _GridOperators:
     adjoint: tuple
     sign_likes: np.ndarray | None
     inv_two_var: float
+    store: np.ndarray | None = field(default=None, repr=False)
 
     def likelihood_keys(self, observations: np.ndarray) -> np.ndarray:
         """What :meth:`likelihood` reads per block: entry ``k - 1`` for block k.
@@ -524,18 +530,30 @@ class _GridOperators:
         up = (observations > 0.0).T
         return np.stack((~up, up), axis=1).astype(float)
 
-    def likelihood(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def likelihood(self, keys: np.ndarray, out: np.ndarray,
+                   scale: np.ndarray | None = None) -> np.ndarray:
         """Likelihood of each trial's observation at each grid point, into ``out`` (n, trials).
 
         For the one-bit channel a product with the one-hot ``keys`` gathers the
         table's columns exactly (each entry is ``1 * q + 0 * q'``), and, unlike
         ``np.take`` or fancy indexing, writes into ``out`` at BLAS speed.
+
+        ``scale`` (trials,), when given, multiplies each trial's column: the
+        smoother carries its normalisation of the backward evidence in it. For
+        the one-bit channel it scales the (2, trials) selector ``keys`` in
+        place before the product, so it costs no pass over ``out``; for the
+        unquantized channel it costs one.
         """
         if self.sign_likes is None:
             np.subtract(self.axis[:, None], keys[None, :], out=out)
             np.square(out, out=out)
             out *= -self.inv_two_var
-            return np.exp(out, out=out)
+            np.exp(out, out=out)
+            if scale is not None:
+                out *= scale
+            return out
+        if scale is not None:
+            keys *= scale
         return np.matmul(self.sign_likes, keys, out=out)
 
 
@@ -603,6 +621,11 @@ def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
                           sign_likes=sign_likes, inv_two_var=0.5 / model.sigma_eta**2)
 
 
+def _posterior_store(num_points: int, horizon: int, trials: int) -> np.ndarray:
+    """Uninitialised flat float32 buffer for ``trials`` posteriors over ``horizon + 1`` blocks."""
+    return np.empty((horizon + 1) * num_points * trials, dtype=np.float32)
+
+
 def _powers(axis: np.ndarray) -> np.ndarray:
     """``[1; x; x^2]`` on the grid, shape (3, n): one product with it gives a pmf's raw moments."""
     return np.stack((np.ones_like(axis), axis, axis * axis))
@@ -635,8 +658,9 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     channel, where no closed-form posterior exists.
 
     ``operators``, when given, replaces the grid built from ``grid``: it
-    lets :func:`monte_carlo_mse` build the operators once for all its
-    sub-batches. It must come from the same model, grid and horizon.
+    lets :func:`monte_carlo_mse` build the operators, and a posterior store
+    they carry, once for all its sub-batches. It must come from the same
+    model, grid and horizon.
 
     Returns
     -------
@@ -665,7 +689,10 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     raw = np.empty((3, trials))
 
     # block-major, so each block is one contiguous (n, trials) slab
-    store = np.empty((k_max + 1, n, trials), dtype=np.float32)
+    buffer = operators.store
+    if buffer is None:
+        buffer = _posterior_store(n, k_max, trials)
+    store = buffer[: (k_max + 1) * n * trials].reshape(k_max + 1, n, trials)
     means = np.empty((trials, k_max + 1))
     variances = np.empty((trials, k_max + 1))
     store[0] = pmf
@@ -690,14 +717,19 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     """Fixed-interval smoother on the filter's grid.
 
     Runs the backward evidence pass ``beta_l = T' (like_{l+1} *
-    beta_{l+1})`` and combines it with the stored filtering posteriors, so
-    every block is conditioned on all measurements in the batch. (A
-    fixed-lag variant would need one backward pass per block; the
+    beta_{l+1} / s_{l+1})`` and combines it with the stored filtering
+    posteriors, so every block is conditioned on all measurements in the
+    batch. (A fixed-lag variant would need one backward pass per block; the
     fixed-interval form costs one pass and bounds for it come from the
     smoothing recursion anchored at the final block.) It runs on the
-    filter's grid with the filter's operators, so it needs no model. The
-    smoothed posterior is never normalised: its moments are divided by its
-    own total.
+    filter's grid with the filter's operators, so it needs no model.
+
+    Nothing is normalised in place. ``s_l``, each trial's sum of ``beta_l``
+    (one product with a row of ones), keeps the evidence from underflowing
+    over a long horizon: its inverse is carried into the next block's
+    likelihood (see :meth:`_GridOperators.likelihood`), so ``beta_l`` itself
+    is never rescaled. The smoothed posterior's moments are divided by its
+    own total, so neither scale changes them.
 
     Returns
     -------
@@ -706,7 +738,7 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     Raises
     ------
     NumericalDegeneracyError
-        If a smoothed posterior loses all mass.
+        If the backward evidence or a smoothed posterior loses all mass.
     """
     axis = filtered.axis
     batch = filtered.batch
@@ -715,6 +747,7 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     trials, k_max = batch.num_trials, filtered.horizon
     keys = operators.likelihood_keys(batch.observations)
     powers = _powers(axis)
+    ones = powers[0]
     raw = np.empty((3, trials))
 
     means = np.empty((trials, k_max + 1))
@@ -724,16 +757,23 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     beta = np.ones((axis.size, trials))
     weighted = np.empty_like(beta)
     posterior = np.empty_like(beta)
+    scale = None  # beta_K = 1 needs none
+    tiny = np.finfo(float).tiny
+    # one buffer for s_l and then 1 / s_l: fresh per-block temporaries here
+    # raised monte_carlo_mse's peak RSS by up to 0.5 MiB through the heap's
+    # allocation pattern
+    inverse = np.empty(trials)
     for l in range(k_max - 1, -1, -1):
-        operators.likelihood(keys[l], weighted)
+        operators.likelihood(keys[l], weighted, scale)
         weighted *= beta
         _apply_tiles(operators.adjoint, weighted, beta)
-        peak = beta.max(axis=0)
-        if not (peak.min() > 0.0 and peak.max() < math.inf):
+        mass = np.matmul(ones, beta, out=inverse)
+        # below the smallest normal double, 1 / s_l would overflow
+        if not (mass.min() >= tiny and mass.max() < math.inf):
             raise NumericalDegeneracyError(
                 f"backward evidence vanished at block {l}; widen the grid.", block=l
             )
-        beta /= peak
+        scale = np.divide(1.0, mass, out=inverse)
         np.multiply(store[l], beta, out=posterior)
         total = np.matmul(powers, posterior, out=raw)[0]
         if not total.min() > 0.0:
@@ -838,8 +878,12 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         steady_smooth_bound = 1.0 / (steady_j + quadratic_gain_root(model, steady_fim))
         err_f = np.empty_like(states)
         err_s = np.empty_like(states)
-        operators = _grid_operators(_grid_axis(model, grid, horizon), model, channel)
         step = _sub_batch_trials(grid.num_points, horizon)
+        # one posterior store for every sub-batch: each writes its posteriors
+        # over the last one's, whose results are gone by then
+        operators = replace(
+            _grid_operators(_grid_axis(model, grid, horizon), model, channel),
+            store=_posterior_store(grid.num_points, horizon, min(step, num_trials)))
         for start in range(0, num_trials, step):
             trials = slice(start, start + step)
             sub = TrajectoryBatch(seed=seed, num_trials=len(states[trials]), horizon=horizon,
@@ -849,7 +893,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
             gs = grid_smoother(gf)
             err_f[trials] = (gf.means - sub.states) ** 2
             err_s[trials] = (gs.means - sub.states) ** 2
-            # free this sub-batch's posteriors before the next one allocates its own
+            # free this sub-batch's results before the next one runs
             del gf, gs
         smooth_lo, smooth_hi = burn, max(burn, horizon - burn // 2)
         report_lag = None

@@ -497,6 +497,21 @@ class TestGridFilter:
         fine = grid_filter(batch, m, GridSpec(num_points=3000))
         assert_allclose(coarse.means, fine.means, atol=2e-4)
 
+    @pytest.mark.parametrize("alpha,snr_db,channel", [
+        (0.9, 0.0, MeasurementChannel.UNQUANTIZED),
+        (0.9, 0.0, MeasurementChannel.ONE_BIT),
+        (0.999, -10.0, MeasurementChannel.ONE_BIT),
+    ])
+    def test_smoother_survives_a_long_horizon(self, alpha, snr_db, channel):
+        # Unscaled, the backward evidence underflows a few hundred blocks
+        # before the end; the scale carried into each likelihood keeps it.
+        m = model_for_snr(alpha, snr_db)
+        batch = simulate(m, channel, 22, 3, 1500)
+        smoothed = grid_smoother(grid_filter(batch, m, GridSpec(num_points=200)))
+        assert np.all(np.isfinite(smoothed.means))
+        assert np.all(np.isfinite(smoothed.variances))
+        assert np.all(smoothed.variances > 0.0)
+
 
 def _with_observation(batch, trial: int, column: int, value: float):
     """``batch`` with one observation replaced."""
@@ -630,6 +645,37 @@ class TestTiledOperator:
         monte_carlo_mse(model_for_snr(0.9, 0.0), channel, "grid", seed=3, num_trials=7,
                         horizon=40, grid=GridSpec(num_points=200))
         assert len(builds) == 1
+
+    def test_one_posterior_store_per_call(self, monkeypatch):
+        stores, sub_batches = [], []
+        allocate, run = estimators._posterior_store, estimators.grid_filter
+
+        def counted_store(*args):
+            stores.append(args)
+            return allocate(*args)
+
+        def counted_filter(batch, *args, **kwargs):
+            sub_batches.append(batch.num_trials)
+            return run(batch, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_posterior_store", counted_store)
+        monkeypatch.setattr(estimators, "grid_filter", counted_filter)
+        monkeypatch.setattr(estimators, "_POSTERIOR_STORE_BYTES", 7 * 4 * 200 * 41)
+        monte_carlo_mse(model_for_snr(0.9, 0.0), MeasurementChannel.ONE_BIT, "grid", seed=3,
+                        num_trials=30, horizon=40, grid=GridSpec(num_points=200))
+        assert sub_batches == [7, 7, 7, 7, 2]
+        assert stores == [(200, 40, 7)]
+
+    def test_filter_results_sharing_operators_do_not_alias(self):
+        m = model_for_snr(0.9, 0.0)
+        first = grid_filter(simulate(m, MeasurementChannel.ONE_BIT, 4, 5, 30), m,
+                            GridSpec(num_points=200))
+        kept = first.pmfs.copy()
+        second = grid_filter(simulate(m, MeasurementChannel.ONE_BIT, 5, 5, 30), m,
+                             operators=first.operators)
+        assert not np.shares_memory(first.pmfs, second.pmfs)
+        assert np.array_equal(first.pmfs, kept)
+        assert not np.array_equal(second.pmfs, kept)
 
     @pytest.mark.parametrize("num_points", (1000, 5000))
     def test_build_peak_stays_near_the_tiles(self, num_points):
