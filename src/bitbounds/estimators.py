@@ -14,7 +14,12 @@ This module provides:
   from its own band entries, and applied with one BLAS matrix product per
   tile; neither the n x n matrix nor a list of all band entries is formed.
   Each block's posterior totals, means and variances come from one more
-  product, of ``[1; x; x^2]`` with the unnormalised posterior;
+  product, of ``[1; x; x^2]`` with the unnormalised posterior. The grid
+  computes in float32, as it stores, except for that moment product, which
+  accumulates in float64 because ``m2 / total - mean^2`` cancels. After
+  each write, entries below a floor of 2^-50 are set to 0, so no float32
+  subnormal reaches a product; means and variances stay within 1e-5
+  relative of a float64 loop that never flushes (the tests' oracle);
 * a seeded trajectory simulator and a Monte Carlo harness that compares
   empirical MSE per block against the matching bound values. The simulator
   runs the state recursion as a numpy loop over blocks, bit-identical to
@@ -175,8 +180,9 @@ class GridFilterResult:
     """Grid filter output; keeps the posteriors for the smoothing pass.
 
     ``pmfs[t, k]`` is the normalized filtering posterior of trial ``t`` at
-    block ``k`` on ``axis``, shape ``(trials, K + 1, n)``, stored as float32
-    to bound memory. The filter returns it as a transposed view of a
+    block ``k`` on ``axis``, shape ``(trials, K + 1, n)``, float32 as the
+    filter computes it, with entries below 2^-50 set to 0 (so none is
+    subnormal). The filter returns it as a transposed view of a
     block-major ``(K + 1, n, trials)`` array, which the smoother reads one
     block at a time. Means and variances are per trial because the one-bit
     posterior spread is data-dependent. ``operators`` holds the tiled
@@ -476,11 +482,21 @@ def _cell_masses(points, centers, sd: float, h: float) -> np.ndarray:
 # against 0.7-1.1 ms for CSR; 96 and 128 rows ran slower (2 vCPUs, one BLAS
 # thread).
 _TILE_ROWS = 48
-# Groups of columns whose band entries the build evaluates together: a
-# group holds 1/32 of the entries (at least one tile's columns), few enough
-# to keep the build near the tiles' own memory, and a narrow band does not
-# pay numpy's per-call cost once per tile.
-_BUILD_GROUPS = 32
+# Groups of columns whose band entries the build evaluates together: each
+# group holds about 1/48 of the entries, so the float64 temporaries of its
+# cell masses stay small beside the float32 tiles (the build peaked at 1.34x
+# the tiles at 1000 points and 1.32x at 5000; 1.47x and 1.44x with 32
+# groups), and a narrow band does not pay numpy's per-call cost once per tile.
+_BUILD_GROUPS = 48
+# Every grid array that feeds a product holds no nonzero entry below this
+# floor: the tiles, the one-bit table, each stored posterior, and the
+# smoother's backward evidence relative to its sum. A tile entry times a
+# stored posterior entry is then at least 2^-100, a normal float32 (above
+# 2^-126 = 1.2e-38); float32 subnormals make a product several times
+# slower. A floor of 1e-20 let subnormals reach the smoother's products at
+# +5 dB. The floor is far below float32 rounding, so it moves no moment
+# beyond it.
+_FLOOR = 2.0**-50
 
 
 def _apply_tiles(tiles: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -490,6 +506,19 @@ def _apply_tiles(tiles: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _flush(x: np.ndarray, floor, mask: np.ndarray) -> None:
+    """Set the entries of the nonnegative float32 ``x`` below ``floor`` to 0, in place.
+
+    ``floor`` is a float32 scalar or a per-trial (trials,) row. Nonnegative
+    floats order as their int32 bit patterns, so the test compares integers:
+    a float compare would itself run slowly on the subnormals it removes.
+    ``mask`` is a bool buffer of ``x``'s shape.
+    """
+    bits = x.view(np.int32)
+    np.greater_equal(bits, np.asarray(floor, dtype=np.float32).view(np.int32), out=mask)
+    np.multiply(bits, mask, out=bits)
+
+
 @dataclass(frozen=True)
 class _GridOperators:
     """The grid's tiled operators and likelihood tables, built once per grid.
@@ -497,12 +526,13 @@ class _GridOperators:
     ``forward`` holds the row tiles of the transition operator ``T``, whose
     column j holds the exact cell masses of ``N(alpha * axis[j], sigma_z^2)``
     within 8.5 sigma_z of the center; ``adjoint`` holds those of ``T'``.
-    Tile ``(r0, r1, c0, c1, block)`` is the dense block of rows ``r0..r1-1``
-    over the columns ``c0..c1-1`` their entries span (none for rows without
-    entries), filled from its own band entries only. ``sign_likes`` is the
-    one-bit likelihood table, ``None`` for the unquantized channel. The
-    filter, the smoother and every sub-batch of :func:`monte_carlo_mse`
-    share one instance.
+    Tile ``(r0, r1, c0, c1, block)`` is the dense float32 block of rows
+    ``r0..r1-1`` over the columns ``c0..c1-1`` their entries span (none for
+    rows without entries), filled from its own band entries only, each
+    computed in float64 and rounded once. ``sign_likes`` is the float32
+    one-bit likelihood table, ``None`` for the unquantized channel. Entries
+    of both below ``_FLOOR`` are 0. The filter, the smoother and every
+    sub-batch of :func:`monte_carlo_mse` share one instance.
 
     ``store``, when set, is a flat float32 buffer (see
     :func:`_posterior_store`) that :func:`grid_filter` writes its posteriors
@@ -522,21 +552,27 @@ class _GridOperators:
         """What :meth:`likelihood` reads per block: entry ``k - 1`` for block k.
 
         The observations themselves for the unquantized channel, shape (K,
-        trials). For the one-bit channel, shape (K, 2, trials): each trial's
-        column is one-hot on the column of ``sign_likes`` its sign selects.
+        trials). For the one-bit channel, shape (K, 2, trials), float32: each
+        trial's column is one-hot on the column of ``sign_likes`` its sign
+        selects.
         """
         if self.sign_likes is None:
             return np.ascontiguousarray(observations.T)
         up = (observations > 0.0).T
-        return np.stack((~up, up), axis=1).astype(float)
+        return np.stack((~up, up), axis=1).astype(np.float32)
 
-    def likelihood(self, keys: np.ndarray, out: np.ndarray,
+    def likelihood(self, keys: np.ndarray, out: np.ndarray, wide: np.ndarray, mask: np.ndarray,
                    scale: np.ndarray | None = None) -> np.ndarray:
-        """Likelihood of each trial's observation at each grid point, into ``out`` (n, trials).
+        """Likelihood of each trial's observation at each grid point, into float32 ``out`` (n, trials).
 
         For the one-bit channel a product with the one-hot ``keys`` gathers the
         table's columns exactly (each entry is ``1 * q + 0 * q'``), and, unlike
         ``np.take`` or fancy indexing, writes into ``out`` at BLAS speed.
+
+        For the unquantized channel the exponent is taken in the float64 work
+        buffer ``wide``, so it keeps its digits, and its exponential is rounded
+        into ``out`` once and flushed below ``_FLOOR`` through the bool buffer
+        ``mask`` (both of ``out``'s shape; the one-bit channel reads neither).
 
         ``scale`` (trials,), when given, multiplies each trial's column: the
         smoother carries its normalisation of the backward evidence in it. For
@@ -545,10 +581,11 @@ class _GridOperators:
         unquantized channel it costs one.
         """
         if self.sign_likes is None:
-            np.subtract(self.axis[:, None], keys[None, :], out=out)
-            np.square(out, out=out)
-            out *= -self.inv_two_var
-            np.exp(out, out=out)
+            np.subtract(self.axis[:, None], keys[None, :], out=wide)
+            np.square(wide, out=wide)
+            wide *= -self.inv_two_var
+            np.exp(wide, out=out, casting="same_kind")
+            _flush(out, _FLOOR, mask)
             if scale is not None:
                 out *= scale
             return out
@@ -575,7 +612,7 @@ def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
         """Spans, offsets and one zeroed buffer of the row tiles over columns c0..c1-1."""
         c0, c1 = np.where(c1 > c0, c0, 0), np.where(c1 > c0, c1, 0)
         sizes = (ends - starts) * (c1 - c0)
-        return c0, c1, np.cumsum(sizes) - sizes, np.zeros(int(sizes.sum()))
+        return c0, c1, np.cumsum(sizes) - sizes, np.zeros(int(sizes.sum()), dtype=np.float32)
 
     def scatter(layout: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
         c0, c1, offsets, buffer = layout
@@ -601,22 +638,25 @@ def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
     nonempty = bottom > top
     adjoint = tiling(np.minimum.reduceat(np.where(nonempty, top, n), starts),
                      np.maximum.reduceat(np.where(nonempty, bottom, 0), starts))
-    # Each entry is evaluated once, for both operators, a group of columns
-    # at a time.
-    step = max(_TILE_ROWS, -(-n // _BUILD_GROUPS))
-    for c0 in range(0, n, step):
-        count = bottom[c0:c0 + step] - top[c0:c0 + step]
-        cols = np.repeat(np.arange(c0, c0 + count.size), count)
-        rows = np.arange(cols.size) + np.repeat(top[c0:c0 + step] - (np.cumsum(count) - count),
-                                                count)
+    # Each entry is evaluated once in float64, for both operators, a group of
+    # columns at a time; the groups split the entries, not the columns, evenly.
+    count = bottom - top
+    targets = count.sum() * np.arange(1, _BUILD_GROUPS) / _BUILD_GROUPS
+    cuts = (np.searchsorted(np.cumsum(count), targets) + 1).tolist()
+    for c0, c1 in zip([0, *cuts], [*cuts, n]):
+        group = count[c0:c1]
+        cols = np.repeat(np.arange(c0, c1), group)
+        rows = np.arange(cols.size) + np.repeat(top[c0:c1] - (np.cumsum(group) - group), group)
         values = _cell_masses(axis[rows], centers[cols], model.sigma_z, h)
+        values[values < _FLOOR] = 0.0
         scatter(forward, rows, cols, values)
         scatter(adjoint, cols, rows, values)
     sign_likes = None
     if channel is MeasurementChannel.ONE_BIT:
         # column 0: P(y = -1 | theta), column 1: P(y = +1 | theta)
         sign_likes = np.stack((q_function(axis / model.sigma_eta),
-                               q_function(-axis / model.sigma_eta)), axis=1)
+                               q_function(-axis / model.sigma_eta)), axis=1).astype(np.float32)
+        _flush(sign_likes, _FLOOR, np.empty(sign_likes.shape, dtype=bool))
     return _GridOperators(axis=axis, forward=tiles(forward), adjoint=tiles(adjoint),
                           sign_likes=sign_likes, inv_two_var=0.5 / model.sigma_eta**2)
 
@@ -681,12 +721,18 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     total = prior.sum()
     if not total > 0.0:
         raise NumericalDegeneracyError("prior mass vanished on the grid; widen the grid.")
-    pmf = np.repeat((prior / total)[:, None], trials, axis=1)
-    posterior = np.empty_like(pmf)
-    lik = np.empty_like(pmf)
+    # float32 working slabs, a float64 one for the moment product, and one
+    # bool slab for the flushes, all allocated once per call
+    posterior = np.empty((n, trials), dtype=np.float32)
+    lik = np.empty_like(posterior)
+    wide = np.empty((n, trials))
+    mask = np.empty((n, trials), dtype=bool)
+    inverse = np.empty(trials, dtype=np.float32)
     keys = operators.likelihood_keys(batch.observations)
     powers = _powers(axis)
     raw = np.empty((3, trials))
+    # below the smallest normal float32, 1 / total would overflow
+    tiny = np.finfo(np.float32).tiny
 
     # block-major, so each block is one contiguous (n, trials) slab
     buffer = operators.store
@@ -695,20 +741,23 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     store = buffer[: (k_max + 1) * n * trials].reshape(k_max + 1, n, trials)
     means = np.empty((trials, k_max + 1))
     variances = np.empty((trials, k_max + 1))
-    store[0] = pmf
-    means[:, 0], variances[:, 0] = _moments(np.matmul(powers, pmf, out=raw))
+    wide[...] = (prior / total)[:, None]
+    means[:, 0], variances[:, 0] = _moments(np.matmul(powers, wide, out=raw))
+    store[0] = wide
+    _flush(store[0], _FLOOR, mask)
     for k in range(1, k_max + 1):
-        _apply_tiles(operators.forward, pmf, posterior)
-        posterior *= operators.likelihood(keys[k - 1], lik)
-        total = np.matmul(powers, posterior, out=raw)[0]
-        if not (total.min() > 0.0 and total.max() < math.inf):
+        _apply_tiles(operators.forward, store[k - 1], posterior)
+        posterior *= operators.likelihood(keys[k - 1], lik, wide, mask)
+        # the moments accumulate in float64: m2 / total - mean^2 cancels
+        np.copyto(wide, posterior)
+        total = np.matmul(powers, wide, out=raw)[0]
+        if not (total.min() >= tiny and total.max() < math.inf):
             raise NumericalDegeneracyError(
                 f"posterior mass vanished at block {k}; widen the grid.", block=k
             )
         means[:, k], variances[:, k] = _moments(raw)
-        posterior *= 1.0 / total
-        pmf, posterior = posterior, pmf
-        store[k] = pmf
+        np.multiply(posterior, np.divide(1.0, total, out=inverse), out=store[k])
+        _flush(store[k], _FLOOR, mask)
     return GridFilterResult(axis=axis, means=means, variances=variances,
                             pmfs=store.transpose(2, 0, 1), batch=batch, operators=operators)
 
@@ -728,8 +777,9 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     (one product with a row of ones), keeps the evidence from underflowing
     over a long horizon: its inverse is carried into the next block's
     likelihood (see :meth:`_GridOperators.likelihood`), so ``beta_l`` itself
-    is never rescaled. The smoothed posterior's moments are divided by its
-    own total, so neither scale changes them.
+    is never rescaled; only its entries below ``2^-50 s_l`` are set to 0.
+    The smoothed posterior's moments are divided by its own total, so
+    neither scale changes them.
 
     Returns
     -------
@@ -747,35 +797,40 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     trials, k_max = batch.num_trials, filtered.horizon
     keys = operators.likelihood_keys(batch.observations)
     powers = _powers(axis)
-    ones = powers[0]
+    ones = np.ones(axis.size, dtype=np.float32)
     raw = np.empty((3, trials))
 
     means = np.empty((trials, k_max + 1))
     variances = np.empty((trials, k_max + 1))
     means[:, k_max] = filtered.means[:, k_max]
     variances[:, k_max] = filtered.variances[:, k_max]
-    beta = np.ones((axis.size, trials))
+    beta = np.ones((axis.size, trials), dtype=np.float32)
     weighted = np.empty_like(beta)
     posterior = np.empty_like(beta)
+    wide = np.empty(beta.shape)
+    mask = np.empty(beta.shape, dtype=bool)
     scale = None  # beta_K = 1 needs none
-    tiny = np.finfo(float).tiny
-    # one buffer for s_l and then 1 / s_l: fresh per-block temporaries here
-    # raised monte_carlo_mse's peak RSS by up to 0.5 MiB through the heap's
-    # allocation pattern
-    inverse = np.empty(trials)
+    tiny = np.finfo(np.float32).tiny
+    # one buffer for s_l and then 1 / s_l, and one for the flush floor:
+    # fresh per-block temporaries here raised monte_carlo_mse's peak RSS by
+    # up to 0.5 MiB through the heap's allocation pattern
+    inverse = np.empty(trials, dtype=np.float32)
+    floor = np.empty(trials, dtype=np.float32)
     for l in range(k_max - 1, -1, -1):
-        operators.likelihood(keys[l], weighted, scale)
+        operators.likelihood(keys[l], weighted, wide, mask, scale)
         weighted *= beta
         _apply_tiles(operators.adjoint, weighted, beta)
         mass = np.matmul(ones, beta, out=inverse)
-        # below the smallest normal double, 1 / s_l would overflow
+        # below the smallest normal float32, 1 / s_l would overflow
         if not (mass.min() >= tiny and mass.max() < math.inf):
             raise NumericalDegeneracyError(
                 f"backward evidence vanished at block {l}; widen the grid.", block=l
             )
+        _flush(beta, np.multiply(mass, _FLOOR, out=floor), mask)
         scale = np.divide(1.0, mass, out=inverse)
         np.multiply(store[l], beta, out=posterior)
-        total = np.matmul(powers, posterior, out=raw)[0]
+        np.copyto(wide, posterior)
+        total = np.matmul(powers, wide, out=raw)[0]
         if not total.min() > 0.0:
             raise NumericalDegeneracyError(
                 f"smoothed posterior mass vanished at block {l}; widen the grid.", block=l

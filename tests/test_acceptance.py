@@ -46,6 +46,9 @@ ALPHA_NEAR_ONE = 1.0 - 1e-5
 ALPHA_ANCHOR = 1.0 - 1e-9
 ALPHA_LADDER = (ALPHA_NEAR_ONE, 1.0 - 1e-7, ALPHA_ANCHOR)
 LOW_SNR_LIMIT_DB = 5.0 * math.log10(2.0 / math.pi)
+# The alpha -> 1 limit of rho_s at low SNR: smoothing doubles the filtered
+# information, which the one-bit channel scales by sqrt(2/pi).
+SMOOTHING_GAIN_LIMIT_DB = 10.0 * math.log10(2.0 * math.sqrt(2.0 / math.pi))
 
 
 def _record(report: list, num: int, name: str, ok: bool, detail: str) -> None:
@@ -170,6 +173,19 @@ def test_criterion_3_low_snr_filtering_loss(tmp_path, acceptance_report):
         f"distance to 5 log10(2/pi) shrinks over alpha 1-1e-5/1e-7/1e-9 [{ladder_ok}], "
         f"per-sample information ratio {ratio:.6f} vs 2/pi within 0.5% [{ratio_ok}]",
     )
+
+
+def test_rho_s_approaches_its_limit_from_below():
+    # One-bit smoothing over ideal filtering at -40 dB, along criteria 1 and
+    # 3's alpha ladder: 1.23053, 1.93421 and 2.01993 dB, at distances 0.799,
+    # 0.0955 and 0.00977 dB below the limit.
+    assert abs(SMOOTHING_GAIN_LIMIT_DB - 2.029701) <= 1e-6
+    ladder = [performance_ratios(model_for_snr(alpha, -40.0)).rho_s_db for alpha in ALPHA_LADDER]
+    distances = [SMOOTHING_GAIN_LIMIT_DB - v for v in ladder]
+    assert all(d > 0.0 for d in distances)
+    assert all(b < a for a, b in zip(distances, distances[1:]))
+    for got, want in zip(distances, (0.799, 0.0955, 0.00977)):
+        assert abs(got / want - 1.0) <= 0.005
 
 
 def test_criterion_4_analytic_selftest(acceptance_report):
