@@ -51,7 +51,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .bim import filter_bim_sequence, predict_bim, smooth_bim_compact
-from .core import GaussMarkovModel, MeasurementChannel
+from .core import GaussMarkovModel, MeasurementChannel, stationary_variance
 from .estimators import (
     TrajectoryBatch,
     burn_in_blocks,
@@ -61,7 +61,7 @@ from .estimators import (
     rts_smoother,
     rts_steady_variance,
 )
-from .qfim import QuadratureRule, QuadratureSpec, fq
+from .qfim import QuadratureRule, QuadratureSpec, _held_expected_fq, fq
 from .qfim import q_function as _default_q_function
 from .steady import (
     SteadyStateReport,
@@ -392,10 +392,16 @@ def _computable(config: ExperimentConfig):
 
 
 def _sweep(config: ExperimentConfig, alpha: float) -> list[SteadyStateReport]:
+    """Steady reports over the SNR grid, one ``performance_ratios`` call per point.
+
+    The points' stationary one-bit informations come from one array
+    quadrature, held for the memo of ``expected_fq`` while the points run.
+    """
     with _computable(config):
-        return [performance_ratios(model_for_snr(alpha, snr_db, config.sigma_eta),
-                                   config.quadrature)
-                for snr_db in _snr_grid(config)]
+        models = [model_for_snr(alpha, snr_db, config.sigma_eta) for snr_db in _snr_grid(config)]
+        with _held_expected_fq([stationary_variance(m) for m in models], config.sigma_eta,
+                               config.quadrature):
+            return [performance_ratios(model, config.quadrature) for model in models]
 
 
 def run_fig1(config: ExperimentConfig) -> Path:

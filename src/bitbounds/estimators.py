@@ -471,10 +471,14 @@ def _grid_axis(model: GaussMarkovModel, spec: GridSpec, horizon: int) -> np.ndar
 
 
 def _cell_masses(points, centers, sd: float, h: float) -> np.ndarray:
-    """Mass of ``N(center, sd^2)`` in the width-``h`` cell around each point, elementwise."""
-    lo = (points - 0.5 * h - centers) / sd
-    hi = (points + 0.5 * h - centers) / sd
-    return q_function(lo) - q_function(hi)
+    """Mass of ``N(center, sd^2)`` in the width-``h`` cell around each point, elementwise.
+
+    Both cell edges go through one ``q_function`` call, which is elementwise,
+    so the masses equal those of one call per edge.
+    """
+    tails = q_function(np.concatenate(((points - 0.5 * h - centers) / sd,
+                                       (points + 0.5 * h - centers) / sd)))
+    return np.subtract(tails[:points.size], tails[points.size:], out=tails[:points.size])
 
 
 # Rows per dense tile of the grid operators. On the 1000-point default grid
@@ -483,11 +487,12 @@ def _cell_masses(points, centers, sd: float, h: float) -> np.ndarray:
 # thread).
 _TILE_ROWS = 48
 # Groups of columns whose band entries the build evaluates together: each
-# group holds about 1/48 of the entries, so the float64 temporaries of its
-# cell masses stay small beside the float32 tiles (the build peaked at 1.34x
-# the tiles at 1000 points and 1.32x at 5000; 1.47x and 1.44x with 32
-# groups), and a narrow band does not pay numpy's per-call cost once per tile.
-_BUILD_GROUPS = 48
+# group holds about 1/56 of the entries, so the float64 temporaries of its
+# cell masses, both edges in one q_function call, stay small beside the
+# float32 tiles (the build peaked at 1.45x the tiles at 1000 points and 1.38x
+# at 5000; 1.52x and 1.44x with 48 groups), and a narrow band does not pay
+# numpy's per-call cost once per tile.
+_BUILD_GROUPS = 56
 # Every grid array that feeds a product holds no nonzero entry below this
 # floor: the tiles, the one-bit table, each stored posterior, and the
 # smoother's backward evidence relative to its sum. A tile entry times a

@@ -13,10 +13,16 @@ half-width away from the threshold. Bound recursions need the expectation of
 :func:`expected_fq` for one marginal (memoized), :func:`expected_fq_batch` for
 all marginals of a finite-horizon bound in one array evaluation. Both run the
 same formulas and give bit-identical values.
+
+A caller that will ask :func:`expected_fq` for many known marginals one at a
+time, as an SNR sweep does, can compute them ahead in one batch with
+:func:`_held_expected_fq`: until the block exits, a memo miss on one of them
+takes the batch value instead of running its own quadrature.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -266,10 +272,36 @@ def _quadrature(means: list[float], variances: list[float], sigma_eta: float,
     return [_trapezoid(m, v, sigma_eta, spec) for m, v in zip(means, variances)]
 
 
+# Values that _held_expected_fq computed ahead, keyed as the memo is keyed.
+_HELD: dict[tuple, float] = {}
+
+
 @lru_cache(maxsize=4096)
 def _expected_fq_cached(mean: float, variance: float, sigma_eta: float,
                         spec: QuadratureSpec) -> float:
+    held = _HELD.get((mean, variance, sigma_eta, spec))
+    if held is not None:
+        return held
     return _quadrature([mean], [variance], sigma_eta, spec)[0]
+
+
+@contextlib.contextmanager
+def _held_expected_fq(variances: list[float], sigma_eta: float, spec: QuadratureSpec):
+    """Serve :func:`expected_fq` misses on zero-mean marginals from one batch.
+
+    Runs :func:`expected_fq_batch` on ``N(0, variances[i])``, whose entries
+    are bit-identical to one-marginal quadratures, and holds the values until
+    the block exits, also by an error. Memo hits and misses count as they
+    would without the block; a miss on a held marginal takes its value
+    instead of running a quadrature. Not reentrant.
+    """
+    values = expected_fq_batch(np.zeros(len(variances)), variances, sigma_eta, spec)
+    _HELD.update(((0.0, v, float(sigma_eta), spec), value)
+                 for v, value in zip(variances, values.tolist()))
+    try:
+        yield
+    finally:
+        _HELD.clear()
 
 
 def expected_fq(moments: StateMoments, sigma_eta: float,
@@ -309,7 +341,9 @@ def expected_fq_batch(means, variances, sigma_eta: float,
     array operation, on the nonnegative half of the nodes when all their
     means are zero; the trapezoid rule runs one marginal at a time. Entry
     ``i`` is bit-identical to ``expected_fq`` under ``N(means[i],
-    variances[i])``. Nothing is memoized.
+    variances[i])``. Nothing is memoized: a finite-horizon bound asks for
+    each marginal once. :func:`_held_expected_fq` hands a batch's values to
+    the memo of ``expected_fq`` for callers that ask again one at a time.
 
     Parameters
     ----------

@@ -1,4 +1,5 @@
 """Experiment CLI: config handling, output files, exit codes."""
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -6,13 +7,25 @@ from pathlib import Path
 
 import pytest
 
-from bitbounds import model_for_snr, performance_ratios
+from bitbounds import (
+    QuadratureError,
+    QuadratureRule,
+    QuadratureSpec,
+    StateMoments,
+    cli,
+    expected_fq,
+    model_for_snr,
+    performance_ratios,
+    qfim,
+    stationary_variance,
+)
 from bitbounds.cli import (
     EXPERIMENTS,
     MAX_SNR_POINTS,
     _UsageError,
     _check_reads,
     _snr_grid,
+    _sweep,
     _validate_table,
     config_hash,
     default_config,
@@ -388,3 +401,122 @@ class TestExitCodes:
         text = out.read_text()
         assert "SKIPPED" in text and "FAIL" not in text
         capsys.readouterr()
+
+
+# SHA-256 of each table the default sweeps write; one moved bit fails here.
+DEFAULT_TABLE_SHA256 = {
+    ("fig1", "fig1.txt"): "ef7ca6a231a4cc686402954d59da6ca347873feca33356fcc08c01d2138fdeda",
+    ("ratios", "ratios.txt"): "d08ca510f18f0891a1ba3bfd5c1fe382aa108b1d55d984871dd6d1d9fdbb5a68",
+    ("fig2", "rho_f_alpha_0.9.txt"):
+        "302837a32538efdc73708a8fe89edc6f887f5543382597642c7f59302bcd5654",
+    ("fig2", "rho_f_alpha_0.999.txt"):
+        "3bf7131eb1d98e2b927f7e1e7ded2625c8035911d445cac6a2d993254dd1dffa",
+    ("fig2", "rho_f_alpha_0.99999.txt"):
+        "92614bdee086ca297f44c7249035e8a64d54c20ef92be43c0d6b88b9d1db1651",
+    ("fig2", "rho_s_alpha_0.9.txt"):
+        "b3fe4a5252081465c8f68e83209212688ff66deb00cbb4cfad8b8b1f5188521a",
+    ("fig2", "rho_s_alpha_0.999.txt"):
+        "307733c0480a5e09e89e13524e8ed78fb14d0f79116629e93cb5e60e595ea038",
+    ("fig2", "rho_s_alpha_0.99999.txt"):
+        "d571e0c8369ed8d03f0fae6d0094bcbf429eeee7726b0a2f0cee954112716eb1",
+}
+
+
+@pytest.mark.parametrize("experiment", ("fig1", "fig2", "ratios"))
+def test_default_tables_are_byte_identical(experiment, tmp_path, capsys):
+    out = tmp_path / experiment if experiment == "fig2" else tmp_path / f"{experiment}.txt"
+    assert main([experiment, "--out", str(out)]) == 0
+    capsys.readouterr()
+    pinned = {name: digest for (e, name), digest in DEFAULT_TABLE_SHA256.items()
+              if e == experiment}
+    files = sorted(out.iterdir()) if out.is_dir() else [out]
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == pinned
+
+
+class TestSweepQuadratures:
+    """``_sweep`` computes each alpha's one-bit informations in one array quadrature."""
+
+    @pytest.fixture
+    def traffic(self, monkeypatch):
+        """Cold memo; records the rows of each quadrature and each steady point."""
+        rows, points = [], []
+        quadrature, ratios = qfim._quadrature, cli.performance_ratios
+
+        def counted_quadrature(means, *args):
+            rows.append(len(means))
+            return quadrature(means, *args)
+
+        def counted_ratios(*args, **kwargs):
+            points.append(args)
+            return ratios(*args, **kwargs)
+
+        monkeypatch.setattr(qfim, "_quadrature", counted_quadrature)
+        monkeypatch.setattr(cli, "performance_ratios", counted_ratios)
+        qfim._expected_fq_cached.cache_clear()
+        yield rows, points
+        qfim._expected_fq_cached.cache_clear()
+
+    def test_default_fig2_makes_one_array_quadrature_per_alpha(self, traffic, tmp_path, capsys):
+        rows, points = traffic
+        assert main(["fig2", "--out", str(tmp_path / "fig2")]) == 0
+        capsys.readouterr()
+        assert rows == [101, 101, 101]
+        assert len(points) == 303
+
+    @pytest.mark.parametrize("spec", (QuadratureSpec(), QuadratureSpec(nodes=20),
+                                      QuadratureSpec(rule=QuadratureRule.TRAPEZOID)))
+    @pytest.mark.parametrize("sigma_eta", (1.0, 0.37))
+    def test_reports_equal_cold_one_point_calls(self, spec, sigma_eta):
+        config = replace(default_config("fig2"), sigma_eta=sigma_eta, quadrature=spec)
+        for alpha in config.alphas:
+            qfim._expected_fq_cached.cache_clear()
+            swept = _sweep(config, alpha)
+            cold = []
+            for snr_db in _snr_grid(config):
+                qfim._expected_fq_cached.cache_clear()
+                cold.append(performance_ratios(model_for_snr(alpha, snr_db, sigma_eta), spec))
+            assert swept == cold
+
+    def _recomputes_after_cache_clear(self, rows, config):
+        assert not qfim._HELD
+        qfim._expected_fq_cached.cache_clear()
+        rows.clear()
+        model = model_for_snr(config.alphas[0], config.snr_min_db, config.sigma_eta)
+        expected_fq(StateMoments(0, 0.0, stationary_variance(model)), config.sigma_eta)
+        assert rows == [1]
+
+    def test_held_values_end_with_the_sweep(self, traffic):
+        rows, _ = traffic
+        config = default_config("ratios")
+        _sweep(config, config.alphas[0])
+        self._recomputes_after_cache_clear(rows, config)
+
+    def test_held_values_end_when_a_point_raises(self, traffic, monkeypatch):
+        rows, points = traffic
+
+        def fails_at_the_fifth_point(*args):
+            points.append(args)
+            if len(points) == 5:
+                raise ArithmeticError("injected")
+            return performance_ratios(*args)
+
+        monkeypatch.setattr(cli, "performance_ratios", fails_at_the_fifth_point)
+        config = default_config("ratios")
+        with pytest.raises(_UsageError):
+            _sweep(config, config.alphas[0])
+        self._recomputes_after_cache_clear(rows, config)
+
+    def test_quadrature_error_in_the_batch_exits_1(self, traffic, monkeypatch, tmp_path, capsys):
+        def batch_fails(means, *args):
+            if len(means) > 1:
+                raise QuadratureError("injected", node=0.0)
+            return [1.0]
+
+        monkeypatch.setattr(qfim, "_quadrature", batch_fails)
+        out = tmp_path / "fig1.txt"
+        assert main(["fig1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "QuadratureError" in err
+        assert not out.exists()
+        assert not qfim._HELD

@@ -764,6 +764,30 @@ class TestTiledOperator:
         tiles = sum(block.nbytes for t in (ops.forward, ops.adjoint) for *_, block in t)
         assert peak <= 1.5 * tiles
 
+    @pytest.mark.parametrize("model", (
+        model_for_snr(0.999, -10.0),
+        GaussMarkovModel(alpha=-0.95, sigma_z=0.4, sigma_eta=1.3, sigma0=2.0, mu0=1.5),
+        model_for_snr(0.99999, 0.0),
+    ))
+    def test_cell_masses_equal_one_tail_call_per_edge(self, model, monkeypatch):
+        # q_function is elementwise, so the lower and upper cell edges in one
+        # call give, bit for bit, the masses of one call per edge.
+        def two_calls(points, centers, sd, h):
+            return (q_function((points - 0.5 * h - centers) / sd)
+                    - q_function((points + 0.5 * h - centers) / sd))
+
+        axis = estimators._grid_axis(model, GridSpec(), 500)
+        h = axis[1] - axis[0]
+        ops = estimators._grid_operators(axis, model, MeasurementChannel.ONE_BIT)
+        prior = estimators._cell_masses(axis, model.mu0, model.sigma0, h)
+        monkeypatch.setattr(estimators, "_cell_masses", two_calls)
+        oracle = estimators._grid_operators(axis, model, MeasurementChannel.ONE_BIT)
+        assert np.array_equal(prior, two_calls(axis, model.mu0, model.sigma0, h))
+        for got, want in ((ops.forward, oracle.forward), (ops.adjoint, oracle.adjoint)):
+            assert len(got) == len(want)
+            for (*span, block), (*span_want, block_want) in zip(got, want):
+                assert span == span_want and np.array_equal(block, block_want)
+
 
 class TestBurnIn:
     def test_formula(self):
