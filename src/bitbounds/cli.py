@@ -61,12 +61,12 @@ from .estimators import (
     rts_smoother,
     rts_steady_variance,
 )
-from .qfim import QuadratureRule, QuadratureSpec, _held_expected_fq, fq
+from .qfim import QuadratureRule, QuadratureSpec, expected_fq_batch, fq
 from .qfim import q_function as _default_q_function
 from .steady import (
     SteadyStateReport,
+    _report,
     model_for_snr,
-    performance_ratios,
     quadratic_filter_root,
     quadratic_gain_root,
     snr_to_sigma_z,
@@ -392,16 +392,16 @@ def _computable(config: ExperimentConfig):
 
 
 def _sweep(config: ExperimentConfig, alpha: float) -> list[SteadyStateReport]:
-    """Steady reports over the SNR grid, one ``performance_ratios`` call per point.
+    """Steady reports over the SNR grid, equal to ``performance_ratios`` of each point.
 
     The points' stationary one-bit informations come from one array
-    quadrature, held for the memo of ``expected_fq`` while the points run.
+    quadrature, and each report is built from its point's value.
     """
     with _computable(config):
         models = [model_for_snr(alpha, snr_db, config.sigma_eta) for snr_db in _snr_grid(config)]
-        with _held_expected_fq([stationary_variance(m) for m in models], config.sigma_eta,
-                               config.quadrature):
-            return [performance_ratios(model, config.quadrature) for model in models]
+        fims = expected_fq_batch(np.zeros(len(models)), [stationary_variance(m) for m in models],
+                                 config.sigma_eta, config.quadrature)
+        return [_report(model, fim) for model, fim in zip(models, fims.tolist())]
 
 
 def run_fig1(config: ExperimentConfig) -> Path:

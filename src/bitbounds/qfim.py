@@ -12,17 +12,12 @@ half-width away from the threshold. Bound recursions need the expectation of
 ``F_q`` under the Gaussian marginal of the state, computed here by quadrature:
 :func:`expected_fq` for one marginal (memoized), :func:`expected_fq_batch` for
 all marginals of a finite-horizon bound in one array evaluation. Both run the
-same formulas and give bit-identical values.
-
-A caller that will ask :func:`expected_fq` for many known marginals one at a
-time, as an SNR sweep does, can compute them ahead in one batch with
-:func:`_held_expected_fq`: until the block exits, a memo miss on one of them
-takes the batch value instead of running its own quadrature.
+same quadrature, one marginal being a one-row batch, and give bit-identical
+values.
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -197,18 +192,14 @@ def _gauss_hermite(means: list[float], variances: list[float], sigma_eta: float,
                    n: int) -> list[float]:
     """Gauss-Hermite ``E[F_q]`` for each marginal ``N(means[i], variances[i])``.
 
-    All marginals share one array evaluation of the integrand: a single
-    marginal on 1-D arrays, several on rows of a 2-D array. Each row is then
-    reduced on its own with ``np.dot`` and its prefactor taken in plain
-    floats, so every value is bit-identical to a quadrature of its marginal
-    alone (a matrix-vector product may round differently from row to row).
+    All marginals share one array evaluation of the integrand, one row of a
+    2-D array each. Each row is then reduced on its own with ``np.dot`` and
+    its prefactor taken in plain floats, so every value is bit-identical to a
+    one-row quadrature of its marginal (a matrix-vector product may round
+    differently from row to row).
     """
     t, w, mirror = _hermgauss(n)
-    single = len(means) == 1
-    if single:
-        mean, variance, sqrt = means[0], variances[0], math.sqrt
-    else:
-        mean, variance, sqrt = np.array(means)[:, None], np.array(variances)[:, None], np.sqrt
+    mean, variance = np.array(means)[:, None], np.array(variances)[:, None]
     # Merge the Gaussian factor of F_q with the state marginal before
     # applying the Hermite change of variable; sampling the raw product at
     # the marginal's scale misses the information peak once the state
@@ -216,22 +207,18 @@ def _gauss_hermite(means: list[float], variances: list[float], sigma_eta: float,
     precision = 1.0 / sigma_eta**2 + 1.0 / variance
     v_merged = 1.0 / precision
     m_merged = v_merged * mean / variance
-    scale = sqrt(2.0 * v_merged)
+    scale = np.sqrt(2.0 * v_merged)
     if any(means):
         values = _residual_gain(m_merged + scale * t, sigma_eta)
     else:
         # Zero means put each node pair +-t at one |theta|: evaluate the
         # nonnegative half and mirror it.
         values = _residual_gain(scale * t[n // 2 :], sigma_eta).take(mirror, axis=-1)
-    if single:
-        rows, merged = [values], [v_merged]
-    else:
-        rows, merged = values, v_merged.ravel().tolist()
-    totals = []
-    for i, (row, mean_i, variance_i, v_i) in enumerate(zip(rows, means, variances, merged)):
+    totals, merged = [], v_merged.ravel().tolist()
+    for i, (row, mean_i, variance_i, v_i) in enumerate(zip(values, means, variances, merged)):
         weighted = float(np.dot(w, row))
         if not math.isfinite(weighted):
-            _raise_nonfinite(np.reshape(m_merged + scale * t, (-1, n))[i], row)
+            _raise_nonfinite(m_merged[i] + scale[i] * t, row)
         # The exponent 0.5 m^2/v - 0.5 mean^2/variance collapses exactly to
         # -mean^2 / (2 (variance + sigma_eta^2)); the raw difference of the
         # two terms loses ~mean^2/variance * eps at small variance.
@@ -272,36 +259,10 @@ def _quadrature(means: list[float], variances: list[float], sigma_eta: float,
     return [_trapezoid(m, v, sigma_eta, spec) for m, v in zip(means, variances)]
 
 
-# Values that _held_expected_fq computed ahead, keyed as the memo is keyed.
-_HELD: dict[tuple, float] = {}
-
-
 @lru_cache(maxsize=4096)
 def _expected_fq_cached(mean: float, variance: float, sigma_eta: float,
                         spec: QuadratureSpec) -> float:
-    held = _HELD.get((mean, variance, sigma_eta, spec))
-    if held is not None:
-        return held
     return _quadrature([mean], [variance], sigma_eta, spec)[0]
-
-
-@contextlib.contextmanager
-def _held_expected_fq(variances: list[float], sigma_eta: float, spec: QuadratureSpec):
-    """Serve :func:`expected_fq` misses on zero-mean marginals from one batch.
-
-    Runs :func:`expected_fq_batch` on ``N(0, variances[i])``, whose entries
-    are bit-identical to one-marginal quadratures, and holds the values until
-    the block exits, also by an error. Memo hits and misses count as they
-    would without the block; a miss on a held marginal takes its value
-    instead of running a quadrature. Not reentrant.
-    """
-    values = expected_fq_batch(np.zeros(len(variances)), variances, sigma_eta, spec)
-    _HELD.update(((0.0, v, float(sigma_eta), spec), value)
-                 for v, value in zip(variances, values.tolist()))
-    try:
-        yield
-    finally:
-        _HELD.clear()
 
 
 def expected_fq(moments: StateMoments, sigma_eta: float,
@@ -310,7 +271,7 @@ def expected_fq(moments: StateMoments, sigma_eta: float,
 
     Computes ``E[F_q(theta)]`` for ``theta ~ N(moments.mean,
     moments.variance)``: the one-marginal case of :func:`expected_fq_batch`,
-    evaluated on 1-D node arrays. Results are memoized on (mean, variance,
+    run as a one-row batch. Results are memoized on (mean, variance,
     sigma_eta, spec); the block index plays no role in the value.
 
     Parameters
@@ -342,8 +303,7 @@ def expected_fq_batch(means, variances, sigma_eta: float,
     means are zero; the trapezoid rule runs one marginal at a time. Entry
     ``i`` is bit-identical to ``expected_fq`` under ``N(means[i],
     variances[i])``. Nothing is memoized: a finite-horizon bound asks for
-    each marginal once. :func:`_held_expected_fq` hands a batch's values to
-    the memo of ``expected_fq`` for callers that ask again one at a time.
+    each marginal once.
 
     Parameters
     ----------

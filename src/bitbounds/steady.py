@@ -119,12 +119,18 @@ def steady_expected_fim(model: GaussMarkovModel, channel: MeasurementChannel,
     return expected_fim(channel, moments, model.sigma_eta, spec)
 
 
-def quadratic_filter_root(model: GaussMarkovModel, fim: float) -> float:
-    """Positive root of the steady filtering quadratic for a given ``fim``."""
+def _quadratic(model: GaussMarkovModel, fim: float) -> tuple[float, float, float, float]:
+    """``s``, ``B``, ``C`` and ``sqrt(B^2 + 4C)`` of the steady quadratics for ``fim``."""
     s = 1.0 / model.sigma_z**2
     b = (1.0 - model.alpha**2) * s + fim
     c = model.alpha**2 * s * fim
-    return 0.5 * (b + math.sqrt(b * b + 4.0 * c))
+    return s, b, c, math.sqrt(b * b + 4.0 * c)
+
+
+def quadratic_filter_root(model: GaussMarkovModel, fim: float) -> float:
+    """Positive root of the steady filtering quadratic for a given ``fim``."""
+    _, b, _, root = _quadratic(model, fim)
+    return 0.5 * (b + root)
 
 
 def quadratic_gain_root(model: GaussMarkovModel, fim: float) -> float:
@@ -133,10 +139,8 @@ def quadratic_gain_root(model: GaussMarkovModel, fim: float) -> float:
     Written as ``2C / (B + sqrt(B^2 + 4C))`` to avoid the cancellation in
     the textbook root formula when ``C << B^2``.
     """
-    s = 1.0 / model.sigma_z**2
-    b = (1.0 - model.alpha**2) * s + fim
-    c = model.alpha**2 * s * fim
-    return 2.0 * c / (b + math.sqrt(b * b + 4.0 * c))
+    _, b, c, root = _quadratic(model, fim)
+    return 2.0 * c / (b + root)
 
 
 def steady_lag_gain(model: GaussMarkovModel, channel: MeasurementChannel, lag: int,
@@ -158,12 +162,9 @@ def steady_lag_gain(model: GaussMarkovModel, channel: MeasurementChannel, lag: i
     if lag < 0:
         raise ValueError(f"steady_lag_gain requires lag >= 0, got {lag}.")
     fim = steady_expected_fim(model, channel, spec)
-    s = 1.0 / model.sigma_z**2
-    b = (1.0 - model.alpha**2) * s + fim
-    c = model.alpha**2 * s * fim
+    s, b, c, root = _quadratic(model, fim)
     if lag == 0 or c == 0.0:
         return 0.0
-    root = math.sqrt(b * b + 4.0 * c)
     p = 2.0 * c / (b + root)
     q = -0.5 * (b + root)
     # k = 1 - root / (p + s + f) is of order alpha^2: where that rounds to
@@ -191,10 +192,14 @@ def performance_ratios(model: GaussMarkovModel,
     """
     if not model.is_stationary:
         raise ValueError(f"performance_ratios requires |alpha| < 1, got alpha = {model.alpha}.")
+    return _report(model, steady_expected_fim(model, MeasurementChannel.ONE_BIT, spec))
+
+
+def _report(model: GaussMarkovModel, fim_q: float) -> SteadyStateReport:
+    """:func:`performance_ratios` of a stationary model whose one-bit information is ``fim_q``."""
     snr_db = 10.0 * math.log10(stationary_variance(model) / model.sigma_eta**2)
     roots = []
-    for channel in (MeasurementChannel.UNQUANTIZED, MeasurementChannel.ONE_BIT):
-        fim = steady_expected_fim(model, channel, spec)
+    for fim in (steady_expected_fim(model, MeasurementChannel.UNQUANTIZED), fim_q):
         roots.append((quadratic_filter_root(model, fim), quadratic_gain_root(model, fim)))
     (f_unq, g_unq), (f_q, g_q) = roots
     smooth_unq = f_unq + g_unq

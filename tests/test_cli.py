@@ -11,13 +11,9 @@ from bitbounds import (
     QuadratureError,
     QuadratureRule,
     QuadratureSpec,
-    StateMoments,
-    cli,
-    expected_fq,
     model_for_snr,
     performance_ratios,
     qfim,
-    stationary_variance,
 )
 from bitbounds.cli import (
     EXPERIMENTS,
@@ -437,39 +433,32 @@ class TestSweepQuadratures:
     """``_sweep`` computes each alpha's one-bit informations in one array quadrature."""
 
     @pytest.fixture
-    def traffic(self, monkeypatch):
-        """Cold memo; records the rows of each quadrature and each steady point."""
-        rows, points = [], []
-        quadrature, ratios = qfim._quadrature, cli.performance_ratios
+    def rows(self, monkeypatch):
+        """Records the rows of each quadrature."""
+        rows = []
+        quadrature = qfim._quadrature
 
         def counted_quadrature(means, *args):
             rows.append(len(means))
             return quadrature(means, *args)
 
-        def counted_ratios(*args, **kwargs):
-            points.append(args)
-            return ratios(*args, **kwargs)
-
         monkeypatch.setattr(qfim, "_quadrature", counted_quadrature)
-        monkeypatch.setattr(cli, "performance_ratios", counted_ratios)
-        qfim._expected_fq_cached.cache_clear()
-        yield rows, points
-        qfim._expected_fq_cached.cache_clear()
+        return rows
 
-    def test_default_fig2_makes_one_array_quadrature_per_alpha(self, traffic, tmp_path, capsys):
-        rows, points = traffic
+    def test_default_fig2_makes_one_array_quadrature_per_alpha(self, rows, tmp_path, capsys):
+        before = qfim._expected_fq_cached.cache_info()
         assert main(["fig2", "--out", str(tmp_path / "fig2")]) == 0
         capsys.readouterr()
         assert rows == [101, 101, 101]
-        assert len(points) == 303
+        assert qfim._expected_fq_cached.cache_info() == before
 
+    @pytest.mark.parametrize("alphas", (None, (1 - 1e-7, 1 - 1e-9)), ids=("fig2", "stiff"))
     @pytest.mark.parametrize("spec", (QuadratureSpec(), QuadratureSpec(nodes=20),
                                       QuadratureSpec(rule=QuadratureRule.TRAPEZOID)))
     @pytest.mark.parametrize("sigma_eta", (1.0, 0.37))
-    def test_reports_equal_cold_one_point_calls(self, spec, sigma_eta):
+    def test_reports_equal_cold_one_point_calls(self, spec, sigma_eta, alphas):
         config = replace(default_config("fig2"), sigma_eta=sigma_eta, quadrature=spec)
-        for alpha in config.alphas:
-            qfim._expected_fq_cached.cache_clear()
+        for alpha in alphas or config.alphas:
             swept = _sweep(config, alpha)
             cold = []
             for snr_db in _snr_grid(config):
@@ -477,40 +466,9 @@ class TestSweepQuadratures:
                 cold.append(performance_ratios(model_for_snr(alpha, snr_db, sigma_eta), spec))
             assert swept == cold
 
-    def _recomputes_after_cache_clear(self, rows, config):
-        assert not qfim._HELD
-        qfim._expected_fq_cached.cache_clear()
-        rows.clear()
-        model = model_for_snr(config.alphas[0], config.snr_min_db, config.sigma_eta)
-        expected_fq(StateMoments(0, 0.0, stationary_variance(model)), config.sigma_eta)
-        assert rows == [1]
-
-    def test_held_values_end_with_the_sweep(self, traffic):
-        rows, _ = traffic
-        config = default_config("ratios")
-        _sweep(config, config.alphas[0])
-        self._recomputes_after_cache_clear(rows, config)
-
-    def test_held_values_end_when_a_point_raises(self, traffic, monkeypatch):
-        rows, points = traffic
-
-        def fails_at_the_fifth_point(*args):
-            points.append(args)
-            if len(points) == 5:
-                raise ArithmeticError("injected")
-            return performance_ratios(*args)
-
-        monkeypatch.setattr(cli, "performance_ratios", fails_at_the_fifth_point)
-        config = default_config("ratios")
-        with pytest.raises(_UsageError):
-            _sweep(config, config.alphas[0])
-        self._recomputes_after_cache_clear(rows, config)
-
-    def test_quadrature_error_in_the_batch_exits_1(self, traffic, monkeypatch, tmp_path, capsys):
-        def batch_fails(means, *args):
-            if len(means) > 1:
-                raise QuadratureError("injected", node=0.0)
-            return [1.0]
+    def test_quadrature_error_in_the_batch_exits_1(self, monkeypatch, tmp_path, capsys):
+        def batch_fails(*args):
+            raise QuadratureError("injected", node=0.0)
 
         monkeypatch.setattr(qfim, "_quadrature", batch_fails)
         out = tmp_path / "fig1.txt"
@@ -519,4 +477,3 @@ class TestSweepQuadratures:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "QuadratureError" in err
         assert not out.exists()
-        assert not qfim._HELD

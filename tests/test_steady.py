@@ -11,6 +11,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bitbounds import (
@@ -218,6 +220,18 @@ class TestLagGain:
             steady_lag_gain(m, MeasurementChannel.UNQUANTIZED, -1)
 
 
+_PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None, database=None,
+                              suppress_health_check=[HealthCheck.too_slow])
+
+# Uniform over the stationary range, and 1 - |alpha| log-spaced down to
+# 1e-12, where the ratios reach the paper's alpha -> 1 limits.
+_ALPHAS = st.one_of(
+    st.floats(-1.0 + 1e-12, 1.0 - 1e-12),
+    st.builds(lambda sign, gap: sign * (1.0 - gap), st.sampled_from((-1.0, 1.0)),
+              st.floats(-12.0, 0.0).map(lambda e: 10.0**e)),
+)
+
+
 class TestPerformanceRatios:
     @pytest.mark.parametrize("snr_db,expected", sorted(RATIO_TABLE.items()))
     def test_frozen_ratio_oracles(self, snr_db, expected):
@@ -263,6 +277,19 @@ class TestPerformanceRatios:
         assert all(math.isfinite(v) for v in ratios)
         assert report.rho_f_db <= 0.0 and report.rho_sl_db <= 0.0
         assert report.rho_s_db >= report.rho_f_db
+
+    @_PROPERTY_SETTINGS
+    @given(alpha=_ALPHAS, snr_db=st.floats(-60.0, 40.0),
+           sigma_eta=st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+    def test_ratio_invariants_over_the_documented_range(self, alpha, snr_db, sigma_eta):
+        report = performance_ratios(model_for_snr(alpha, snr_db, sigma_eta))
+        assert 0.0 < report.j_filter_q <= report.j_filter_unq
+        assert report.rho_s_db >= report.rho_f_db
+        assert report.rho_f_db <= 0.0 and report.rho_sl_db <= 0.0
+        assert report.rho_s_db <= 10.0 * math.log10(2.0 * math.sqrt(2.0 / math.pi))
+        unit = performance_ratios(model_for_snr(alpha, snr_db))
+        assert_allclose([report.rho_f_db, report.rho_sl_db, report.rho_s_db],
+                        [unit.rho_f_db, unit.rho_sl_db, unit.rho_s_db], rtol=0.0, atol=1e-12)
 
     def test_near_unit_alpha_low_snr_approaches_asymptote(self):
         # The roots by hand, as the solver takes them: the plain iteration
