@@ -15,11 +15,14 @@ This module provides:
   tile; neither the n x n matrix nor a list of all band entries is formed.
   Each block's posterior totals, means and variances come from one more
   product, of ``[1; x; x^2]`` with the unnormalised posterior. The grid
-  computes in float32, as it stores, except for that moment product, which
-  accumulates in float64 because ``m2 / total - mean^2`` cancels. After
-  each write, entries below a floor of 2^-50 are set to 0, so no float32
+  computes in float32 except for that moment product, which accumulates
+  in float64 because ``m2 / total - mean^2`` cancels. After each write,
+  entries below 2^-50 of their trial's total are set to 0, so no float32
   subnormal reaches a product; means and variances stay within 1e-5
-  relative of a float64 loop that never flushes (the tests' oracle);
+  relative of a float64 loop that never flushes (the tests' oracle). The
+  smoother keeps no posterior per block: the filter checkpoints every
+  ``c``-th posterior, ``c = ceil(sqrt(K + 1))``, and the smoother replays
+  one segment of ``c`` blocks at a time from its checkpoint, bit for bit;
 * a seeded trajectory simulator and a Monte Carlo harness that compares
   empirical MSE per block against the matching bound values. The simulator
   runs the state recursion as a numpy loop over blocks, bit-identical to
@@ -36,7 +39,7 @@ fixed trial order so repeated runs agree to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -177,22 +180,29 @@ class RtsResult:
 
 @dataclass(frozen=True)
 class GridFilterResult:
-    """Grid filter output; keeps the posteriors for the smoothing pass.
+    """Grid filter output, with the checkpoints the smoother replays from.
 
-    ``pmfs[t, k]`` is the normalized filtering posterior of trial ``t`` at
-    block ``k`` on ``axis``, shape ``(trials, K + 1, n)``, float32 as the
-    filter computes it, with entries below 2^-50 set to 0 (so none is
-    subnormal). The filter returns it as a transposed view of a
-    block-major ``(K + 1, n, trials)`` array, which the smoother reads one
-    block at a time. Means and variances are per trial because the one-bit
-    posterior spread is data-dependent. ``operators`` holds the tiled
-    transition operator and likelihood tables, which the smoother reuses.
+    Means and variances are per trial, shape ``(trials, K + 1)``, because
+    the one-bit posterior spread is data-dependent. ``pmfs[t, j]`` is the
+    unnormalised filtering posterior of trial ``t`` at block ``j * c``,
+    every ``c``-th block with ``c = ceil(sqrt(K + 1))``, on ``axis``: shape
+    ``(trials, K // c + 1, n)``, float32 as the filter computes it, a
+    transposed view of a block-major ``(K // c + 1, n, trials)`` array.
+    ``totals[k, t]`` (float64, shape ``(K + 1, trials)``) is the mass of
+    trial ``t``'s posterior at block ``k`` before normalisation; block 0 is
+    normalised, with total 1. Divided by its total, a checkpoint is the
+    normalised posterior; its entries below ``2^-50`` times the total are 0
+    (so none is subnormal). The smoother recomputes the blocks between
+    checkpoints from them, the totals and the observations. ``operators``
+    holds the tiled transition operator and likelihood tables, which the
+    smoother reuses.
     """
 
     axis: np.ndarray
     means: np.ndarray
     variances: np.ndarray
     pmfs: np.ndarray
+    totals: np.ndarray
     batch: TrajectoryBatch
     operators: _GridOperators = field(repr=False)
 
@@ -494,13 +504,13 @@ _TILE_ROWS = 48
 # numpy's per-call cost once per tile.
 _BUILD_GROUPS = 56
 # Every grid array that feeds a product holds no nonzero entry below this
-# floor: the tiles, the one-bit table, each stored posterior, and the
-# smoother's backward evidence relative to its sum. A tile entry times a
-# stored posterior entry is then at least 2^-100, a normal float32 (above
-# 2^-126 = 1.2e-38); float32 subnormals make a product several times
-# slower. A floor of 1e-20 let subnormals reach the smoother's products at
-# +5 dB. The floor is far below float32 rounding, so it moves no moment
-# beyond it.
+# floor: the tiles and the one-bit table absolutely, each filtered posterior
+# and the smoother's backward evidence relative to their trial's total. A
+# tile entry times a posterior entry is then at least 2^-100 of the total, a
+# normal float32 (above 2^-126 = 1.2e-38) for any total above 2^-26;
+# float32 subnormals make a product several times slower. A floor of 1e-20
+# let subnormals reach the smoother's products at +5 dB. The floor is far
+# below float32 rounding, so it moves no moment beyond it.
 _FLOOR = 2.0**-50
 
 
@@ -538,12 +548,6 @@ class _GridOperators:
     one-bit likelihood table, ``None`` for the unquantized channel. Entries
     of both below ``_FLOOR`` are 0. The filter, the smoother and every
     sub-batch of :func:`monte_carlo_mse` share one instance.
-
-    ``store``, when set, is a flat float32 buffer (see
-    :func:`_posterior_store`) that :func:`grid_filter` writes its posteriors
-    into instead of allocating its own, so the results of two calls alias.
-    Only :func:`monte_carlo_mse` sets it, to reuse one store for all its
-    sub-batches; operators that :func:`_grid_operators` builds have none.
     """
 
     axis: np.ndarray
@@ -551,7 +555,6 @@ class _GridOperators:
     adjoint: tuple
     sign_likes: np.ndarray | None
     inv_two_var: float
-    store: np.ndarray | None = field(default=None, repr=False)
 
     def likelihood_keys(self, observations: np.ndarray) -> np.ndarray:
         """What :meth:`likelihood` reads per block: entry ``k - 1`` for block k.
@@ -580,10 +583,11 @@ class _GridOperators:
         ``mask`` (both of ``out``'s shape; the one-bit channel reads neither).
 
         ``scale`` (trials,), when given, multiplies each trial's column: the
-        smoother carries its normalisation of the backward evidence in it. For
-        the one-bit channel it scales the (2, trials) selector ``keys`` in
-        place before the product, so it costs no pass over ``out``; for the
-        unquantized channel it costs one.
+        filter carries its normalisation of the posterior in it, and the
+        smoother that of the backward evidence. For the one-bit channel it
+        scales the (2, trials) selector ``keys`` in place before the product,
+        so it costs no pass over ``out``, and each block's keys may be scaled
+        only once; for the unquantized channel it costs one.
         """
         if self.sign_likes is None:
             np.subtract(self.axis[:, None], keys[None, :], out=wide)
@@ -666,11 +670,6 @@ def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
                           sign_likes=sign_likes, inv_two_var=0.5 / model.sigma_eta**2)
 
 
-def _posterior_store(num_points: int, horizon: int, trials: int) -> np.ndarray:
-    """Uninitialised flat float32 buffer for ``trials`` posteriors over ``horizon + 1`` blocks."""
-    return np.empty((horizon + 1) * num_points * trials, dtype=np.float32)
-
-
 def _powers(axis: np.ndarray) -> np.ndarray:
     """``[1; x; x^2]`` on the grid, shape (3, n): one product with it gives a pmf's raw moments."""
     return np.stack((np.ones_like(axis), axis, axis * axis))
@@ -692,20 +691,51 @@ def _moments(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
+def _checkpoint_stride(horizon: int) -> int:
+    """Blocks between the filter's checkpoints, ``ceil(sqrt(K + 1))``.
+
+    The checkpoints and one replayed segment then hold about ``2 sqrt(K)``
+    posteriors in place of ``K + 1``, for one more forward pass.
+    """
+    return math.isqrt(horizon) + 1
+
+
+def _filter_step(operators: _GridOperators, previous: np.ndarray, key: np.ndarray,
+                 scale: np.ndarray, out: np.ndarray, lik: np.ndarray, wide: np.ndarray,
+                 mask: np.ndarray) -> np.ndarray:
+    """One block of the filter into float32 ``out`` (n, trials): ``(T previous) * like * scale``.
+
+    ``previous`` is the last block's unnormalised posterior and ``scale`` the
+    inverse of its totals, so ``out`` is the unnormalised posterior of a
+    normalised predecessor. :func:`grid_filter` and the smoother's replay
+    both run this, with the same operands, so they agree bit for bit.
+    ``lik``, ``wide`` and ``mask`` are work buffers of ``out``'s shape.
+    """
+    _apply_tiles(operators.forward, previous, out)
+    out *= operators.likelihood(key, lik, wide, mask, scale)
+    return out
+
+
 def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
                 grid: GridSpec = GridSpec(), *,
                 operators: _GridOperators | None = None) -> GridFilterResult:
     """Discretized Bayes filter on a uniform point-mass grid.
 
     Each block applies the banded transition operator to the previous
-    posterior, multiplies by the measurement likelihood, and renormalizes.
-    Works for both channels; it is the reference estimator for the one-bit
-    channel, where no closed-form posterior exists.
+    posterior and multiplies by the measurement likelihood. Works for both
+    channels; it is the reference estimator for the one-bit channel, where
+    no closed-form posterior exists.
+
+    Nothing is normalised in place: each trial's total ``t_k``, from the
+    moment product, is carried into the next block's likelihood as
+    ``1 / t_k`` (see :meth:`_GridOperators.likelihood`), and the entries of
+    the posterior below ``2^-50 t_k`` are set to 0. The posterior of every
+    ``c``-th block is kept as a checkpoint, with the totals of every block,
+    for :func:`grid_smoother`; see :class:`GridFilterResult`.
 
     ``operators``, when given, replaces the grid built from ``grid``: it
-    lets :func:`monte_carlo_mse` build the operators, and a posterior store
-    they carry, once for all its sub-batches. It must come from the same
-    model, grid and horizon.
+    lets :func:`monte_carlo_mse` build the operators once for all its
+    sub-batches. It must come from the same model, grid and horizon.
 
     Returns
     -------
@@ -721,38 +751,40 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
         operators = _grid_operators(_grid_axis(model, grid, batch.horizon), model, batch.channel)
     axis = operators.axis
     n, trials, k_max = axis.size, batch.num_trials, batch.horizon
+    stride = _checkpoint_stride(k_max)
 
     prior = _cell_masses(axis, model.mu0, model.sigma0, axis[1] - axis[0])
     total = prior.sum()
     if not total > 0.0:
         raise NumericalDegeneracyError("prior mass vanished on the grid; widen the grid.")
+    # block-major, so each block is one contiguous (n, trials) slab
+    checkpoints = np.empty((k_max // stride + 1, n, trials), dtype=np.float32)
     # float32 working slabs, a float64 one for the moment product, and one
     # bool slab for the flushes, all allocated once per call
-    posterior = np.empty((n, trials), dtype=np.float32)
-    lik = np.empty_like(posterior)
+    slabs = np.empty((2, n, trials), dtype=np.float32)
+    lik = np.empty((n, trials), dtype=np.float32)
     wide = np.empty((n, trials))
     mask = np.empty((n, trials), dtype=bool)
-    inverse = np.empty(trials, dtype=np.float32)
+    inverse = np.ones(trials, dtype=np.float32)  # block 0 is normalised
+    floor = np.empty(trials, dtype=np.float32)
     keys = operators.likelihood_keys(batch.observations)
     powers = _powers(axis)
     raw = np.empty((3, trials))
     # below the smallest normal float32, 1 / total would overflow
     tiny = np.finfo(np.float32).tiny
 
-    # block-major, so each block is one contiguous (n, trials) slab
-    buffer = operators.store
-    if buffer is None:
-        buffer = _posterior_store(n, k_max, trials)
-    store = buffer[: (k_max + 1) * n * trials].reshape(k_max + 1, n, trials)
     means = np.empty((trials, k_max + 1))
     variances = np.empty((trials, k_max + 1))
+    totals = np.empty((k_max + 1, trials))
+    totals[0] = 1.0
     wide[...] = (prior / total)[:, None]
     means[:, 0], variances[:, 0] = _moments(np.matmul(powers, wide, out=raw))
-    store[0] = wide
-    _flush(store[0], _FLOOR, mask)
+    previous = checkpoints[0]
+    previous[...] = wide
+    _flush(previous, _FLOOR, mask)
     for k in range(1, k_max + 1):
-        _apply_tiles(operators.forward, store[k - 1], posterior)
-        posterior *= operators.likelihood(keys[k - 1], lik, wide, mask)
+        posterior = checkpoints[k // stride] if k % stride == 0 else slabs[k % 2]
+        _filter_step(operators, previous, keys[k - 1], inverse, posterior, lik, wide, mask)
         # the moments accumulate in float64: m2 / total - mean^2 cancels
         np.copyto(wide, posterior)
         total = np.matmul(powers, wide, out=raw)[0]
@@ -760,23 +792,56 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
             raise NumericalDegeneracyError(
                 f"posterior mass vanished at block {k}; widen the grid.", block=k
             )
+        totals[k] = total
         means[:, k], variances[:, k] = _moments(raw)
-        np.multiply(posterior, np.divide(1.0, total, out=inverse), out=store[k])
-        _flush(store[k], _FLOOR, mask)
+        _flush(posterior, np.multiply(total, _FLOOR, out=floor), mask)
+        np.divide(1.0, total, out=inverse)
+        previous = posterior
     return GridFilterResult(axis=axis, means=means, variances=variances,
-                            pmfs=store.transpose(2, 0, 1), batch=batch, operators=operators)
+                            pmfs=checkpoints.transpose(2, 0, 1), totals=totals, batch=batch,
+                            operators=operators)
+
+
+def _replay(filtered: GridFilterResult, keys: np.ndarray, start: int, out: np.ndarray,
+            lik: np.ndarray, wide: np.ndarray, mask: np.ndarray, inverse: np.ndarray,
+            floor: np.ndarray) -> np.ndarray:
+    """The filter's posteriors of blocks ``start .. start + len(out) - 1`` into ``out``.
+
+    ``start`` is a checkpoint block; ``out`` (blocks, n, trials) float32
+    receives its checkpoint, then one :func:`_filter_step` per block with the
+    totals that the filter stored, flushed as the filter flushed, so every
+    slab equals the filter's posterior bit for bit. ``keys`` come unscaled
+    from :meth:`_GridOperators.likelihood_keys` and are scaled in place, each
+    block once. ``lik``, ``wide`` and ``mask`` are work buffers of one slab's
+    shape, ``inverse`` and ``floor`` float32 ones of shape (trials,).
+    """
+    totals = filtered.totals
+    np.copyto(out[0], filtered.pmfs[:, start // _checkpoint_stride(filtered.horizon)].T)
+    for i in range(1, out.shape[0]):
+        k = start + i
+        np.divide(1.0, totals[k - 1], out=inverse)
+        _filter_step(filtered.operators, out[i - 1], keys[k - 1], inverse, out[i], lik, wide,
+                     mask)
+        _flush(out[i], np.multiply(totals[k], _FLOOR, out=floor), mask)
+    return out
 
 
 def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     """Fixed-interval smoother on the filter's grid.
 
     Runs the backward evidence pass ``beta_l = T' (like_{l+1} *
-    beta_{l+1} / s_{l+1})`` and combines it with the stored filtering
-    posteriors, so every block is conditioned on all measurements in the
-    batch. (A fixed-lag variant would need one backward pass per block; the
+    beta_{l+1} / s_{l+1})`` and combines it with the filtering posteriors,
+    so every block is conditioned on all measurements in the batch. (A
+    fixed-lag variant would need one backward pass per block; the
     fixed-interval form costs one pass and bounds for it come from the
     smoothing recursion anchored at the final block.) It runs on the
     filter's grid with the filter's operators, so it needs no model.
+
+    The filtering posteriors are recomputed, not stored: segment by
+    segment, from the last one back, the filter's step is replayed from a
+    checkpoint over the segment's ``c`` blocks (:func:`_replay`), and the
+    backward pass then runs over them in reverse. Memory holds the
+    checkpoints and one segment; time pays one more forward pass.
 
     Nothing is normalised in place. ``s_l``, each trial's sum of ``beta_l``
     (one product with a row of ones), keeps the evidence from underflowing
@@ -798,9 +863,11 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     axis = filtered.axis
     batch = filtered.batch
     operators = filtered.operators
-    store = filtered.pmfs.transpose(1, 2, 0)
     trials, k_max = batch.num_trials, filtered.horizon
+    stride = _checkpoint_stride(k_max)
+    # The replay and the backward pass each scale their own keys in place.
     keys = operators.likelihood_keys(batch.observations)
+    forward_keys = operators.likelihood_keys(batch.observations)
     powers = _powers(axis)
     ones = np.ones(axis.size, dtype=np.float32)
     raw = np.empty((3, trials))
@@ -809,38 +876,46 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     variances = np.empty((trials, k_max + 1))
     means[:, k_max] = filtered.means[:, k_max]
     variances[:, k_max] = filtered.variances[:, k_max]
+    segment = np.empty((min(stride, k_max), axis.size, trials), dtype=np.float32)
     beta = np.ones((axis.size, trials), dtype=np.float32)
     weighted = np.empty_like(beta)
-    posterior = np.empty_like(beta)
     wide = np.empty(beta.shape)
     mask = np.empty(beta.shape, dtype=bool)
     scale = None  # beta_K = 1 needs none
     tiny = np.finfo(np.float32).tiny
-    # one buffer for s_l and then 1 / s_l, and one for the flush floor:
-    # fresh per-block temporaries here raised monte_carlo_mse's peak RSS by
-    # up to 0.5 MiB through the heap's allocation pattern
+    # one buffer for s_l and then 1 / s_l, one for the replay's scale, and
+    # one for the flush floors: fresh per-block temporaries here raised
+    # monte_carlo_mse's peak RSS by up to 0.5 MiB through the heap's
+    # allocation pattern
     inverse = np.empty(trials, dtype=np.float32)
+    step_scale = np.empty(trials, dtype=np.float32)
     floor = np.empty(trials, dtype=np.float32)
-    for l in range(k_max - 1, -1, -1):
-        operators.likelihood(keys[l], weighted, wide, mask, scale)
-        weighted *= beta
-        _apply_tiles(operators.adjoint, weighted, beta)
-        mass = np.matmul(ones, beta, out=inverse)
-        # below the smallest normal float32, 1 / s_l would overflow
-        if not (mass.min() >= tiny and mass.max() < math.inf):
-            raise NumericalDegeneracyError(
-                f"backward evidence vanished at block {l}; widen the grid.", block=l
-            )
-        _flush(beta, np.multiply(mass, _FLOOR, out=floor), mask)
-        scale = np.divide(1.0, mass, out=inverse)
-        np.multiply(store[l], beta, out=posterior)
-        np.copyto(wide, posterior)
-        total = np.matmul(powers, wide, out=raw)[0]
-        if not total.min() > 0.0:
-            raise NumericalDegeneracyError(
-                f"smoothed posterior mass vanished at block {l}; widen the grid.", block=l
-            )
-        means[:, l], variances[:, l] = _moments(raw)
+    for start in range(k_max - 1 - (k_max - 1) % stride, -1, -stride):
+        blocks = min(stride, k_max - start)
+        # ``weighted`` is free until the backward step below rewrites it
+        _replay(filtered, forward_keys, start, segment[:blocks], weighted, wide, mask,
+                step_scale, floor)
+        for l in range(start + blocks - 1, start - 1, -1):
+            operators.likelihood(keys[l], weighted, wide, mask, scale)
+            weighted *= beta
+            _apply_tiles(operators.adjoint, weighted, beta)
+            mass = np.matmul(ones, beta, out=inverse)
+            # below the smallest normal float32, 1 / s_l would overflow
+            if not (mass.min() >= tiny and mass.max() < math.inf):
+                raise NumericalDegeneracyError(
+                    f"backward evidence vanished at block {l}; widen the grid.", block=l
+                )
+            _flush(beta, np.multiply(mass, _FLOOR, out=floor), mask)
+            scale = np.divide(1.0, mass, out=inverse)
+            # block l's filtered posterior is not read again
+            posterior = np.multiply(segment[l - start], beta, out=segment[l - start])
+            np.copyto(wide, posterior)
+            total = np.matmul(powers, wide, out=raw)[0]
+            if not total.min() > 0.0:
+                raise NumericalDegeneracyError(
+                    f"smoothed posterior mass vanished at block {l}; widen the grid.", block=l
+                )
+            means[:, l], variances[:, l] = _moments(raw)
     return GridSmootherResult(means=means, variances=variances)
 
 
@@ -868,14 +943,20 @@ def _lagged_gains(model: GaussMarkovModel, fims: np.ndarray, lag: int) -> np.nda
     return gains
 
 
-# Bytes of float32 posteriors that one grid sub-batch may store: 50 trials
-# on the default 1000-point grid at horizon 500, 100.2 MB.
-_POSTERIOR_STORE_BYTES = 50 * 1000 * 501 * 4
+# Trials per grid sub-batch, and the bytes of checkpoints and replayed
+# segment that one may hold. At alpha 0.999, -10 dB, horizon 500 on the
+# default grid (one BLAS thread), 400 trials ran alike in sub-batches of 100
+# and 200, and 100 ran 20% faster as one than as two of 50; 100 trials hold
+# 18 MB there, and a 100,000-point grid runs one trial at a time.
+_SUB_BATCH_TRIALS = 100
+_SUB_BATCH_BYTES = 20_000_000
 
 
 def _sub_batch_trials(num_points: int, horizon: int) -> int:
-    """Trials per grid sub-batch whose posterior store fits the budget, at least one."""
-    return max(1, _POSTERIOR_STORE_BYTES // (4 * num_points * (horizon + 1)))
+    """Trials per grid sub-batch: the width cap, or fewer where they pass the bytes cap."""
+    stride = _checkpoint_stride(horizon)
+    slabs = horizon // stride + 1 + min(stride, horizon)
+    return max(1, min(_SUB_BATCH_TRIALS, _SUB_BATCH_BYTES // (4 * num_points * slabs)))
 
 
 def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estimator: str,
@@ -897,9 +978,11 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         Smoothing lag for the Kalman path; the steady region must fit,
         ``horizon > burn-in + lag``. The grid path requires 0.
     grid : GridSpec
-        Grid geometry for the grid path, which runs its trials in
-        sub-batches sized by :func:`_sub_batch_trials`; the split moves
-        results by summation order only.
+        Grid geometry for the grid path. It runs its trials in sub-batches
+        of up to 100, one tile product wide, fewer on grids where their
+        checkpoints and replayed segment would pass 20 MB
+        (:func:`_sub_batch_trials`); the split moves results by summation
+        order only. Memory grows as ``sqrt(K)`` in the horizon, not as K.
     spec : QuadratureSpec
         Quadrature for the bound values.
 
@@ -939,11 +1022,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         err_f = np.empty_like(states)
         err_s = np.empty_like(states)
         step = _sub_batch_trials(grid.num_points, horizon)
-        # one posterior store for every sub-batch: each writes its posteriors
-        # over the last one's, whose results are gone by then
-        operators = replace(
-            _grid_operators(_grid_axis(model, grid, horizon), model, channel),
-            store=_posterior_store(grid.num_points, horizon, min(step, num_trials)))
+        operators = _grid_operators(_grid_axis(model, grid, horizon), model, channel)
         for start in range(0, num_trials, step):
             trials = slice(start, start + step)
             sub = TrajectoryBatch(seed=seed, num_trials=len(states[trials]), horizon=horizon,

@@ -62,8 +62,10 @@ class QuadratureSpec:
         beyond; from 22 nodes up the result agrees with the default 128 to
         1e-10 at moderate state spreads. Trapezoid accepts 64..1_000_000.
     half_width_sigmas : float
-        Trapezoid integration range, ``mean +- half_width_sigmas * sd``.
-        Must lie in [4, 16]; ignored by Gauss-Hermite.
+        Trapezoid integration range, ``m' +- half_width_sigmas * sqrt(v')``
+        about the Gaussian ``N(m', v')`` that both rules integrate against
+        (see :func:`_quadrature`). Must lie in [4, 16]; ignored by
+        Gauss-Hermite.
     """
 
     rule: QuadratureRule = QuadratureRule.GAUSS_HERMITE
@@ -152,6 +154,12 @@ def _residual_gain(theta, sigma_eta: float):
     return np.divide(2.0 / (np.pi * sigma_eta**2), denominator, out=denominator)
 
 
+def _mirror(n: int) -> np.ndarray:
+    """Index map spreading values at the nonnegative nodes of a symmetric n-node rule over all n."""
+    h = n - n // 2
+    return np.concatenate((np.arange(h - 1, n % 2 - 1, -1), np.arange(h)))
+
+
 @lru_cache(maxsize=None)
 def _hermgauss(n: int):
     """Nodes, weights and mirror map of the n-node Gauss-Hermite rule.
@@ -167,9 +175,24 @@ def _hermgauss(n: int):
         t, w = np.array([line.split() for line in HERMGAUSS_128.split("\n") if line], dtype=float)
     else:
         t, w = np.polynomial.hermite.hermgauss(n)
-    h = n - n // 2
-    mirror = np.concatenate((np.arange(h - 1, n % 2 - 1, -1), np.arange(h)))
-    return t, w, mirror
+    return t, w, _mirror(n)
+
+
+@lru_cache(maxsize=None)
+def _trapezoid(n: int, half_width_sigmas: float):
+    """Nodes, weights and mirror map of the n-node trapezoid rule for ``int g(t) exp(-t^2) dt``.
+
+    The nodes are equally spaced over ``t = +-half_width_sigmas / sqrt(2)``,
+    which the Hermite change of variable ``theta = m' + sqrt(2 v') t`` maps to
+    ``m' +- half_width_sigmas sqrt(v')``; each weight is the trapezoid weight
+    times ``exp(-t^2)``. Node ``i`` is ``a (2 i - (n - 1)) / (n - 1)``, so the
+    rule is exactly symmetric, as Gauss-Hermite's is.
+    """
+    a = half_width_sigmas / math.sqrt(2.0)
+    t = a * (2.0 * np.arange(n) - (n - 1)) / (n - 1)
+    w = np.exp(-t * t) * (2.0 * a / (n - 1))
+    w[[0, -1]] *= 0.5
+    return t, w, _mirror(n)
 
 
 def _raise_nonfinite(nodes: np.ndarray, values: np.ndarray):
@@ -188,9 +211,24 @@ def _raise_nonfinite(nodes: np.ndarray, values: np.ndarray):
     raise QuadratureError("expected_fq: the quadrature sum overflowed.")
 
 
-def _gauss_hermite(means: list[float], variances: list[float], sigma_eta: float,
-                   n: int) -> list[float]:
-    """Gauss-Hermite ``E[F_q]`` for each marginal ``N(means[i], variances[i])``.
+# Integrand values per array evaluation: 512 marginals of the default rule.
+# A horizon-500 bound takes one; a longer bound or a finer rule takes
+# several, so the node arrays stay near 1 MB however many marginals come.
+_VALUES_PER_EVALUATION = 512 * 128
+
+
+def _quadrature(means: list[float], variances: list[float], sigma_eta: float,
+                spec: QuadratureSpec) -> list[float]:
+    """``E[F_q]`` for each marginal ``N(means[i], variances[i])``, under either rule.
+
+    ``F_q`` is a Gaussian factor ``exp(-theta^2 / (2 sigma_eta^2))`` times the
+    slowly varying residual gain. The Gaussian factor is merged into the
+    marginal first, giving ``N(m', v')`` with ``1 / v' = 1 / sigma_eta^2 +
+    1 / variance``, and the residual gain is integrated against it after the
+    change of variable ``theta = m' + sqrt(2 v') t``, by the Gauss-Hermite or
+    the trapezoid rule in ``t``. Sampling the raw product at the marginal's
+    scale would miss the information peak once the state spread greatly
+    exceeds sigma_eta; the merged integrand is smooth at any spread.
 
     All marginals share one array evaluation of the integrand, one row of a
     2-D array each. Each row is then reduced on its own with ``np.dot`` and
@@ -198,13 +236,16 @@ def _gauss_hermite(means: list[float], variances: list[float], sigma_eta: float,
     one-row quadrature of its marginal (a matrix-vector product may round
     differently from row to row).
     """
-    t, w, mirror = _hermgauss(n)
+    if spec.rule is QuadratureRule.GAUSS_HERMITE:
+        t, w, mirror = _hermgauss(spec.nodes)
+    else:
+        t, w, mirror = _trapezoid(spec.nodes, spec.half_width_sigmas)
+    n = spec.nodes
     mean, variance = np.array(means)[:, None], np.array(variances)[:, None]
-    # Merge the Gaussian factor of F_q with the state marginal before
-    # applying the Hermite change of variable; sampling the raw product at
-    # the marginal's scale misses the information peak once the state
-    # spread greatly exceeds sigma_eta.
-    precision = 1.0 / sigma_eta**2 + 1.0 / variance
+    # At a subnormal variance 1 / variance overflows to inf, and the merged
+    # variance, the node scale and the prefactor come out 0, as they should.
+    with np.errstate(over="ignore"):
+        precision = 1.0 / sigma_eta**2 + 1.0 / variance
     v_merged = 1.0 / precision
     m_merged = v_merged * mean / variance
     scale = np.sqrt(2.0 * v_merged)
@@ -227,36 +268,6 @@ def _gauss_hermite(means: list[float], variances: list[float], sigma_eta: float,
         )
         totals.append(prefactor * weighted)
     return totals
-
-
-def _trapezoid(mean: float, variance: float, sigma_eta: float, spec: QuadratureSpec) -> float:
-    """Trapezoid ``E[F_q]`` under ``N(mean, variance)`` on ``mean +- half_width_sigmas * sd``."""
-    sd = math.sqrt(variance)
-    nodes = np.linspace(
-        mean - spec.half_width_sigmas * sd,
-        mean + spec.half_width_sigmas * sd,
-        spec.nodes,
-    )
-    density = np.exp(-0.5 * (nodes - mean) ** 2 / variance) / math.sqrt(
-        2.0 * math.pi * variance
-    )
-    values = fq(nodes, sigma_eta) * density
-    total = float(np.trapezoid(values, nodes))
-    if not math.isfinite(total):
-        _raise_nonfinite(nodes, values)
-    return total
-
-
-# Marginals per array evaluation. A horizon-500 bound takes one; a longer one
-# takes several, so the node arrays stay near 1 MB however long the horizon.
-_ROWS_PER_EVALUATION = 512
-
-
-def _quadrature(means: list[float], variances: list[float], sigma_eta: float,
-                spec: QuadratureSpec) -> list[float]:
-    if spec.rule is QuadratureRule.GAUSS_HERMITE:
-        return _gauss_hermite(means, variances, sigma_eta, spec.nodes)
-    return [_trapezoid(m, v, sigma_eta, spec) for m, v in zip(means, variances)]
 
 
 @lru_cache(maxsize=4096)
@@ -298,12 +309,12 @@ def expected_fq_batch(means, variances, sigma_eta: float,
                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
     """:func:`expected_fq` for many Gaussian marginals in one array quadrature.
 
-    Gauss-Hermite evaluates the integrand of up to 512 marginals in one
-    array operation, on the nonnegative half of the nodes when all their
-    means are zero; the trapezoid rule runs one marginal at a time. Entry
-    ``i`` is bit-identical to ``expected_fq`` under ``N(means[i],
-    variances[i])``. Nothing is memoized: a finite-horizon bound asks for
-    each marginal once.
+    Either rule evaluates the integrand of many marginals in one array
+    operation (512 under the default rule, fewer under a rule with more
+    nodes), on the nonnegative half of the nodes when all their means are
+    zero. Entry ``i`` is bit-identical to ``expected_fq`` under
+    ``N(means[i], variances[i])``. Nothing is memoized: a finite-horizon
+    bound asks for each marginal once.
 
     Parameters
     ----------
@@ -336,8 +347,9 @@ def expected_fq_batch(means, variances, sigma_eta: float,
     if bad.size:
         raise ValueError(f"expected_fq_batch requires finite variances > 0, got {bad[0]}.")
     out = np.empty(means.size)
-    for start in range(0, means.size, _ROWS_PER_EVALUATION):
-        rows = slice(start, start + _ROWS_PER_EVALUATION)
+    step = max(1, _VALUES_PER_EVALUATION // spec.nodes)
+    for start in range(0, means.size, step):
+        rows = slice(start, start + step)
         out[rows] = _quadrature(means[rows].tolist(), variances[rows].tolist(),
                                 float(sigma_eta), spec)
     return out

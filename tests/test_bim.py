@@ -21,7 +21,6 @@ from bitbounds import (
     expected_fq_batch,
     filter_bim_sequence,
     forward_info_step,
-    fq,
     gain_step,
     per_block_fims,
     predict_bim,
@@ -187,28 +186,32 @@ def _expected_fq_oracle(mean, variance, sigma_eta, spec):
     factors from one erfcx, kept verbatim (residual gain included) so the
     batch is checked against an independent copy, not against itself. It
     calls the package's own ``erfcx`` and ``q_function``, so the bits it
-    pins are those of the batching, not of one error-function library.
+    pins are those of the batching, not of one error-function library. The
+    trapezoid rule integrates the same merged integrand as Gauss-Hermite,
+    with equally spaced nodes over ``+-half_width_sigmas / sqrt(2)`` in the
+    Hermite variable and trapezoid weights times ``exp(-t^2)``.
     """
     if spec.rule is QuadratureRule.GAUSS_HERMITE:
         t, w = _hermgauss(spec.nodes)
-        precision = 1.0 / sigma_eta**2 + 1.0 / variance
-        v_merged = 1.0 / precision
-        m_merged = v_merged * mean / variance
-        nodes = m_merged + math.sqrt(2.0 * v_merged) * t
-        u = np.abs(nodes) / sigma_eta
-        values = (1.0 / (np.pi * sigma_eta**2)) / (
-            erfcx(u / math.sqrt(2.0)) * q_function(-u)
-        )
-        weighted = float(np.dot(w, values))
-        prefactor = math.sqrt(v_merged / (math.pi * variance)) * math.exp(
-            -0.5 * mean**2 / (variance + sigma_eta**2)
-        )
-        return prefactor * weighted
-    sd = math.sqrt(variance)
-    nodes = np.linspace(mean - spec.half_width_sigmas * sd, mean + spec.half_width_sigmas * sd,
-                        spec.nodes)
-    density = np.exp(-0.5 * (nodes - mean) ** 2 / variance) / math.sqrt(2.0 * math.pi * variance)
-    return float(np.trapezoid(fq(nodes, sigma_eta) * density, nodes))
+    else:
+        n, a = spec.nodes, spec.half_width_sigmas / math.sqrt(2.0)
+        t = a * (2.0 * np.arange(n) - (n - 1)) / (n - 1)
+        w = np.exp(-t * t) * (2.0 * a / (n - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+    precision = 1.0 / sigma_eta**2 + 1.0 / variance
+    v_merged = 1.0 / precision
+    m_merged = v_merged * mean / variance
+    nodes = m_merged + math.sqrt(2.0 * v_merged) * t
+    u = np.abs(nodes) / sigma_eta
+    values = (1.0 / (np.pi * sigma_eta**2)) / (
+        erfcx(u / math.sqrt(2.0)) * q_function(-u)
+    )
+    weighted = float(np.dot(w, values))
+    prefactor = math.sqrt(v_merged / (math.pi * variance)) * math.exp(
+        -0.5 * mean**2 / (variance + sigma_eta**2)
+    )
+    return prefactor * weighted
 
 
 def _per_block_fims_oracle(model, channel, num_blocks, spec):

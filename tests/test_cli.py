@@ -5,7 +5,9 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from bitbounds import (
     QuadratureError,
@@ -198,6 +200,21 @@ class TestRatios:
         assert [line.split() for line in lines[2:]] == [
             [format_value(getattr(r, name)) for name in columns] for r in reports
         ]
+
+    def test_trapezoid_rule_matches_gauss_hermite_at_high_snr(self, tmp_path):
+        # The trapezoid used to sample the raw marginal and wrote rho_f
+        # -11.26 dB at +30 dB, where Gauss-Hermite gives -8.47.
+        tables = {}
+        for rule in ("gauss_hermite", "trapezoid"):
+            out = tmp_path / f"{rule}.txt"
+            assert main(["ratios", "--rule", rule, "--snr-min-db", "30", "--snr-max-db", "40",
+                         "--snr-step-db", "10", "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            tables[rule] = np.array([line.split() for line in lines[2:]], dtype=float)
+        gh, trapezoid = tables["gauss_hermite"], tables["trapezoid"]
+        assert gh.shape == (2, 8)
+        assert_allclose(trapezoid[:, :4], gh[:, :4], rtol=0.0, atol=1e-9)
+        assert_allclose(trapezoid[:, 4:], gh[:, 4:], rtol=1e-9)
 
     def test_rejects_multiple_alphas(self, tmp_path, capsys):
         out = tmp_path / "ratios.txt"

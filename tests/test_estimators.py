@@ -221,8 +221,9 @@ def _two_pass_filter(batch, model, grid=GridSpec()):
         store[k] = pmf
         means[:, k], variances[:, k] = _oracle_moments(axis, pmf)
     return estimators.GridFilterResult(axis=axis, means=means, variances=variances,
-                                       pmfs=store.transpose(2, 0, 1), batch=batch,
-                                       operators=ops)
+                                       pmfs=store.transpose(2, 0, 1),
+                                       totals=np.ones((batch.horizon + 1, batch.num_trials)),
+                                       batch=batch, operators=ops)
 
 
 def _two_pass_smoother(filtered):
@@ -243,6 +244,29 @@ def _two_pass_smoother(filtered):
         posterior /= posterior.sum(axis=0)
         means[:, l], variances[:, l] = _oracle_moments(filtered.axis, posterior)
     return estimators.GridSmootherResult(means=means, variances=variances)
+
+
+def _replay_work(filtered):
+    """Work buffers for ``estimators._replay``: lik, wide, mask, inverse, floor."""
+    shape = (filtered.axis.size, filtered.batch.num_trials)
+    trials = shape[1]
+    return (np.empty(shape, dtype=np.float32), np.empty(shape), np.empty(shape, dtype=bool),
+            np.empty(trials, dtype=np.float32), np.empty(trials, dtype=np.float32))
+
+
+def _replayed(filtered) -> np.ndarray:
+    """Every block's filtered posterior, (K + 1, n, trials) float32: each segment
+    replayed from its checkpoint one block past its end, into the next
+    checkpoint's block (or block K), with fresh unscaled keys."""
+    k_max = filtered.horizon
+    stride = estimators._checkpoint_stride(k_max)
+    out = np.empty((k_max + 1, filtered.axis.size, filtered.batch.num_trials),
+                   dtype=np.float32)
+    for start in range(0, k_max + 1, stride):
+        keys = filtered.operators.likelihood_keys(filtered.batch.observations)
+        estimators._replay(filtered, keys, start, out[start:min(start + stride, k_max) + 1],
+                           *_replay_work(filtered))
+    return out
 
 
 def _assert_moments_match(result, oracle, rtol: float):
@@ -476,27 +500,55 @@ class TestGridFilter:
         assert_allclose(b.variances, a.variances, atol=1e-7)
 
     def test_pmfs_are_per_trial_float32_posteriors(self):
+        # Horizon 12 keeps every 4th block: blocks 0, 4, 8 and 12.
         m = model_for_snr(0.9, 0.0)
         batch = simulate(m, MeasurementChannel.ONE_BIT, 40, 5, 12)
         res = grid_filter(batch, m, GridSpec(num_points=300))
-        assert res.pmfs.shape == (5, 13, 300)
-        assert res.pmfs.dtype == np.float32 and res.pmfs.nbytes == 5 * 13 * 300 * 4
-        assert_allclose(res.pmfs.sum(axis=2, dtype=float), 1.0, rtol=1e-5)
-        assert_allclose(res.pmfs @ res.axis, res.means, atol=1e-5)
+        assert res.pmfs.shape == (5, 4, 300)
+        assert res.pmfs.dtype == np.float32 and res.pmfs.nbytes == 5 * 4 * 300 * 4
+        assert res.totals.shape == (13, 5) and np.all(res.totals[0] == 1.0)
+        totals = res.totals[::4].T
+        assert_allclose(res.pmfs.sum(axis=2, dtype=float) / totals, 1.0, rtol=1e-5)
+        assert_allclose((res.pmfs @ res.axis) / totals, res.means[:, ::4], atol=1e-5)
 
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
-    def test_matches_the_two_pass_oracle(self, channel):
+    # Horizons 1, 2, 3 and 6 are c - 1, c, c + 1 and 2c for their own
+    # checkpoint stride c; 25 ends on a one-block segment after the
+    # checkpoint at 24, and 60 is no multiple of its stride 8.
+    @pytest.mark.parametrize("horizon", (1, 2, 3, 6, 25, 60))
+    def test_matches_the_two_pass_oracle(self, channel, horizon):
         # Float32 arithmetic with its flush against the float64 two-pass
         # loop: the moments moved by at most 1.7e-7 relative on the default
-        # grid, both channels. Posterior entries above 1e-8 moved by 5.4e-7
-        # relative; the flushed tails by 1.6e-13 absolute.
+        # grid, both channels, over these horizons. Posterior entries above
+        # 1e-8 moved by 6.5e-7 relative; the flushed tails by 1.5e-13
+        # absolute.
         m = model_for_snr(0.999, -10.0)
-        batch = simulate(m, channel, 20260814, 7, 60)
+        batch = simulate(m, channel, 20260814, 7, horizon)
         filtered = grid_filter(batch, m)
         oracle = _two_pass_filter(batch, m)
         _assert_moments_match(filtered, oracle, rtol=1e-5)
-        assert_allclose(filtered.pmfs, oracle.pmfs, rtol=1e-6, atol=1e-12)
+        # every block, normalised: the checkpoints and the replayed blocks
+        stride = estimators._checkpoint_stride(horizon)
+        checkpoints = filtered.pmfs / filtered.totals[::stride].T[:, :, None]
+        assert_allclose(checkpoints, oracle.pmfs[:, ::stride], rtol=1e-6, atol=1e-12)
+        posteriors = _replayed(filtered) / filtered.totals[:, None, :]
+        assert_allclose(posteriors.transpose(2, 0, 1), oracle.pmfs, rtol=1e-6, atol=1e-12)
         _assert_moments_match(grid_smoother(filtered), _two_pass_smoother(oracle), rtol=1e-5)
+
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_replay_continues_into_the_next_checkpoint_bit_for_bit(self, channel):
+        # Each segment replayed one block past its end lands on the next
+        # checkpoint: the replay repeats the filter's step, scaling each key
+        # once. Horizon 60 has stride 8: checkpoints at 0, 8, ..., 56.
+        m = model_for_snr(0.999, -10.0)
+        filtered = grid_filter(simulate(m, channel, 20260814, 7, 60), m, GridSpec(num_points=400))
+        stride = estimators._checkpoint_stride(60)
+        keys = filtered.operators.likelihood_keys(filtered.batch.observations)
+        out = np.empty((stride + 1, 400, 7), dtype=np.float32)
+        assert filtered.pmfs.shape[1] == 8
+        for j in range(1, 8):
+            estimators._replay(filtered, keys, (j - 1) * stride, out, *_replay_work(filtered))
+            assert np.array_equal(out[stride], filtered.pmfs[:, j].T)
 
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
     def test_likelihood_buffer_matches_the_table_gather_exactly(self, channel):
@@ -573,9 +625,20 @@ class TestGridFlush:
         assert np.count_nonzero(oracle.pmfs[:, 0] < 1e-15) == 2 * planted.size * 4
 
         assert _subnormals(filtered.pmfs) == 0
-        assert len(operands) == 2 * batch.horizon and sum(operands) == 0
+        # the filter's K products, the replay's (K less one per segment; 8
+        # segments of stride 8) and the smoother's K
+        assert len(operands) == 3 * batch.horizon - 8 and sum(operands) == 0
         _assert_moments_match(filtered, oracle, rtol=1e-5)
         _assert_moments_match(smoothed, _two_pass_smoother(oracle), rtol=1e-5)
+
+    @pytest.mark.parametrize("snr_db", (0.0, 5.0, 10.0))
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_checkpoints_and_replayed_posteriors_hold_no_subnormal(self, snr_db, channel):
+        # Each posterior is flushed below 2^-50 of its own total, not of 1.
+        m = model_for_snr(0.999, snr_db)
+        filtered = grid_filter(simulate(m, channel, 7, 10, 200), m)
+        assert _subnormals(filtered.pmfs) == 0
+        assert _subnormals(_replayed(filtered)) == 0
 
 
 def _with_observation(batch, trial: int, column: int, value: float):
@@ -614,13 +677,15 @@ class TestGridDegeneracy:
         assert info.value.block == 20
 
     def test_smoother_raises_when_the_smoothed_mass_vanishes(self):
+        # Horizon 40 has stride 7: the checkpoint of block 28 seeds blocks
+        # 28-34, and the backward pass meets block 34 first.
         m, batch = self._batch()
         filtered = grid_filter(batch, m, GridSpec(num_points=200))
-        filtered.pmfs[:, 30] = 0.0
+        filtered.pmfs[:, 4] = 0.0
         with pytest.raises(NumericalDegeneracyError,
                            match="smoothed posterior mass vanished") as info:
             grid_smoother(filtered)
-        assert info.value.block == 30
+        assert info.value.block == 34
 
 
 def _operator_case(alpha: float, step_ratio: float, grid: GridSpec):
@@ -681,7 +746,7 @@ class TestTiledOperator:
     def test_grid_report_matches_the_csr_oracle(self, monkeypatch):
         m = model_for_snr(0.95, 0.0)
         # sub-batches of 5 trials
-        monkeypatch.setattr(estimators, "_POSTERIOR_STORE_BYTES", 5 * 4 * 400 * 81)
+        monkeypatch.setattr(estimators, "_SUB_BATCH_TRIALS", 5)
         kwargs = dict(seed=5, num_trials=12, horizon=80, grid=GridSpec(num_points=400))
         tiled = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", **kwargs)
         build = estimators._grid_operators
@@ -713,30 +778,27 @@ class TestTiledOperator:
 
         monkeypatch.setattr(estimators, "_grid_operators", counted)
         # sub-batches of 3 trials
-        monkeypatch.setattr(estimators, "_POSTERIOR_STORE_BYTES", 3 * 4 * 200 * 41)
+        monkeypatch.setattr(estimators, "_SUB_BATCH_TRIALS", 3)
         monte_carlo_mse(model_for_snr(0.9, 0.0), channel, "grid", seed=3, num_trials=7,
                         horizon=40, grid=GridSpec(num_points=200))
         assert len(builds) == 1
 
-    def test_one_posterior_store_per_call(self, monkeypatch):
-        stores, sub_batches = [], []
-        allocate, run = estimators._posterior_store, estimators.grid_filter
-
-        def counted_store(*args):
-            stores.append(args)
-            return allocate(*args)
+    def test_sub_batches_hold_checkpoints_only(self, monkeypatch):
+        # Horizon 40 has stride 7: each sub-batch's filter keeps blocks 0, 7,
+        # ..., 35, whatever its width.
+        sub_batches = []
+        run = estimators.grid_filter
 
         def counted_filter(batch, *args, **kwargs):
-            sub_batches.append(batch.num_trials)
-            return run(batch, *args, **kwargs)
+            result = run(batch, *args, **kwargs)
+            sub_batches.append(result.pmfs.shape)
+            return result
 
-        monkeypatch.setattr(estimators, "_posterior_store", counted_store)
         monkeypatch.setattr(estimators, "grid_filter", counted_filter)
-        monkeypatch.setattr(estimators, "_POSTERIOR_STORE_BYTES", 7 * 4 * 200 * 41)
+        monkeypatch.setattr(estimators, "_SUB_BATCH_TRIALS", 7)
         monte_carlo_mse(model_for_snr(0.9, 0.0), MeasurementChannel.ONE_BIT, "grid", seed=3,
                         num_trials=30, horizon=40, grid=GridSpec(num_points=200))
-        assert sub_batches == [7, 7, 7, 7, 2]
-        assert stores == [(200, 40, 7)]
+        assert sub_batches == [(7, 6, 200)] * 4 + [(2, 6, 200)]
 
     def test_filter_results_sharing_operators_do_not_alias(self):
         m = model_for_snr(0.9, 0.0)
@@ -876,21 +938,40 @@ class TestMonteCarloMse:
     def test_grid_batching_does_not_change_results(self, monkeypatch):
         m = model_for_snr(0.9, 0.0)
         kwargs = dict(seed=17, num_trials=30, horizon=60, grid=GridSpec(num_points=800))
-        store = 4 * 800 * 61  # bytes of one trial's posteriors
-        monkeypatch.setattr(estimators, "_POSTERIOR_STORE_BYTES", 7 * store)
+        monkeypatch.setattr(estimators, "_SUB_BATCH_TRIALS", 7)
         a = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", **kwargs)
-        monkeypatch.setattr(estimators, "_POSTERIOR_STORE_BYTES", 30 * store)
+        monkeypatch.setattr(estimators, "_SUB_BATCH_TRIALS", 30)
         b = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", **kwargs)
         # the float32 products block by the trial count: 3.3e-8 measured
         assert_allclose(a.filter_mse, b.filter_mse, rtol=1e-6)
         assert_allclose(a.smooth_mse, b.smooth_mse, rtol=1e-6)
 
+    def test_grid_path_memory_is_the_checkpoints_and_one_segment(self):
+        # Horizon 100 has stride 11: 10 checkpoints and an 11-block segment,
+        # 4.2 MB at 50 trials. The traced peak was 1.56 times that; a store
+        # of all 101 posteriors alone would be 4.8 times.
+        m = model_for_snr(0.999, -10.0)
+        kwargs = dict(seed=1, num_trials=50, horizon=100, grid=GridSpec(num_points=1000))
+        kept = 4 * 1000 * 50 * (100 // 11 + 1 + 11)
+        tracemalloc.start()
+        try:
+            monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * kept
+
     def test_sub_batches_are_sized_from_the_grid(self):
-        # The default grid and horizon keep 50 trials per sub-batch (100.2 MB
-        # of float32 posteriors); the largest grid runs one trial at a time.
-        assert estimators._sub_batch_trials(1000, 500) == 50
+        # Horizon 500 has stride 23: 22 checkpoints and a 23-block segment,
+        # 180 kB per trial on the default grid, which runs 100 trials per
+        # sub-batch (18 MB); the largest grid runs one at a time (18 MB).
+        assert estimators._checkpoint_stride(500) == 23
+        assert estimators._sub_batch_trials(1000, 500) == 100
         assert estimators._sub_batch_trials(100_000, 500) == 1
-        assert estimators._sub_batch_trials(1000, 500) * 4 * 1000 * 501 == 100_200_000
+        assert estimators._sub_batch_trials(100_000, 100_000) == 1
+        for points in (1000, 100_000):
+            trials = estimators._sub_batch_trials(points, 500)
+            assert trials * 4 * points * (22 + 23) <= estimators._SUB_BATCH_BYTES
 
 
 class TestMseReportValidation:
