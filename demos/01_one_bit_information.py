@@ -42,14 +42,14 @@ print(f"4 fq(2, 2)           = {4.0 * fq(2.0, 2.0):.12f}")
 print("\nexpected information under N(0, v), sigma_eta = 1")
 print(f"{'v':>10} {'E[F_q]':>14} {'vs peak':>9}")
 for variance in (1e-4, 1e-2, 1.0, 1e2, 1e4):
-    value = expected_fq(StateMoments(0, 0.0, variance), sigma_eta)
+    value = expected_fq(StateMoments(0.0, variance), sigma_eta)
     print(f"{variance:10.0e} {value:14.9f} {value / peak:9.4f}")
 
 # The default 128-node Gauss-Hermite rule and a brute-force trapezoid
 # rule agree to many digits; swap rules freely when cross-checking.
-gh = expected_fq(StateMoments(0, 0.3, 2.0), sigma_eta)
+gh = expected_fq(StateMoments(0.3, 2.0), sigma_eta)
 tz = expected_fq(
-    StateMoments(0, 0.3, 2.0), sigma_eta,
+    StateMoments(0.3, 2.0), sigma_eta,
     QuadratureSpec(rule=QuadratureRule.TRAPEZOID, nodes=20_000, half_width_sigmas=10.0),
 )
 print(f"\nGauss-Hermite        = {gh:.15f}")

@@ -9,7 +9,13 @@ loss?
 """
 import math
 
-from bitbounds import MeasurementChannel, model_for_snr, performance_ratios, steady_lag_gain
+from bitbounds import (
+    MeasurementChannel,
+    model_for_snr,
+    performance_ratios,
+    steady_expected_fim,
+    steady_lag_gain,
+)
 
 # Sweep the SNR (stationary state variance over noise variance, in dB)
 # for a slowly varying state. Three ratios are reported:
@@ -44,6 +50,7 @@ model = model_for_snr(0.999, -10.0)
 full = performance_ratios(model).kappa_q
 print(f"\nsmoothing gain vs lag, alpha = 0.999, snr = -10 dB (limit {full:.4f})")
 print(f"{'lag':>6} {'gain':>10} {'fraction':>9}")
+fim = steady_expected_fim(model, MeasurementChannel.ONE_BIT)
 for lag in (1, 10, 100, 1000, 5000):
-    gain = steady_lag_gain(model, MeasurementChannel.ONE_BIT, lag)
+    gain = steady_lag_gain(model, fim, lag)
     print(f"{lag:6d} {gain:10.4f} {gain / full:9.5f}")

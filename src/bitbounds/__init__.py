@@ -52,7 +52,6 @@ from .qfim import (
     DEFAULT_QUADRATURE,
     QuadratureRule,
     QuadratureSpec,
-    expected_fim,
     expected_fq,
     expected_fq_batch,
     fq,
@@ -91,7 +90,6 @@ __all__ = [
     "SteadyStateReport",
     "TrajectoryBatch",
     "burn_in_blocks",
-    "expected_fim",
     "expected_fq",
     "expected_fq_batch",
     "filter_bim_sequence",

@@ -58,8 +58,6 @@ class BimSequence:
     ----------
     kind : BimKind
         Which recursion produced the sequence.
-    channel : MeasurementChannel
-        Measurement channel the information was computed for.
     values : ndarray, shape (L,)
         ``FILTER``: ``values[k]`` is the information of block ``k`` given
         measurements 1..k. ``PREDICT``: ``values[m]`` is the information of
@@ -71,7 +69,6 @@ class BimSequence:
     """
 
     kind: BimKind
-    channel: MeasurementChannel
     values: np.ndarray
     anchor: int | None = None
 
@@ -122,10 +119,11 @@ def per_block_fims(model: GaussMarkovModel, channel: MeasurementChannel, num_blo
     :func:`~bitbounds.qfim.expected_fq_batch` evaluates every distinct
     ``(mean, variance)`` pair of the call in one array quadrature: once the
     prior's offset from the stationary marginal has decayed below rounding,
-    every later block repeats one pair. The block index does not enter the
-    value, so the array is bit-identical to evaluating every block on its
-    own with :func:`~bitbounds.qfim.expected_fim`.
+    every later block repeats one pair. Each entry is bit-identical to
+    :func:`~bitbounds.qfim.expected_fq` of its block's marginal.
     """
+    if not isinstance(channel, MeasurementChannel):
+        raise TypeError(f"channel must be a MeasurementChannel, got {channel!r}.")
     if num_blocks < 0:
         raise ValueError(f"num_blocks must be nonnegative, got {num_blocks}.")
     if channel is MeasurementChannel.UNQUANTIZED:
@@ -171,7 +169,7 @@ def filter_bim_sequence(model: GaussMarkovModel, channel: MeasurementChannel,
         ``kind`` FILTER, length ``num_blocks + 1``.
     """
     fims = per_block_fims(model, channel, num_blocks, spec)
-    return BimSequence(BimKind.FILTER, channel, filtered_information(model, fims))
+    return BimSequence(BimKind.FILTER, filtered_information(model, fims))
 
 
 def predict_bim(model: GaussMarkovModel, filtered: BimSequence, num_steps: int,
@@ -212,7 +210,7 @@ def predict_bim(model: GaussMarkovModel, filtered: BimSequence, num_steps: int,
     for _ in range(num_steps):
         j = forward_info_step(model, j)
         values.append(j)
-    return BimSequence(BimKind.PREDICT, filtered.channel, values, anchor=anchor)
+    return BimSequence(BimKind.PREDICT, values, anchor=anchor)
 
 
 def smoothing_gain(model: GaussMarkovModel, fims: np.ndarray, anchor: int) -> np.ndarray:
@@ -268,4 +266,4 @@ def smooth_bim_compact(model: GaussMarkovModel, channel: MeasurementChannel, anc
         raise ValueError(f"anchor must be nonnegative, got {anchor}.")
     fims = per_block_fims(model, channel, anchor, spec)
     values = filtered_information(model, fims) + smoothing_gain(model, fims, anchor)
-    return BimSequence(BimKind.SMOOTH, channel, values, anchor=anchor)
+    return BimSequence(BimKind.SMOOTH, values, anchor=anchor)

@@ -26,10 +26,12 @@ to converge.
 Configs are INI files with sections [experiment], [model], [sweep],
 [quadrature], [mc], [output]; ``_KEYS`` declares each key once, with the
 command-line flag that overrides it, and any other section or key exits 1.
-Each experiment reads only the keys in its ``_EXPERIMENTS`` record
-(``half_width_sigmas`` only under the trapezoid rule, ``mu0`` only with a
-numeric ``sigma0``); a key it does not read must keep the experiment's
-default, or the run exits 1. Output files are written atomically (temp
+Each experiment reads only the keys in its ``_EXPERIMENTS`` record; a key it
+does not read must keep the experiment's default, or the run exits 1. The
+two values that depend on another key are checked by the types that own
+them: ``QuadratureSpec`` takes a ``half_width_sigmas`` other than 10 only
+under the trapezoid rule, and ``ExperimentConfig`` a nonzero ``mu0`` only
+with a numeric ``sigma0``. Output files are written atomically (temp
 file, then rename), start with ``# config-hash:`` and ``# columns:`` header
 lines, and format floats with 9 significant digits (scientific notation
 once the decimal exponent reaches 6).
@@ -108,7 +110,8 @@ class ExperimentConfig:
     """Fully resolved run configuration.
 
     ``sigma0 = None`` selects the stationary prior (standard deviation
-    matched to the stationary state distribution at the operating SNR).
+    matched to the stationary state distribution at the operating SNR, mean
+    0), so ``mu0`` must then be 0.
     """
 
     experiment: str
@@ -145,6 +148,9 @@ class ExperimentConfig:
         for name in ("mu0", "snr_min_db", "snr_max_db"):
             if not math.isfinite(getattr(self, name)):
                 raise _UsageError(f"{name} must be finite, got {getattr(self, name)}.")
+        if self.sigma0 is None and self.mu0 != 0.0:
+            raise _UsageError(f"the stationary prior (sigma0 'stationary') has mean 0, "
+                              f"got mu0 {self.mu0}.")
         if not 0.0 < self.snr_step_db < math.inf:
             raise _UsageError(f"snr_step_db must be finite and > 0, got {self.snr_step_db}.")
         # An experiment that does not read snr_max_db evaluates at snr_min_db alone.
@@ -571,9 +577,7 @@ def run_selftest(q_function=None) -> tuple[str, int]:
 
     # The RTS variances do not depend on the data, so one all-zero trial
     # suffices.
-    batch = TrajectoryBatch(seed=0, num_trials=1, horizon=30,
-                            channel=MeasurementChannel.UNQUANTIZED,
-                            states=np.zeros((1, 31)), observations=np.zeros((1, 30)))
+    batch = TrajectoryBatch(MeasurementChannel.UNQUANTIZED, np.zeros((1, 31)), np.zeros((1, 30)))
     worst = 0.0
     for alpha in (0.5, 0.9, 0.99):
         for sigma_z in (0.5, 1.0, 2.0):
@@ -657,19 +661,12 @@ def _check_reads(config: ExperimentConfig) -> None:
     """Reject a key the experiment does not read unless it holds the default."""
     record = _EXPERIMENTS[config.experiment]
     default = default_config(config.experiment)
-    unread = {key.field: "" for key in _KEYS if key.field not in record.reads}
-    if config.quadrature.rule is not QuadratureRule.TRAPEZOID:
-        unread.setdefault("half_width_sigmas", " under the Gauss-Hermite rule")
-    if config.sigma0 is None:
-        unread.setdefault("mu0", " under the stationary prior")
     for key in _KEYS:
-        if key.field in unread:
+        if key.field not in record.reads:
             value, fixed = (key.format(_value(c, key)) for c in (config, default))
             if value != fixed:
-                raise _UsageError(
-                    f"{config.experiment} does not read {key.flag} ([{key.section}] {key.key})"
-                    f"{unread[key.field]}; leave it at {fixed}."
-                )
+                raise _UsageError(f"{config.experiment} does not read {key.flag} "
+                                  f"([{key.section}] {key.key}); leave it at {fixed}.")
     if record.one_alpha and len(config.alphas) != 1:
         raise _UsageError(f"{config.experiment} expects exactly one alpha.")
 

@@ -70,15 +70,12 @@ class GaussMarkovModel:
 
 @dataclass(frozen=True)
 class StateMoments:
-    """Marginal mean and variance of ``theta_k`` at one block index."""
+    """Marginal mean and variance of the state at one block."""
 
-    block_index: int
     mean: float
     variance: float
 
     def __post_init__(self):
-        if self.block_index < 0:
-            raise ValueError(f"StateMoments requires block_index >= 0, got {self.block_index}.")
         if not self.variance > 0.0:
             raise ValueError(f"StateMoments requires variance > 0, got {self.variance}.")
 
@@ -171,7 +168,7 @@ def state_moments(model: GaussMarkovModel, k: int) -> StateMoments:
     if k < 0:
         raise ValueError(f"state_moments requires k >= 0, got {k}.")
     ((mean, variance),) = marginal_moments(model, (k,))
-    return StateMoments(block_index=k, mean=mean, variance=variance)
+    return StateMoments(mean, variance)
 
 
 def stationary_variance(model: GaussMarkovModel) -> float:

@@ -75,51 +75,43 @@ class TrajectoryBatch:
 
     Parameters
     ----------
-    seed : int
-        Root seed in ``[0, 2^64)``; see the module docstring for the
-        per-trial substream derivation.
-    num_trials : int
-        Number of independent trajectories, at least 1.
-    horizon : int
-        Number of measured blocks K; states carry one extra column for
-        block 0.
     channel : MeasurementChannel
     states : ndarray, shape (num_trials, horizon + 1)
-        ``states[:, k]`` is ``theta_k``.
+        ``states[:, k]`` is ``theta_k``; at least one trial and one
+        measured block.
     observations : ndarray, shape (num_trials, horizon)
         ``observations[:, k - 1]`` is the measurement of block k; values
         are in {-1, +1} for the one-bit channel.
     """
 
-    seed: int
-    num_trials: int
-    horizon: int
     channel: MeasurementChannel
     states: np.ndarray
     observations: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}.")
-        if self.num_trials < 1:
-            raise ValueError(f"num_trials must be >= 1, got {self.num_trials}.")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}.")
+        if not isinstance(self.channel, MeasurementChannel):
+            raise TypeError(f"channel must be a MeasurementChannel, got {self.channel!r}.")
         states = np.asarray(self.states, dtype=float)
         observations = np.asarray(self.observations, dtype=float)
-        if states.shape != (self.num_trials, self.horizon + 1):
-            raise ValueError(
-                f"states must have shape {(self.num_trials, self.horizon + 1)}, got {states.shape}."
-            )
-        if observations.shape != (self.num_trials, self.horizon):
-            raise ValueError(
-                f"observations must have shape {(self.num_trials, self.horizon)}, "
-                f"got {observations.shape}."
-            )
+        if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] < 2:
+            raise ValueError(f"states must have shape (num_trials, horizon + 1) with "
+                             f"num_trials >= 1 and horizon >= 1, got {states.shape}.")
+        expected = (states.shape[0], states.shape[1] - 1)
+        if observations.shape != expected:
+            raise ValueError(f"observations must have shape {expected}, got {observations.shape}.")
         if self.channel is MeasurementChannel.ONE_BIT and not np.all(np.abs(observations) == 1.0):
             raise ValueError("one-bit observations must take values in {-1, +1}.")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "observations", observations)
+
+    @property
+    def num_trials(self) -> int:
+        return self.states.shape[0]
+
+    @property
+    def horizon(self) -> int:
+        """Number of measured blocks K."""
+        return self.observations.shape[1]
 
 
 @dataclass(frozen=True)
@@ -318,8 +310,7 @@ def simulate(model: GaussMarkovModel, channel: MeasurementChannel, seed: int,
         observations = np.where(raw >= 0.0, 1.0, -1.0)
     else:
         observations = raw
-    return TrajectoryBatch(seed=seed, num_trials=num_trials, horizon=horizon,
-                           channel=channel, states=states, observations=observations)
+    return TrajectoryBatch(channel, states, observations)
 
 
 def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResult:
@@ -992,7 +983,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     """
     if estimator not in ("kalman", "grid"):
         raise ValueError(f"estimator must be 'kalman' or 'grid', got {estimator!r}.")
-    if estimator == "kalman" and channel is not MeasurementChannel.UNQUANTIZED:
+    if estimator == "kalman" and channel is MeasurementChannel.ONE_BIT:
         raise ValueError("the kalman estimator requires the unquantized channel.")
     if estimator == "grid" and lag != 0:
         raise ValueError(f"the grid estimator smooths over the whole interval; got lag {lag}.")
@@ -1013,7 +1004,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         err_f = (filtered.means - states) ** 2
         err_s = (smoothed.means - states[:, : horizon - lag + 1]) ** 2
         smooth_bounds = 1.0 / (filter_info[: horizon - lag + 1] + _lagged_gains(model, fims, lag))
-        steady_smooth_bound = 1.0 / (steady_j + steady_lag_gain(model, channel, lag, spec))
+        steady_smooth_bound = 1.0 / (steady_j + steady_lag_gain(model, steady_fim, lag))
         smooth_lo, smooth_hi = burn, horizon - lag
         report_lag: int | None = lag
     else:
@@ -1025,9 +1016,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         operators = _grid_operators(_grid_axis(model, grid, horizon), model, channel)
         for start in range(0, num_trials, step):
             trials = slice(start, start + step)
-            sub = TrajectoryBatch(seed=seed, num_trials=len(states[trials]), horizon=horizon,
-                                  channel=channel, states=states[trials],
-                                  observations=batch.observations[trials])
+            sub = TrajectoryBatch(channel, states[trials], batch.observations[trials])
             gf = grid_filter(sub, model, grid, operators=operators)
             gs = grid_smoother(gf)
             err_f[trials] = (gf.means - sub.states) ** 2

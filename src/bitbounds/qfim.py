@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _erf
 from ._tables import HERMGAUSS_128
-from .core import MeasurementChannel, StateMoments
+from .core import StateMoments
 from .exceptions import QuadratureError
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "fq",
     "expected_fq",
     "expected_fq_batch",
-    "expected_fim",
 ]
 
 
@@ -64,8 +63,8 @@ class QuadratureSpec:
     half_width_sigmas : float
         Trapezoid integration range, ``m' +- half_width_sigmas * sqrt(v')``
         about the Gaussian ``N(m', v')`` that both rules integrate against
-        (see :func:`_quadrature`). Must lie in [4, 16]; ignored by
-        Gauss-Hermite.
+        (see :func:`_quadrature`). Must lie in [4, 16]. Gauss-Hermite has
+        no range to set, so it takes only the default 10.
     """
 
     rule: QuadratureRule = QuadratureRule.GAUSS_HERMITE
@@ -76,6 +75,9 @@ class QuadratureSpec:
         if self.rule is QuadratureRule.GAUSS_HERMITE:
             if not 16 <= self.nodes <= 370:
                 raise ValueError(f"Gauss-Hermite nodes must be in [16, 370], got {self.nodes}.")
+            if self.half_width_sigmas != 10.0:
+                raise ValueError(f"half_width_sigmas is a trapezoid setting; Gauss-Hermite "
+                                 f"takes only 10, got {self.half_width_sigmas}.")
         else:
             if not 64 <= self.nodes <= 1_000_000:
                 raise ValueError(f"Trapezoid nodes must be in [64, 1e6], got {self.nodes}.")
@@ -283,7 +285,7 @@ def expected_fq(moments: StateMoments, sigma_eta: float,
     Computes ``E[F_q(theta)]`` for ``theta ~ N(moments.mean,
     moments.variance)``: the one-marginal case of :func:`expected_fq_batch`,
     run as a one-row batch. Results are memoized on (mean, variance,
-    sigma_eta, spec); the block index plays no role in the value.
+    sigma_eta, spec).
 
     Parameters
     ----------
@@ -353,18 +355,3 @@ def expected_fq_batch(means, variances, sigma_eta: float,
         out[rows] = _quadrature(means[rows].tolist(), variances[rows].tolist(),
                                 float(sigma_eta), spec)
     return out
-
-
-def expected_fim(channel: MeasurementChannel, moments: StateMoments, sigma_eta: float,
-                 spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Expected per-block measurement information for either channel.
-
-    The unquantized channel contributes the constant ``1 / sigma_eta^2``;
-    the one-bit channel contributes ``expected_fq`` under the block's
-    state marginal.
-    """
-    if channel is MeasurementChannel.UNQUANTIZED:
-        if not sigma_eta > 0.0:
-            raise ValueError(f"expected_fim requires sigma_eta > 0, got {sigma_eta}.")
-        return 1.0 / sigma_eta**2
-    return expected_fq(moments, sigma_eta, spec)

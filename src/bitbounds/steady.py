@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .core import GaussMarkovModel, MeasurementChannel, StateMoments, stationary_variance
-from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fim
+from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fq
 
 __all__ = [
     "SteadyStateReport",
@@ -113,10 +113,11 @@ def steady_expected_fim(model: GaussMarkovModel, channel: MeasurementChannel,
     unquantized channel this is the constant ``1 / sigma_eta^2`` and the
     stationarity requirement is waived.
     """
+    if not isinstance(channel, MeasurementChannel):
+        raise TypeError(f"channel must be a MeasurementChannel, got {channel!r}.")
     if channel is MeasurementChannel.UNQUANTIZED:
         return 1.0 / model.sigma_eta**2
-    moments = StateMoments(block_index=0, mean=0.0, variance=stationary_variance(model))
-    return expected_fim(channel, moments, model.sigma_eta, spec)
+    return expected_fq(StateMoments(0.0, stationary_variance(model)), model.sigma_eta, spec)
 
 
 def _quadratic(model: GaussMarkovModel, fim: float) -> tuple[float, float, float, float]:
@@ -143,17 +144,17 @@ def quadratic_gain_root(model: GaussMarkovModel, fim: float) -> float:
     return 2.0 * c / (b + root)
 
 
-def steady_lag_gain(model: GaussMarkovModel, channel: MeasurementChannel, lag: int,
-                    spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def steady_lag_gain(model: GaussMarkovModel, fim: float, lag: int) -> float:
     """Steady smoothing gain of a finite lag, in closed form.
 
     The information a lag-``lag`` smoother adds over the steady filter:
     ``lag`` backward gain steps from 0 with the steady expected measurement
-    information ``f``. The step ``kappa <- alpha^2 s (f + kappa) / (s + f +
-    kappa)`` is a Moebius map with the fixed points ``p`` (the root of
-    :func:`quadratic_gain_root`) and ``q = -(B + sqrt(B^2 + 4C)) / 2``, so
-    ``(kappa - p) / (kappa - q)`` shrinks by ``k = (q + s + f) / (p + s + f)``
-    per step. From ``kappa = 0`` that gives
+    information ``f = fim`` (:func:`steady_expected_fim`). The step
+    ``kappa <- alpha^2 s (f + kappa) / (s + f + kappa)`` is a Moebius map
+    with the fixed points ``p`` (the root of :func:`quadratic_gain_root`)
+    and ``q = -(B + sqrt(B^2 + 4C)) / 2``, so ``(kappa - p) / (kappa - q)``
+    shrinks by ``k = (q + s + f) / (p + s + f)`` per step. From
+    ``kappa = 0`` that gives
     ``p (1 - k^lag) / (1 - k^lag p / q)``, with ``1 - k^lag`` taken from
     ``expm1`` and ``log1p`` of ``k - 1 = -(p - q) / (p + s + f)``. Increases
     monotonically in ``lag`` toward ``p``; 0 at ``lag = 0`` and when
@@ -161,7 +162,6 @@ def steady_lag_gain(model: GaussMarkovModel, channel: MeasurementChannel, lag: i
     """
     if lag < 0:
         raise ValueError(f"steady_lag_gain requires lag >= 0, got {lag}.")
-    fim = steady_expected_fim(model, channel, spec)
     s, b, c, root = _quadratic(model, fim)
     if lag == 0 or c == 0.0:
         return 0.0

@@ -241,12 +241,12 @@ def test_criterion_6_quadrature_robustness(acceptance_report):
     worst = 0.0
     finite_ok = True
     for variance in (1e-4, 1e-2, 1.0, 1e2, 1e4):
-        a = expected_fq(StateMoments(0, 0.0, variance), sigma_eta, gh)
-        b = expected_fq(StateMoments(0, 0.0, variance), sigma_eta, oracle)
+        a = expected_fq(StateMoments(0.0, variance), sigma_eta, gh)
+        b = expected_fq(StateMoments(0.0, variance), sigma_eta, oracle)
         worst = max(worst, abs(a - b) / b)
         for mean in (0.0, math.sqrt(variance), 3.0 * math.sqrt(variance)):
             for spec in (gh, oracle):
-                value = expected_fq(StateMoments(0, mean, variance), sigma_eta, spec)
+                value = expected_fq(StateMoments(mean, variance), sigma_eta, spec)
                 finite_ok &= math.isfinite(value) and value > 0.0
     agreement_ok = worst <= 1e-8
     _record(

@@ -77,13 +77,9 @@ class TestRecursionSteps:
 
 
 class TestStateMoments:
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            StateMoments(block_index=-1, mean=0.0, variance=1.0)
-
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
-            StateMoments(block_index=0, mean=0.0, variance=0.0)
+            StateMoments(mean=0.0, variance=0.0)
 
 
 class TestMarginalMoments:

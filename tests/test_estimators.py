@@ -13,6 +13,7 @@ from bitbounds import (
     MeasurementChannel,
     MseReport,
     NumericalDegeneracyError,
+    TrajectoryBatch,
     burn_in_blocks,
     filter_bim_sequence,
     grid_filter,
@@ -331,6 +332,36 @@ class TestSimulate:
             simulate(_model(), MeasurementChannel.UNQUANTIZED, 7, 4, 0)
 
 
+class TestTrajectoryBatch:
+    def test_trials_and_horizon_come_from_the_shapes(self):
+        batch = TrajectoryBatch(MeasurementChannel.UNQUANTIZED, np.zeros((3, 6)), np.zeros((3, 5)))
+        assert (batch.num_trials, batch.horizon) == (3, 5)
+        batch = simulate(_model(), MeasurementChannel.ONE_BIT, 7, 4, 20)
+        assert (batch.num_trials, batch.horizon) == (4, 20)
+
+    @pytest.mark.parametrize("states_shape,observations_shape", [
+        ((3, 6), (3, 6)),  # one observation per state: block 0 has none
+        ((3, 6), (3, 4)),
+        ((3, 6), (2, 5)),
+        ((3, 6), (5,)),
+        ((6,), (5,)),  # no trial axis
+        ((0, 6), (0, 5)),  # no trial
+        ((3, 1), (3, 0)),  # no measured block
+    ])
+    def test_rejects_mismatched_shapes(self, states_shape, observations_shape):
+        with pytest.raises(ValueError):
+            TrajectoryBatch(MeasurementChannel.UNQUANTIZED, np.zeros(states_shape),
+                            np.zeros(observations_shape))
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, -2.0, math.nan])
+    def test_one_bit_observations_must_be_signs(self, value):
+        observations = np.ones((2, 4))
+        observations[1, 2] = value
+        TrajectoryBatch(MeasurementChannel.UNQUANTIZED, np.zeros((2, 5)), observations)
+        with pytest.raises(ValueError, match="one-bit"):
+            TrajectoryBatch(MeasurementChannel.ONE_BIT, np.zeros((2, 5)), observations)
+
+
 class TestKalmanFilter:
     def test_variances_invert_filter_information(self):
         # Linear-Gaussian duality: posterior variance is the inverse of the
@@ -453,9 +484,10 @@ class TestRtsSmoother:
         # Information form (steady root plus lag gain steps) against the
         # covariance-form backward loop, lag by lag.
         m = model_for_snr(alpha, snr_db)
-        j = quadratic_filter_root(m, steady_expected_fim(m, MeasurementChannel.UNQUANTIZED))
+        f = steady_expected_fim(m, MeasurementChannel.UNQUANTIZED)
+        j = quadratic_filter_root(m, f)
         for lag in (0, 1, 10, 100, 1000):
-            gain = steady_lag_gain(m, MeasurementChannel.UNQUANTIZED, lag)
+            gain = steady_lag_gain(m, f, lag)
             assert_allclose(_lagged_rts_variance(m, lag) * (j + gain), 1.0, rtol=1e-12)
 
 
@@ -489,10 +521,7 @@ class TestGridFilter:
         # flip the posterior means.
         m = model_for_snr(0.9, 0.0)
         batch = simulate(m, MeasurementChannel.ONE_BIT, 40, 4, 15)
-        flipped = batch.__class__(
-            seed=batch.seed, num_trials=4, horizon=15, channel=batch.channel,
-            states=batch.states, observations=-batch.observations,
-        )
+        flipped = TrajectoryBatch(batch.channel, batch.states, -batch.observations)
         a = grid_filter(batch, m)
         b = grid_filter(flipped, m)
         # float32 arithmetic rounds the mirrored grids apart: 6.4e-9 measured

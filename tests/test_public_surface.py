@@ -1,4 +1,4 @@
-"""The package's documented surface: exported names and the README example."""
+"""The package's documented surface: exported names, argument types and the README example."""
 import contextlib
 import importlib
 import io
@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bitbounds
@@ -23,6 +24,33 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing
+
+
+_MODEL = bitbounds.model_for_snr(0.9, 0.0)
+# Every public path whose result depends on the channel, with small sizes.
+_CHANNEL_CALLS = {
+    "simulate": lambda channel: bitbounds.simulate(_MODEL, channel, 1, 2, 5),
+    "monte_carlo_mse grid": lambda channel: bitbounds.monte_carlo_mse(
+        _MODEL, channel, "grid", 1, 20, 60, grid=bitbounds.GridSpec(num_points=200)),
+    "monte_carlo_mse kalman": lambda channel: bitbounds.monte_carlo_mse(
+        _MODEL, channel, "kalman", 1, 20, 60),
+    "per_block_fims": lambda channel: bitbounds.per_block_fims(_MODEL, channel, 3),
+    "filter_bim_sequence": lambda channel: bitbounds.filter_bim_sequence(_MODEL, channel, 3),
+    "smooth_bim_compact": lambda channel: bitbounds.smooth_bim_compact(_MODEL, channel, 3),
+    "steady_expected_fim": lambda channel: bitbounds.steady_expected_fim(_MODEL, channel),
+    "TrajectoryBatch": lambda channel: bitbounds.TrajectoryBatch(
+        channel, np.zeros((1, 3)), np.ones((1, 2))),
+}
+
+
+@pytest.mark.parametrize("channel", ["one_bit", "unquantized"])
+@pytest.mark.parametrize("entry", list(_CHANNEL_CALLS))
+def test_a_channel_name_is_not_a_channel(entry, channel):
+    # A string once fell into the unquantized branch of simulate and the
+    # one-bit branch of per_block_fims, pairing data and bounds of
+    # different channels without an error.
+    with pytest.raises(TypeError, match="MeasurementChannel"):
+        _CHANNEL_CALLS[entry](channel)
 
 
 def test_readme_library_example_prints_its_stated_values():
@@ -64,7 +92,7 @@ def test_import_leaves_out_scipy_signal_and_stats():
     # default Gauss-Hermite rule is frozen, so numpy.polynomial loads only
     # for another node count, not even at the first default quadrature.
     code = ("import sys, bitbounds, bitbounds.cli; "
-            "bitbounds.expected_fq(bitbounds.StateMoments(0, 0.0, 1.0), 1.0); "
+            "bitbounds.expected_fq(bitbounds.StateMoments(0.0, 1.0), 1.0); "
             "print(' '.join(m for m in sys.modules if m.startswith('scipy') "
             "or m.startswith('numpy.polynomial')))")
     env = dict(os.environ)

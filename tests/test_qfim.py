@@ -12,11 +12,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bitbounds import (
-    MeasurementChannel,
     QuadratureRule,
     QuadratureSpec,
     StateMoments,
-    expected_fim,
     expected_fq,
     expected_fq_batch,
     fq,
@@ -104,15 +102,18 @@ class TestQuadratureSpec:
         # beyond; 370 is the largest count whose weights are all positive.
         spec = QuadratureSpec(rule=QuadratureRule.GAUSS_HERMITE, nodes=370)
         for mean, variance, sigma_eta in [(0.0, 1.0, 1.0), (0.7, 25.0, 1.0), (-2.0, 0.3, 0.5)]:
-            mom = StateMoments(0, mean, variance)
+            mom = StateMoments(mean, variance)
             assert_allclose(expected_fq(mom, sigma_eta, spec), expected_fq(mom, sigma_eta),
                             rtol=1e-10)
 
     def test_rejects_tiny_trapezoid_grid(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rule=QuadratureRule.TRAPEZOID, nodes=32)
+        spec = QuadratureSpec(rule=QuadratureRule.TRAPEZOID, half_width_sigmas=8.0)
+        assert spec.half_width_sigmas == 8.0
 
-    @pytest.mark.parametrize("hw", [2.0, 20.0])
+    # 8 is in range, but Gauss-Hermite has no integration range to set
+    @pytest.mark.parametrize("hw", [2.0, 20.0, 8.0])
     def test_rejects_half_width_out_of_range(self, hw):
         with pytest.raises(ValueError):
             QuadratureSpec(half_width_sigmas=hw)
@@ -121,7 +122,7 @@ class TestQuadratureSpec:
 class TestExpectedInformation:
     @pytest.mark.parametrize("mean,variance,sigma_eta,truth", EXPECTED_FQ_TABLE)
     def test_frozen_oracles(self, mean, variance, sigma_eta, truth):
-        got = expected_fq(StateMoments(0, mean, variance), sigma_eta)
+        got = expected_fq(StateMoments(mean, variance), sigma_eta)
         assert_allclose(got, truth, rtol=1e-12)
 
     def test_never_exceeds_peak(self):
@@ -130,33 +131,24 @@ class TestExpectedInformation:
 
     def test_symmetric_in_mean(self):
         spec = QuadratureSpec()
-        plus = expected_fq(StateMoments(0, 1.4, 2.0), 1.0, spec)
-        minus = expected_fq(StateMoments(0, -1.4, 2.0), 1.0, spec)
+        plus = expected_fq(StateMoments(1.4, 2.0), 1.0, spec)
+        minus = expected_fq(StateMoments(-1.4, 2.0), 1.0, spec)
         assert_allclose(plus, minus, rtol=1e-13)
 
     def test_concentrated_marginal_recovers_pointwise_value(self):
-        got = expected_fq(StateMoments(0, 0.8, 1e-12), 1.0)
+        got = expected_fq(StateMoments(0.8, 1e-12), 1.0)
         assert_allclose(got, fq(0.8, 1.0), rtol=1e-6)
 
     def test_repeated_calls_are_stable(self):
-        mom = StateMoments(0, 0.3, 2.5)
+        mom = StateMoments(0.3, 2.5)
         assert expected_fq(mom, 1.0) == expected_fq(mom, 1.0)
-
-    def test_unquantized_channel_is_noise_precision(self):
-        mom = StateMoments(0, 0.0, 123.0)
-        assert expected_fim(MeasurementChannel.UNQUANTIZED, mom, 2.0) == 0.25
-
-    def test_one_bit_channel_dispatches_to_quadrature(self):
-        mom = StateMoments(0, 0.0, 1.0)
-        got = expected_fim(MeasurementChannel.ONE_BIT, mom, 1.0)
-        assert_allclose(got, 0.48053795807491033, rtol=1e-12)
 
     def test_subnormal_variance_is_silent(self):
         # 1 / 5e-324 overflows to inf; the merged variance, and with it the
         # value, is then exactly 0, with no overflow warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert expected_fq(StateMoments(0, 0.0, 5e-324), 0.7) == 0.0
+            assert expected_fq(StateMoments(0.0, 5e-324), 0.7) == 0.0
             assert expected_fq_batch([0.0, 1e-170], [5e-324, 5e-324], 0.7).tolist() == [0.0, 0.0]
 
 
@@ -168,7 +160,7 @@ class TestQuadratureAgreement:
 
     @pytest.mark.parametrize("variance", [1e-4, 1e-2, 1.0, 1e2, 1e4])
     def test_rules_agree_across_variance_ratios(self, variance):
-        mom = StateMoments(0, 0.0, variance)
+        mom = StateMoments(0.0, variance)
         gh = expected_fq(mom, 1.0, QuadratureSpec())
         trap = expected_fq(mom, 1.0, self.TRAPEZOID)
         assert np.isfinite(gh) and np.isfinite(trap)
@@ -176,7 +168,7 @@ class TestQuadratureAgreement:
 
     @pytest.mark.parametrize("variance", [1e-4, 1.0, 1e4])
     def test_agreement_survives_offset_means(self, variance):
-        mom = StateMoments(0, 3.0 * math.sqrt(variance), variance)
+        mom = StateMoments(3.0 * math.sqrt(variance), variance)
         gh = expected_fq(mom, 1.0, QuadratureSpec())
         trap = expected_fq(mom, 1.0, self.TRAPEZOID)
         assert_allclose(gh, trap, rtol=1e-7)
@@ -202,7 +194,7 @@ class TestQuadratureAgreement:
 
     def test_node_count_already_converged(self):
         # Halving the default node count must not move the result.
-        mom = StateMoments(0, 0.0, 1e2)
+        mom = StateMoments(0.0, 1e2)
         full = expected_fq(mom, 1.0, QuadratureSpec(nodes=128))
         half = expected_fq(mom, 1.0, QuadratureSpec(nodes=64))
         assert_allclose(full, half, rtol=1e-10)
@@ -221,7 +213,7 @@ class TestQuadratureFailure:
     def test_nan_mean_raises_with_its_node(self, rule):
         _, spec = self.RULES[rule]
         with pytest.raises(QuadratureError) as err:
-            expected_fq(StateMoments(0, float("nan"), 1.0), 1.0, spec)
+            expected_fq(StateMoments(float("nan"), 1.0), 1.0, spec)
         assert math.isnan(err.value.node)
 
     @pytest.mark.parametrize("rule", list(QuadratureRule))
@@ -239,7 +231,7 @@ class TestQuadratureFailure:
         monkeypatch.setattr(qfim, name, one_infinite)
         # moments no other test uses, so no cached value hides the integrand
         with pytest.raises(QuadratureError) as err:
-            expected_fq(StateMoments(0, 0.3173, 2.0417), 1.0, spec)
+            expected_fq(StateMoments(0.3173, 2.0417), 1.0, spec)
         assert err.value.node == seen[0]
 
     @pytest.mark.parametrize("rule", list(QuadratureRule))
@@ -285,7 +277,7 @@ class TestQuadratureFailure:
         biggest = np.finfo(float).max
         monkeypatch.setattr(qfim, name, lambda theta, sigma_eta: np.full(np.shape(theta), biggest))
         with pytest.raises(QuadratureError) as err:
-            expected_fq(StateMoments(0, 0.0, 0.30017), 1.0, spec)
+            expected_fq(StateMoments(0.0, 0.30017), 1.0, spec)
         assert err.value.node is None
 
 
@@ -297,7 +289,7 @@ class TestBatch:
         got = expected_fq_batch(means, variances, 0.7, spec)
         assert got.shape == (4,)
         for value, mean, variance in zip(got, means, variances):
-            assert value == expected_fq(StateMoments(0, mean, variance), 0.7, spec)
+            assert value == expected_fq(StateMoments(mean, variance), 0.7, spec)
 
     def test_empty_batch(self):
         assert expected_fq_batch([], [], 1.0).shape == (0,)

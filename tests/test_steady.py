@@ -183,7 +183,7 @@ LAG_GAIN_ALPHAS = (0.0, 1e-30, 1e-3, 0.5, -0.5, -0.999, 0.9, 0.999, 0.99999, 1.0
 class TestLagGain:
     def test_zero_lag_is_zero(self):
         m = model_for_snr(0.999, -10.0)
-        assert steady_lag_gain(m, MeasurementChannel.UNQUANTIZED, 0) == 0.0
+        assert steady_lag_gain(m, 1.0, 0) == 0.0
 
     @pytest.mark.parametrize("alpha", LAG_GAIN_ALPHAS)
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
@@ -194,7 +194,7 @@ class TestLagGain:
             loop = [0.0]
             for _ in range(1000):
                 loop.append(gain_step(m, loop[-1], fim))
-            closed = [steady_lag_gain(m, channel, lag) for lag in range(1001)]
+            closed = [steady_lag_gain(m, fim, lag) for lag in range(1001)]
             assert_allclose(closed, loop, rtol=1e-12, atol=0, err_msg=f"snr {snr_db} dB")
 
     def test_single_lag_closed_form(self):
@@ -202,13 +202,14 @@ class TestLagGain:
         f = steady_expected_fim(m, MeasurementChannel.UNQUANTIZED)
         s = 1.0 / m.sigma_z**2
         a2s = m.alpha**2 * s
-        assert_allclose(steady_lag_gain(m, MeasurementChannel.UNQUANTIZED, 1),
+        assert_allclose(steady_lag_gain(m, f, 1),
                         a2s * f / (s + f), rtol=1e-14)
 
     def test_monotone_toward_fixed_point(self):
         m = model_for_snr(0.999, -10.0)
-        kappa = quadratic_gain_root(m, steady_expected_fim(m, MeasurementChannel.ONE_BIT))
-        gains = [steady_lag_gain(m, MeasurementChannel.ONE_BIT, lag)
+        f = steady_expected_fim(m, MeasurementChannel.ONE_BIT)
+        kappa = quadratic_gain_root(m, f)
+        gains = [steady_lag_gain(m, f, lag)
                  for lag in (0, 1, 2, 5, 20, 100, 1000)]
         assert all(a < b for a, b in zip(gains, gains[1:]))
         assert gains[-1] < kappa
@@ -217,7 +218,7 @@ class TestLagGain:
     def test_rejects_negative_lag(self):
         m = model_for_snr(0.999, -10.0)
         with pytest.raises(ValueError):
-            steady_lag_gain(m, MeasurementChannel.UNQUANTIZED, -1)
+            steady_lag_gain(m, 1.0, -1)
 
 
 _PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None, database=None,
