@@ -29,11 +29,24 @@ This module provides:
   ``scipy.signal.lfilter`` (the tests' oracle) without importing it.
 
 Randomness contract: trial ``i`` draws from ``default_rng`` seeded with the
-``i``-th child of ``numpy.random.SeedSequence(seed)``; within a trial a
-single standard-normal vector of length ``2 * horizon + 1`` is drawn and
-split as ``[theta_0 draw, z_1..z_K, eta_1..eta_K]``. Batches are therefore
-bit-reproducible from ``seed`` alone, and every reduction below runs in
-fixed trial order so repeated runs agree to the last bit.
+``i``-th child of ``numpy.random.SeedSequence(seed)``; within a trial the
+standard-normal stream ``[theta_0 draw, z_1..z_K, eta_1..eta_K]`` of length
+``2 * horizon + 1`` is drawn in two calls, the first ``horizon + 1`` values
+straight into the trial's row of states and the last ``horizon`` into its
+row of observations. Two calls on one generator draw the values of one
+call, so the stream is that of a single vector of that length. Batches are
+therefore bit-reproducible from ``seed`` alone, and every reduction below
+runs in fixed trial order so repeated runs agree to the last bit.
+
+On the Kalman path :func:`monte_carlo_mse` holds at most three full
+``(trials, K + 1)`` arrays at once: the states and observations while the
+filter writes its means, then the states and the filtered and smoothed
+means, whose buffers take the squared errors. The simulator's state
+recursion, the Kalman filter and the RTS smoother run block-major, each
+block one contiguous row over all trials, on chunks of ``_CHUNK_BLOCKS``
+blocks copied out of and back into the trial-major arrays; the smoother
+keeps its backward corrections in a ring of at most ``lag`` plus two
+chunks of rows.
 """
 
 from __future__ import annotations
@@ -99,8 +112,11 @@ class TrajectoryBatch:
         expected = (states.shape[0], states.shape[1] - 1)
         if observations.shape != expected:
             raise ValueError(f"observations must have shape {expected}, got {observations.shape}.")
-        if self.channel is MeasurementChannel.ONE_BIT and not np.all(np.abs(observations) == 1.0):
-            raise ValueError("one-bit observations must take values in {-1, +1}.")
+        if self.channel is MeasurementChannel.ONE_BIT:
+            signs = observations == 1.0
+            signs |= observations == -1.0
+            if not signs.all():
+                raise ValueError("one-bit observations must take values in {-1, +1}.")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "observations", observations)
 
@@ -264,6 +280,40 @@ def burn_in_blocks(model: GaussMarkovModel, horizon: int) -> int:
     return min(math.ceil(10.0 / (1.0 - model.alpha**2)), cap)
 
 
+# Blocks per chunk of the Kalman path's block-major passes: each chunk of
+# columns is copied into contiguous rows, one per block, and back. At 2000
+# trials and 500 blocks the state recursion ran alike at 16 to 64 blocks per
+# chunk (4.7-5.0 ms) and slower at 8 or at 128 and more (2 vCPUs, one BLAS
+# thread); 32 blocks of 2000 trials are 512 KB.
+_CHUNK_BLOCKS = 32
+
+
+def _forward_in_chunks(source: np.ndarray, out: np.ndarray, step) -> np.ndarray:
+    """A forward recursion over the columns of ``out``, block-major, one chunk at a time.
+
+    ``out`` (trials, K + 1) comes with column 0 set. For k = 1..K, block k's
+    row starts as a contiguous copy of ``source[:, k - 1]``, and
+    ``step(k, row, previous)`` turns it into ``out[:, k]`` in place, with
+    ``previous`` the row of block k - 1. Each chunk of ``_CHUNK_BLOCKS``
+    columns is copied in and back at once; row 0 of the buffer carries the
+    last block of the chunk before. ``source`` may be a view of ``out``.
+    """
+    trials, width = out.shape
+    rows = np.empty((_CHUNK_BLOCKS + 1, trials))
+    rows[0] = out[:, 0]
+    for k0 in range(1, width, _CHUNK_BLOCKS):
+        n = min(_CHUNK_BLOCKS, width - k0)
+        np.copyto(rows[1 : n + 1], source[:, k0 - 1 : k0 - 1 + n].T)
+        previous = rows[0]
+        for k in range(k0, k0 + n):
+            row = rows[k - k0 + 1]
+            step(k, row, previous)
+            previous = row
+        np.copyto(out[:, k0 : k0 + n], rows[1 : n + 1].T)
+        rows[0] = previous
+    return out
+
+
 def simulate(model: GaussMarkovModel, channel: MeasurementChannel, seed: int,
              num_trials: int, horizon: int) -> TrajectoryBatch:
     """Draw a reproducible batch of trajectories and measurements.
@@ -282,7 +332,15 @@ def simulate(model: GaussMarkovModel, channel: MeasurementChannel, seed: int,
     -------
     TrajectoryBatch
         Identical inputs produce bit-identical batches.
+
+    Raises
+    ------
+    TypeError
+        If ``channel`` is not a :class:`MeasurementChannel`; checked before
+        anything is drawn.
     """
+    if not isinstance(channel, MeasurementChannel):
+        raise TypeError(f"channel must be a MeasurementChannel, got {channel!r}.")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}.")
     if num_trials < 1:
@@ -290,26 +348,32 @@ def simulate(model: GaussMarkovModel, channel: MeasurementChannel, seed: int,
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}.")
     children = np.random.SeedSequence(seed).spawn(num_trials)
-    draws = np.empty((num_trials, 2 * horizon + 1))
-    for row, child in zip(draws, children):
-        np.random.default_rng(child).standard_normal(out=row)
-    # theta_k = alpha theta_{k-1} + z_k, one block (a contiguous row) at a
-    # time over all trials. Each element gets one product and one sum, as in
-    # lfilter's first-order IIR filter, so the bits match it. The copy back
-    # to C order matters: the reductions downstream sum in memory order.
-    states = np.empty((horizon + 1, num_trials))
-    states[0] = model.mu0 + model.sigma0 * draws[:, 0]
-    np.multiply(draws[:, 1 : horizon + 1].T, model.sigma_z, out=states[1:])
-    for k in range(1, horizon + 1):
-        states[k] += model.alpha * states[k - 1]
-    states = np.ascontiguousarray(states.T)
-    # eta_k + theta_k, in the buffer of the scaled eta draws (the sum commutes)
-    raw = np.multiply(draws[:, horizon + 1 :], model.sigma_eta)
-    raw += states[:, 1:]
+    # Each trial's stream goes straight into its two rows: the K + 1 state
+    # draws, then the K measurement draws (two calls draw what one would).
+    states = np.empty((num_trials, horizon + 1))
+    observations = np.empty((num_trials, horizon))
+    for state_row, observation_row, child in zip(states, observations, children):
+        rng = np.random.default_rng(child)
+        rng.standard_normal(out=state_row)
+        rng.standard_normal(out=observation_row)
+    states[:, 0] = model.mu0 + model.sigma0 * states[:, 0]
+    # theta_k = alpha theta_{k-1} + z_k: each element gets one product and
+    # one sum, as in lfilter's first-order IIR filter, so the bits match it.
+    carried = np.empty(num_trials)
+
+    def state_step(k: int, row: np.ndarray, previous: np.ndarray) -> None:
+        row *= model.sigma_z
+        row += np.multiply(previous, model.alpha, carried)
+
+    _forward_in_chunks(states[:, 1:], states, state_step)
+    # eta_k + theta_k, in the buffer of the eta draws (the sum commutes)
+    observations *= model.sigma_eta
+    observations += states[:, 1:]
     if channel is MeasurementChannel.ONE_BIT:
-        observations = np.where(raw >= 0.0, 1.0, -1.0)
-    else:
-        observations = raw
+        # +1 where eta_k + theta_k >= 0 and -1 elsewhere, in place
+        up = observations >= 0.0
+        np.multiply(up, 2.0, out=observations)
+        observations -= 1.0
     return TrajectoryBatch(channel, states, observations)
 
 
@@ -332,29 +396,27 @@ def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResu
     """
     if batch.channel is not MeasurementChannel.UNQUANTIZED:
         raise ValueError("kalman_filter requires an unquantized batch.")
-    k_max = batch.horizon
-    # The loop runs block-major, each block one contiguous row over all
-    # trials, and is copied back to C order at the end: the reductions
-    # downstream sum in memory order. The output is allocated before the
-    # block-major buffer, which then frees at the top of the heap.
-    means = np.empty((batch.num_trials, k_max + 1))
-    mt = np.empty((k_max + 1, batch.num_trials))
-    variances = np.empty(k_max + 1)
-    predicted = np.empty(k_max + 1)
-    mt[0] = model.mu0
-    variances[0] = model.sigma0**2
-    predicted[0] = model.sigma0**2
-    obs = batch.observations.T
-    r = model.sigma_eta**2
-    for k in range(1, k_max + 1):
-        p_pred = model.alpha**2 * variances[k - 1] + model.sigma_z**2
+    p = model.sigma0**2
+    variances, predicted, gains = [p], [p], [0.0]
+    a2, q, r = model.alpha**2, model.sigma_z**2, model.sigma_eta**2
+    for _ in range(batch.horizon):
+        p_pred = a2 * p + q
         gain = p_pred / (p_pred + r)
-        m_pred = model.alpha * mt[k - 1]
-        mt[k] = m_pred + gain * (obs[k - 1] - m_pred)
-        variances[k] = (1.0 - gain) * p_pred
-        predicted[k] = p_pred
-    means[...] = mt.T
-    return KalmanResult(means=means, variances=variances, predicted_variances=predicted)
+        p = (1.0 - gain) * p_pred
+        variances.append(p)
+        predicted.append(p_pred)
+        gains.append(gain)
+    means = np.empty((batch.num_trials, batch.horizon + 1))
+    means[:, 0] = model.mu0
+
+    def mean_step(k: int, row: np.ndarray, previous: np.ndarray) -> None:
+        # m_k = m_pred + gain (y_k - m_pred), over y_k
+        m_pred = model.alpha * previous
+        row[...] = m_pred + gains[k] * (row - m_pred)
+
+    _forward_in_chunks(batch.observations, means, mean_step)
+    return KalmanResult(means=means, variances=np.array(variances),
+                        predicted_variances=np.array(predicted))
 
 
 def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
@@ -402,36 +464,62 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
         raise ValueError(f"lag must be in [0, horizon], got {lag} with horizon {k_max}.")
     m, p, p_pred = filtered.means, filtered.variances, filtered.predicted_variances
     gains = model.alpha * p[:-1] / p_pred[1:]
-    # the output first, so the block-major buffers free at the top of the heap
-    width = k_max + 1 if lag is None else k_max - lag + 1
-    means = np.empty((m.shape[0], width))
-    # Block-major corrections: row l of ``tail`` starts as d_l and becomes
-    # R_l in the backward pass, which runs on contiguous rows.
-    mt = np.ascontiguousarray(m.T)
-    tail = np.empty_like(mt)
-    np.multiply(mt[:-1], -model.alpha, out=tail[:-1])
-    tail[:-1] += mt[1:]
-    tail[k_max] = 0.0
-    del mt
     c = gains.tolist()
     steps = (p[1:] - p_pred[1:]).tolist()
     spread = [0.0] * (k_max + 1)
     for l in range(k_max - 1, -1, -1):
-        row = tail[l]
-        row += tail[l + 1]
-        row *= c[l]
         spread[l] = c[l] * c[l] * (steps[l] + spread[l + 1])
     spread = np.array(spread)
-    correction = tail
+    reach = 0 if lag is None else lag
+    width = k_max + 1 - reach
     if lag is not None:
         # W_l = C_l ... C_{l+lag-1}, one shifted slice of the gains at a time
         window = np.ones(width)
         for j in range(lag):
             window *= gains[j : j + width]
-        correction = np.multiply(window[:, None], tail[lag:])
-        np.subtract(tail[:width], correction, out=correction)
         spread = spread[:width] - window * window * spread[lag:]
-    np.add(m[:, :width], correction.T, out=means)
+    # The backward pass runs block-major, one chunk of blocks at a time from
+    # the last. A ring of ``size`` rows, a whole number of chunks, holds each
+    # chunk's R_l in contiguous rows (block l at row (l - K - 1) % size) until
+    # no block within ``reach`` below reads it. ``filt`` holds a chunk's
+    # filtered means and the next block's, and ``out`` its smoothed means.
+    trials = m.shape[0]
+    size = _CHUNK_BLOCKS * ((reach + _CHUNK_BLOCKS) // _CHUNK_BLOCKS + 1)
+    tail = np.empty((size, trials))
+    tail[size - 1] = 0.0  # R_K
+    filt = np.empty((_CHUNK_BLOCKS + 1, trials))
+    out = np.empty((_CHUNK_BLOCKS, trials))
+    means = np.empty((trials, width))
+    for top in range(k_max, -1, -_CHUNK_BLOCKS):
+        l0 = max(top - _CHUNK_BLOCKS + 1, 0)  # the chunk is blocks l0..top
+        first = (l0 - k_max - 1) % size
+        rows = tail[first : first + top - l0 + 1]
+        known = min(top + 2, k_max + 1) - l0
+        np.copyto(filt[:known], m[:, l0 : l0 + known].T)
+        # R_l = C_l (d_l + R_{l+1}) below K, d_l formed in R_l's row
+        below = known - 1
+        diff = np.multiply(filt[:below], -model.alpha, out=rows[:below])
+        diff += filt[1:known]
+        later = tail[(first + below) % size]
+        for i in range(below - 1, -1, -1):
+            row = rows[i]
+            row += later
+            row *= c[l0 + i]
+            later = row
+        smoothed = min(top + 1, width) - l0
+        if smoothed <= 0:
+            continue
+        # the correction is formed before the filtered value is added
+        corrected = out[:smoothed]
+        if lag is None:
+            np.copyto(corrected, rows[:smoothed])
+        else:
+            np.take(tail, range(first + lag, first + lag + smoothed), axis=0, out=corrected,
+                    mode="wrap")
+            corrected *= window[l0 : l0 + smoothed, None]
+            np.subtract(rows[:smoothed], corrected, out=corrected)
+        corrected += filt[:smoothed]
+        np.copyto(means[:, l0 : l0 + smoothed], corrected.T)
     return RtsResult(lag=lag, means=means, variances=p[:width] + spread)
 
 
@@ -516,9 +604,12 @@ def _flush(x: np.ndarray, floor, mask: np.ndarray) -> None:
     """Set the entries of the nonnegative float32 ``x`` below ``floor`` to 0, in place.
 
     ``floor`` is a float32 scalar or a per-trial (trials,) row. Nonnegative
-    floats order as their int32 bit patterns, so the test compares integers:
-    a float compare would itself run slowly on the subnormals it removes.
-    ``mask`` is a bool buffer of ``x``'s shape.
+    floats order as their int32 bit patterns, so the test and the zeroing
+    multiply both run on integers. The multiply is what needs it: a float32
+    multiply that yields a subnormal (a kept subnormal entry, which a
+    per-trial floor below the normal range lets through) ran more than ten
+    times slower than on normal values, while a float32 compare ran as fast
+    on subnormals. ``mask`` is a bool buffer of ``x``'s shape.
     """
     bits = x.view(np.int32)
     np.greater_equal(bits, np.asarray(floor, dtype=np.float32).view(np.int32), out=mask)
@@ -991,7 +1082,6 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     if estimator == "kalman" and not horizon > burn + lag:
         raise ValueError(f"horizon {horizon} too short for burn-in {burn} plus lag {lag}.")
     batch = simulate(model, channel, seed, num_trials, horizon)
-    states = batch.states
 
     fims = per_block_fims(model, channel, horizon, spec)
     filter_info = filtered_information(model, fims)
@@ -1000,9 +1090,15 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
 
     if estimator == "kalman":
         filtered = kalman_filter(batch, model)
+        states = batch.states
+        del batch  # the observations are not read again
         smoothed = rts_smoother(filtered, model, lag)
-        err_f = (filtered.means - states) ** 2
-        err_s = (smoothed.means - states[:, : horizon - lag + 1]) ** 2
+        # the errors are squared in place, in the buffers of the means
+        err_f = np.subtract(filtered.means, states, out=filtered.means)
+        np.square(err_f, out=err_f)
+        err_s = np.subtract(smoothed.means, states[:, : horizon - lag + 1], out=smoothed.means)
+        np.square(err_s, out=err_s)
+        del states  # freed before the statistics take their temporaries
         smooth_bounds = 1.0 / (filter_info[: horizon - lag + 1] + _lagged_gains(model, fims, lag))
         steady_smooth_bound = 1.0 / (steady_j + steady_lag_gain(model, steady_fim, lag))
         smooth_lo, smooth_hi = burn, horizon - lag
@@ -1010,6 +1106,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     else:
         smooth_bounds = 1.0 / (filter_info + smoothing_gain(model, fims, horizon))
         steady_smooth_bound = 1.0 / (steady_j + quadratic_gain_root(model, steady_fim))
+        states = batch.states
         err_f = np.empty_like(states)
         err_s = np.empty_like(states)
         step = _sub_batch_trials(grid.num_points, horizon)

@@ -125,6 +125,42 @@ def _lag_dp_rts(filtered, model: GaussMarkovModel, lag: int):
     return means_row, var_row
 
 
+def _whole_array_rts(filtered, model: GaussMarkovModel, lag: int | None):
+    """Reference one-pass RTS: the backward pass on whole block-major arrays.
+
+    The same arithmetic as ``rts_smoother``, element for element, on a
+    ``(K + 1, trials)`` copy of the filtered means and a whole array of
+    corrections. Returns ``(means, variances)``.
+    """
+    k_max = filtered.horizon
+    m, p, p_pred = filtered.means, filtered.variances, filtered.predicted_variances
+    gains = model.alpha * p[:-1] / p_pred[1:]
+    width = k_max + 1 if lag is None else k_max - lag + 1
+    mt = np.ascontiguousarray(m.T)
+    tail = np.empty_like(mt)
+    np.multiply(mt[:-1], -model.alpha, out=tail[:-1])
+    tail[:-1] += mt[1:]
+    tail[k_max] = 0.0
+    c = gains.tolist()
+    steps = (p[1:] - p_pred[1:]).tolist()
+    spread = [0.0] * (k_max + 1)
+    for l in range(k_max - 1, -1, -1):
+        row = tail[l]
+        row += tail[l + 1]
+        row *= c[l]
+        spread[l] = c[l] * c[l] * (steps[l] + spread[l + 1])
+    spread = np.array(spread)
+    correction = tail
+    if lag is not None:
+        window = np.ones(width)
+        for j in range(lag):
+            window *= gains[j : j + width]
+        correction = np.multiply(window[:, None], tail[lag:])
+        np.subtract(tail[:width], correction, out=correction)
+        spread = spread[:width] - window * window * spread[lag:]
+    return m[:, :width] + correction.T, p[:width] + spread
+
+
 def _lfilter_batch(model, channel, seed, num_trials, horizon):
     """Reference ``simulate``: the state recursion through scipy's IIR filter."""
     from scipy import signal
@@ -323,6 +359,16 @@ class TestSimulate:
         b = simulate(_model(), MeasurementChannel.UNQUANTIZED, 8, 4, 20)
         assert not np.array_equal(a.states, b.states)
 
+    def test_rejects_a_channel_name_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("simulate drew before checking the channel")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for name in ("unquantized", "one_bit"):
+            with pytest.raises(TypeError, match="MeasurementChannel"):
+                simulate(_model(), name, 7, 4, 20)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             simulate(_model(), MeasurementChannel.UNQUANTIZED, -1, 4, 20)
@@ -353,7 +399,7 @@ class TestTrajectoryBatch:
             TrajectoryBatch(MeasurementChannel.UNQUANTIZED, np.zeros(states_shape),
                             np.zeros(observations_shape))
 
-    @pytest.mark.parametrize("value", [0.0, 0.5, -2.0, math.nan])
+    @pytest.mark.parametrize("value", [0.0, 0.5, -2.0, math.nan, -math.inf, 1.0 + 2.0**-52])
     def test_one_bit_observations_must_be_signs(self, value):
         observations = np.ones((2, 4))
         observations[1, 2] = value
@@ -489,6 +535,34 @@ class TestRtsSmoother:
         for lag in (0, 1, 10, 100, 1000):
             gain = steady_lag_gain(m, f, lag)
             assert_allclose(_lagged_rts_variance(m, lag) * (j + gain), 1.0, rtol=1e-12)
+
+
+CHUNK = estimators._CHUNK_BLOCKS
+
+
+class TestChunkBoundaries:
+    """The Kalman path's chunked passes at horizons around the chunk size, bit for bit."""
+
+    @pytest.mark.parametrize("horizon", (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1))
+    @pytest.mark.parametrize("alpha", (0.999, -0.5))
+    def test_simulate_filter_and_smoother_match_their_oracles(self, horizon, alpha):
+        model = GaussMarkovModel(alpha=alpha, sigma_z=0.7, sigma_eta=1.3, sigma0=1.1, mu0=0.2)
+        for channel in MeasurementChannel:
+            batch = simulate(model, channel, 20260814, 5, horizon)
+            states, observations = _lfilter_batch(model, channel, 20260814, 5, horizon)
+            assert np.array_equal(batch.states, states)
+            assert np.array_equal(batch.observations, observations)
+        batch = simulate(model, MeasurementChannel.UNQUANTIZED, 20260814, 5, horizon)
+        filtered = kalman_filter(batch, model)
+        assert np.array_equal(filtered.means, _column_kalman(batch, model))
+        for lag in (None, 0, 1, CHUNK, horizon - 1, horizon):
+            if lag is not None and lag > horizon:
+                continue
+            smoothed = rts_smoother(filtered, model, lag)
+            means, variances = _whole_array_rts(filtered, model, lag)
+            assert np.array_equal(smoothed.means, means), lag
+            assert np.array_equal(smoothed.variances, variances), lag
+            assert smoothed.means.flags.c_contiguous
 
 
 class TestGridFilter:
@@ -989,6 +1063,25 @@ class TestMonteCarloMse:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * kept
+
+    def test_kalman_path_memory_is_three_arrays_and_the_chunks(self):
+        # States, filtered means and smoothed means are the only full
+        # (trials, K + 1) arrays alive at once; the chunk buffers and the
+        # RTS ring add about half of one here. The traced peak was 3.56
+        # arrays, and 6.85 with a whole draw buffer, whole-array transposes
+        # and fresh error arrays.
+        m = model_for_snr(0.999, -10.0)
+        trials, horizon = 200, 300
+        array = 8 * trials * (horizon + 1)
+        # a first call pays numpy's lazy imports, 0.7 MB of traced objects
+        monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman", 1, 2, horizon, lag=50)
+        tracemalloc.start()
+        try:
+            monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman", 1, trials, horizon, lag=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * array
 
     def test_sub_batches_are_sized_from_the_grid(self):
         # Horizon 500 has stride 23: 22 checkpoints and a 23-block segment,
