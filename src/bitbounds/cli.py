@@ -63,8 +63,7 @@ from .estimators import (
     rts_smoother,
     rts_steady_variance,
 )
-from .qfim import QuadratureRule, QuadratureSpec, expected_fq_batch, fq
-from .qfim import q_function as _default_q_function
+from .qfim import QuadratureRule, QuadratureSpec, expected_fq_batch, fq, q_function
 from .steady import (
     SteadyStateReport,
     _report,
@@ -525,21 +524,14 @@ def run_mse_validate(config: ExperimentConfig) -> tuple[Path, int]:
     return path, failures
 
 
-def run_selftest(q_function=None) -> tuple[str, int]:
+def run_selftest() -> tuple[str, int]:
     """Analytic oracle checks for the information recursions.
-
-    Parameters
-    ----------
-    q_function : callable, optional
-        Gaussian tail function used by the one-bit information peak check;
-        a fault-injection hook for testing the self-test itself.
 
     Returns
     -------
     (str, int)
         Printable report and the number of failed checks.
     """
-    q = q_function if q_function is not None else _default_q_function
     lines = []
     failures = 0
 
@@ -569,7 +561,7 @@ def run_selftest(q_function=None) -> tuple[str, int]:
 
     sigma_eta = 1.0
     measured_peak = 1.0 / (2.0 * math.pi * sigma_eta**2
-                           * float(q(0.0)) * float(q(-0.0)))
+                           * float(q_function(0.0)) * float(q_function(-0.0)))
     library_peak = float(fq(0.0, sigma_eta))
     expected_peak = 2.0 / (math.pi * sigma_eta**2)
     check("one-bit information peak from the tail function", measured_peak, expected_peak, 1e-12)

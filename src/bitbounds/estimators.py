@@ -6,14 +6,16 @@ This module provides:
 
 * an exact Kalman filter and Rauch-Tung-Striebel smoother for the
   unquantized channel, where the conditional mean is available in closed
-  form and attains the bounds;
+  form and attains the bounds; one backward path serves every lag;
 * a grid (point-mass) filter and fixed-interval smoother that approximate
   the conditional mean for the one-bit channel, where no closed form
   exists. The banded transition operator and its adjoint are stored as
   dense row tiles, each over only the columns its rows touch and filled
   from its own band entries, and applied with one BLAS matrix product per
   tile; neither the n x n matrix nor a list of all band entries is formed.
-  Each block's posterior totals, means and variances come from one more
+  The one-bit likelihood is one product of the two-column table with a
+  selector that each block builds from its observations' signs. Each
+  block's posterior totals, means and variances come from one more
   product, of ``[1; x; x^2]`` with the unnormalised posterior. The grid
   computes in float32 except for that moment product, which accumulates
   in float64 because ``m2 / total - mean^2`` cancels. After each write,
@@ -202,7 +204,7 @@ class GridFilterResult:
     normalised posterior; its entries below ``2^-50`` times the total are 0
     (so none is subnormal). The smoother recomputes the blocks between
     checkpoints from them, the totals and the observations. ``operators``
-    holds the tiled transition operator and likelihood tables, which the
+    holds the tiled transition operator and the likelihood table, which the
     smoother reuses.
     """
 
@@ -435,9 +437,10 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
     ``R_l - W_l R_{l+delta}`` and ``S_l - W_l^2 S_{l+delta}`` (Anderson &
     Moore, *Optimal Filtering*, 1979, ch. 7). Every lag therefore costs one
     O(K) pass over the trials, plus an O(delta K) product of scalars for
-    ``W``. The correction is formed before the filtered value is added, so
-    ``lag=0`` returns the filter output and ``lag=K`` the fixed-interval
-    block 0, bit for bit.
+    ``W``; the fixed-interval smoother is the zero-window case ``W = 0``. The
+    correction is formed before the filtered value is added, so ``lag=0``
+    returns the filter output and ``lag=K`` the fixed-interval block 0, bit
+    for bit.
 
     Parameters
     ----------
@@ -470,14 +473,14 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
     for l in range(k_max - 1, -1, -1):
         spread[l] = c[l] * c[l] * (steps[l] + spread[l + 1])
     spread = np.array(spread)
-    reach = 0 if lag is None else lag
+    # W_l = C_l ... C_{l+lag-1}, one shifted slice of the gains at a time; the
+    # fixed-interval smoother is the zero-window case, W = 0 at reach 0
+    reach, base = (0, 0.0) if lag is None else (lag, 1.0)
     width = k_max + 1 - reach
-    if lag is not None:
-        # W_l = C_l ... C_{l+lag-1}, one shifted slice of the gains at a time
-        window = np.ones(width)
-        for j in range(lag):
-            window *= gains[j : j + width]
-        spread = spread[:width] - window * window * spread[lag:]
+    window = np.full(width, base)
+    for j in range(reach):
+        window *= gains[j : j + width]
+    spread = spread[:width] - window * window * spread[reach:]
     # The backward pass runs block-major, one chunk of blocks at a time from
     # the last. A ring of ``size`` rows, a whole number of chunks, holds each
     # chunk's R_l in contiguous rows (block l at row (l - K - 1) % size) until
@@ -511,13 +514,10 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
             continue
         # the correction is formed before the filtered value is added
         corrected = out[:smoothed]
-        if lag is None:
-            np.copyto(corrected, rows[:smoothed])
-        else:
-            np.take(tail, range(first + lag, first + lag + smoothed), axis=0, out=corrected,
-                    mode="wrap")
-            corrected *= window[l0 : l0 + smoothed, None]
-            np.subtract(rows[:smoothed], corrected, out=corrected)
+        np.take(tail, range(first + reach, first + reach + smoothed), axis=0, out=corrected,
+                mode="wrap")
+        corrected *= window[l0 : l0 + smoothed, None]
+        np.subtract(rows[:smoothed], corrected, out=corrected)
         corrected += filt[:smoothed]
         np.copyto(means[:, l0 : l0 + smoothed], corrected.T)
     return RtsResult(lag=lag, means=means, variances=p[:width] + spread)
@@ -618,7 +618,7 @@ def _flush(x: np.ndarray, floor, mask: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class _GridOperators:
-    """The grid's tiled operators and likelihood tables, built once per grid.
+    """The grid's tiled operators and likelihood table, built once per grid.
 
     ``forward`` holds the row tiles of the transition operator ``T``, whose
     column j holds the exact cell masses of ``N(alpha * axis[j], sigma_z^2)``
@@ -638,51 +638,35 @@ class _GridOperators:
     sign_likes: np.ndarray | None
     inv_two_var: float
 
-    def likelihood_keys(self, observations: np.ndarray) -> np.ndarray:
-        """What :meth:`likelihood` reads per block: entry ``k - 1`` for block k.
+    def likelihood(self, observation: np.ndarray, out: np.ndarray, wide: np.ndarray,
+                   mask: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """``scale`` times each trial's likelihood of ``observation`` at each grid point.
 
-        The observations themselves for the unquantized channel, shape (K,
-        trials). For the one-bit channel, shape (K, 2, trials), float32: each
-        trial's column is one-hot on the column of ``sign_likes`` its sign
-        selects.
-        """
-        if self.sign_likes is None:
-            return np.ascontiguousarray(observations.T)
-        up = (observations > 0.0).T
-        return np.stack((~up, up), axis=1).astype(np.float32)
-
-    def likelihood(self, keys: np.ndarray, out: np.ndarray, wide: np.ndarray, mask: np.ndarray,
-                   scale: np.ndarray | None = None) -> np.ndarray:
-        """Likelihood of each trial's observation at each grid point, into float32 ``out`` (n, trials).
-
-        For the one-bit channel a product with the one-hot ``keys`` gathers the
-        table's columns exactly (each entry is ``1 * q + 0 * q'``), and, unlike
-        ``np.take`` or fancy indexing, writes into ``out`` at BLAS speed.
-
-        For the unquantized channel the exponent is taken in the float64 work
+        ``observation`` (trials,) is one block's column of the observations
+        and ``scale`` a float32 (trials,) row: the filter carries its
+        normalisation of the posterior in it, the smoother that of the
+        backward evidence. The result goes into float32 ``out`` (n, trials).
+        For the one-bit channel the signs build the selector ``[~up; up] *
+        scale`` per block, so a product with ``sign_likes`` gathers and scales
+        its columns exactly (each entry is ``scale * q + 0 * q'``) and, unlike
+        ``np.take`` or fancy indexing, writes into ``out`` at BLAS speed. For
+        the unquantized channel the exponent is taken in the float64 work
         buffer ``wide``, so it keeps its digits, and its exponential is rounded
-        into ``out`` once and flushed below ``_FLOOR`` through the bool buffer
-        ``mask`` (both of ``out``'s shape; the one-bit channel reads neither).
-
-        ``scale`` (trials,), when given, multiplies each trial's column: the
-        filter carries its normalisation of the posterior in it, and the
-        smoother that of the backward evidence. For the one-bit channel it
-        scales the (2, trials) selector ``keys`` in place before the product,
-        so it costs no pass over ``out``, and each block's keys may be scaled
-        only once; for the unquantized channel it costs one.
+        into ``out`` once, flushed below ``_FLOOR`` through the bool buffer
+        ``mask`` (both of ``out``'s shape; the one-bit channel reads neither)
+        and then scaled.
         """
         if self.sign_likes is None:
-            np.subtract(self.axis[:, None], keys[None, :], out=wide)
+            np.subtract(self.axis[:, None], observation[None, :], out=wide)
             np.square(wide, out=wide)
             wide *= -self.inv_two_var
             np.exp(wide, out=out, casting="same_kind")
             _flush(out, _FLOOR, mask)
-            if scale is not None:
-                out *= scale
+            out *= scale
             return out
-        if scale is not None:
-            keys *= scale
-        return np.matmul(self.sign_likes, keys, out=out)
+        up = observation > 0.0
+        # np.array builds the (2, trials) selector in C, np.stack in Python
+        return np.matmul(self.sign_likes, np.array((~up, up)) * scale, out=out)
 
 
 def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
@@ -782,19 +766,20 @@ def _checkpoint_stride(horizon: int) -> int:
     return math.isqrt(horizon) + 1
 
 
-def _filter_step(operators: _GridOperators, previous: np.ndarray, key: np.ndarray,
+def _filter_step(operators: _GridOperators, previous: np.ndarray, observation: np.ndarray,
                  scale: np.ndarray, out: np.ndarray, lik: np.ndarray, wide: np.ndarray,
                  mask: np.ndarray) -> np.ndarray:
     """One block of the filter into float32 ``out`` (n, trials): ``(T previous) * like * scale``.
 
-    ``previous`` is the last block's unnormalised posterior and ``scale`` the
-    inverse of its totals, so ``out`` is the unnormalised posterior of a
+    ``previous`` is the last block's unnormalised posterior, ``observation``
+    the block's column of observations and ``scale`` the inverse of the
+    last block's totals, so ``out`` is the unnormalised posterior of a
     normalised predecessor. :func:`grid_filter` and the smoother's replay
     both run this, with the same operands, so they agree bit for bit.
     ``lik``, ``wide`` and ``mask`` are work buffers of ``out``'s shape.
     """
     _apply_tiles(operators.forward, previous, out)
-    out *= operators.likelihood(key, lik, wide, mask, scale)
+    out *= operators.likelihood(observation, lik, wide, mask, scale)
     return out
 
 
@@ -849,7 +834,6 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     mask = np.empty((n, trials), dtype=bool)
     inverse = np.ones(trials, dtype=np.float32)  # block 0 is normalised
     floor = np.empty(trials, dtype=np.float32)
-    keys = operators.likelihood_keys(batch.observations)
     powers = _powers(axis)
     raw = np.empty((3, trials))
     # below the smallest normal float32, 1 / total would overflow
@@ -866,7 +850,8 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     _flush(previous, _FLOOR, mask)
     for k in range(1, k_max + 1):
         posterior = checkpoints[k // stride] if k % stride == 0 else slabs[k % 2]
-        _filter_step(operators, previous, keys[k - 1], inverse, posterior, lik, wide, mask)
+        _filter_step(operators, previous, batch.observations[:, k - 1], inverse, posterior, lik,
+                     wide, mask)
         # the moments accumulate in float64: m2 / total - mean^2 cancels
         np.copyto(wide, posterior)
         total = np.matmul(powers, wide, out=raw)[0]
@@ -884,26 +869,26 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
                             operators=operators)
 
 
-def _replay(filtered: GridFilterResult, keys: np.ndarray, start: int, out: np.ndarray,
-            lik: np.ndarray, wide: np.ndarray, mask: np.ndarray, inverse: np.ndarray,
+def _replay(filtered: GridFilterResult, start: int, out: np.ndarray, lik: np.ndarray,
+            wide: np.ndarray, mask: np.ndarray, inverse: np.ndarray,
             floor: np.ndarray) -> np.ndarray:
     """The filter's posteriors of blocks ``start .. start + len(out) - 1`` into ``out``.
 
     ``start`` is a checkpoint block; ``out`` (blocks, n, trials) float32
     receives its checkpoint, then one :func:`_filter_step` per block with the
-    totals that the filter stored, flushed as the filter flushed, so every
-    slab equals the filter's posterior bit for bit. ``keys`` come unscaled
-    from :meth:`_GridOperators.likelihood_keys` and are scaled in place, each
-    block once. ``lik``, ``wide`` and ``mask`` are work buffers of one slab's
-    shape, ``inverse`` and ``floor`` float32 ones of shape (trials,).
+    batch's observations and the totals that the filter stored, flushed as
+    the filter flushed, so every slab equals the filter's posterior bit for
+    bit. It writes only ``out`` and its work buffers: ``lik``, ``wide`` and
+    ``mask`` of one slab's shape, ``inverse`` and ``floor`` float32 ones of
+    shape (trials,).
     """
     totals = filtered.totals
     np.copyto(out[0], filtered.pmfs[:, start // _checkpoint_stride(filtered.horizon)].T)
     for i in range(1, out.shape[0]):
         k = start + i
         np.divide(1.0, totals[k - 1], out=inverse)
-        _filter_step(filtered.operators, out[i - 1], keys[k - 1], inverse, out[i], lik, wide,
-                     mask)
+        _filter_step(filtered.operators, out[i - 1], filtered.batch.observations[:, k - 1],
+                     inverse, out[i], lik, wide, mask)
         _flush(out[i], np.multiply(totals[k], _FLOOR, out=floor), mask)
     return out
 
@@ -947,9 +932,6 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     operators = filtered.operators
     trials, k_max = batch.num_trials, filtered.horizon
     stride = _checkpoint_stride(k_max)
-    # The replay and the backward pass each scale their own keys in place.
-    keys = operators.likelihood_keys(batch.observations)
-    forward_keys = operators.likelihood_keys(batch.observations)
     powers = _powers(axis)
     ones = np.ones(axis.size, dtype=np.float32)
     raw = np.empty((3, trials))
@@ -963,22 +945,20 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     weighted = np.empty_like(beta)
     wide = np.empty(beta.shape)
     mask = np.empty(beta.shape, dtype=bool)
-    scale = None  # beta_K = 1 needs none
     tiny = np.finfo(np.float32).tiny
-    # one buffer for s_l and then 1 / s_l, one for the replay's scale, and
-    # one for the flush floors: fresh per-block temporaries here raised
-    # monte_carlo_mse's peak RSS by up to 0.5 MiB through the heap's
-    # allocation pattern
-    inverse = np.empty(trials, dtype=np.float32)
+    # one buffer for s_l and then 1 / s_l (ones for beta_K = 1), one for the
+    # replay's scale, and one for the flush floors: fresh per-block
+    # temporaries here raised monte_carlo_mse's peak RSS by up to 0.5 MiB
+    # through the heap's allocation pattern
+    inverse = np.ones(trials, dtype=np.float32)
     step_scale = np.empty(trials, dtype=np.float32)
     floor = np.empty(trials, dtype=np.float32)
     for start in range(k_max - 1 - (k_max - 1) % stride, -1, -stride):
         blocks = min(stride, k_max - start)
         # ``weighted`` is free until the backward step below rewrites it
-        _replay(filtered, forward_keys, start, segment[:blocks], weighted, wide, mask,
-                step_scale, floor)
+        _replay(filtered, start, segment[:blocks], weighted, wide, mask, step_scale, floor)
         for l in range(start + blocks - 1, start - 1, -1):
-            operators.likelihood(keys[l], weighted, wide, mask, scale)
+            operators.likelihood(batch.observations[:, l], weighted, wide, mask, inverse)
             weighted *= beta
             _apply_tiles(operators.adjoint, weighted, beta)
             mass = np.matmul(ones, beta, out=inverse)
@@ -988,7 +968,7 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
                     f"backward evidence vanished at block {l}; widen the grid.", block=l
                 )
             _flush(beta, np.multiply(mass, _FLOOR, out=floor), mask)
-            scale = np.divide(1.0, mass, out=inverse)
+            np.divide(1.0, mass, out=inverse)
             # block l's filtered posterior is not read again
             posterior = np.multiply(segment[l - start], beta, out=segment[l - start])
             np.copyto(wide, posterior)
@@ -1002,12 +982,18 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
 
 
 def _trial_stats(errors_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error over trials (axis 0) of squared errors."""
+    """Mean and standard error over trials (axis 0) of squared errors.
+
+    ``errors_sq`` is overwritten with the deviations, formed as ``std(axis=0,
+    ddof=1)`` forms them, so both results equal numpy's bit for bit.
+    """
     trials = errors_sq.shape[0]
     mse = errors_sq.mean(axis=0)
     if trials < 2:
         return mse, np.full_like(mse, np.nan)
-    se = errors_sq.std(axis=0, ddof=1) / math.sqrt(trials)
+    deviations = np.subtract(errors_sq, mse, out=errors_sq)
+    np.square(deviations, out=deviations)
+    se = np.sqrt(deviations.sum(axis=0) / (trials - 1)) / math.sqrt(trials)
     return mse, se
 
 
@@ -1123,10 +1109,11 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         smooth_lo, smooth_hi = burn, max(burn, horizon - burn // 2)
         report_lag = None
 
-    filter_mse, filter_se = _trial_stats(err_f)
-    smooth_mse, smooth_se = _trial_stats(err_s)
     steady_f = err_f[:, burn : horizon + 1].mean(axis=1)  # one steady-region MSE per trial
     steady_s = err_s[:, smooth_lo : smooth_hi + 1].mean(axis=1)
+    # the per-block statistics overwrite the errors
+    filter_mse, filter_se = _trial_stats(err_f)
+    smooth_mse, smooth_se = _trial_stats(err_s)
     steady_f_mse, steady_f_se = map(float, _trial_stats(steady_f))
     steady_s_mse, steady_s_se = map(float, _trial_stats(steady_s))
     return MseReport(

@@ -274,9 +274,11 @@ class TestSelftest:
         assert "FAIL" not in text
         assert text.count("PASS") == 6
 
-    def test_fault_injection_is_detected(self):
+    def test_fault_injection_is_detected(self, monkeypatch):
         # Corrupt tail function: the peak checks that depend on it must fail.
-        text, failures = run_selftest(q_function=lambda x: 0.4)
+        import bitbounds.cli as cli_module
+        monkeypatch.setattr(cli_module, "q_function", lambda x: 0.4)
+        text, failures = run_selftest()
         assert failures >= 1
         assert "FAIL" in text
 

@@ -294,14 +294,13 @@ def _replay_work(filtered):
 def _replayed(filtered) -> np.ndarray:
     """Every block's filtered posterior, (K + 1, n, trials) float32: each segment
     replayed from its checkpoint one block past its end, into the next
-    checkpoint's block (or block K), with fresh unscaled keys."""
+    checkpoint's block (or block K)."""
     k_max = filtered.horizon
     stride = estimators._checkpoint_stride(k_max)
     out = np.empty((k_max + 1, filtered.axis.size, filtered.batch.num_trials),
                    dtype=np.float32)
     for start in range(0, k_max + 1, stride):
-        keys = filtered.operators.likelihood_keys(filtered.batch.observations)
-        estimators._replay(filtered, keys, start, out[start:min(start + stride, k_max) + 1],
+        estimators._replay(filtered, start, out[start:min(start + stride, k_max) + 1],
                            *_replay_work(filtered))
     return out
 
@@ -641,16 +640,15 @@ class TestGridFilter:
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
     def test_replay_continues_into_the_next_checkpoint_bit_for_bit(self, channel):
         # Each segment replayed one block past its end lands on the next
-        # checkpoint: the replay repeats the filter's step, scaling each key
-        # once. Horizon 60 has stride 8: checkpoints at 0, 8, ..., 56.
+        # checkpoint: the replay repeats the filter's step with the same
+        # operands. Horizon 60 has stride 8: checkpoints at 0, 8, ..., 56.
         m = model_for_snr(0.999, -10.0)
         filtered = grid_filter(simulate(m, channel, 20260814, 7, 60), m, GridSpec(num_points=400))
         stride = estimators._checkpoint_stride(60)
-        keys = filtered.operators.likelihood_keys(filtered.batch.observations)
         out = np.empty((stride + 1, 400, 7), dtype=np.float32)
         assert filtered.pmfs.shape[1] == 8
         for j in range(1, 8):
-            estimators._replay(filtered, keys, (j - 1) * stride, out, *_replay_work(filtered))
+            estimators._replay(filtered, (j - 1) * stride, out, *_replay_work(filtered))
             assert np.array_equal(out[stride], filtered.pmfs[:, j].T)
 
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
@@ -658,14 +656,20 @@ class TestGridFilter:
         m = model_for_snr(0.9, 0.0)
         batch = simulate(m, channel, 8, 9, 30)
         ops = grid_filter(batch, m, GridSpec(num_points=300)).operators
-        keys = ops.likelihood_keys(batch.observations)
         out = np.empty((300, 9), dtype=np.float32)
         wide, mask = np.empty((300, 9)), np.empty((300, 9), dtype=bool)
+        ones = np.ones(9, dtype=np.float32)
+        # a non-unit per-trial scale, as the filter and the smoother pass
+        scale = np.linspace(0.3, 7.0, 9, dtype=np.float32)
         for k in range(30):
+            observation = batch.observations[:, k]
             # rounded once to float32 and flushed below the floor
-            expected = _oracle_likelihood(ops, batch.observations[:, k]).astype(np.float32)
+            expected = _oracle_likelihood(ops, observation).astype(np.float32)
             expected[expected < estimators._FLOOR] = 0.0
-            assert np.array_equal(ops.likelihood(keys[k], out, wide, mask), expected)
+            assert np.array_equal(ops.likelihood(observation, out, wide, mask, ones), expected)
+            # each column scaled exactly as a pass over the unit-scale result
+            assert np.array_equal(ops.likelihood(observation, out, wide, mask, scale),
+                                  expected * scale)
 
     def test_refinement_stability(self):
         m = model_for_snr(0.9, 0.0)
@@ -989,6 +993,19 @@ class TestMonteCarloMse:
         ok_f = report.filter_mse >= report.filter_bound - 5.0 * report.filter_se
         ok_s = report.smooth_mse >= report.smooth_bound - 5.0 * report.smooth_se
         assert np.all(ok_f) and np.all(ok_s)
+
+    @pytest.mark.parametrize("trials", (1, 2, 3, 7, 2000))
+    @pytest.mark.parametrize("width", (None, 1, 13))
+    def test_trial_stats_equal_numpy_mean_and_std_bit_for_bit(self, trials, width):
+        # width None is the 1-D steady-region input, one MSE per trial
+        shape = (trials,) if width is None else (trials, width)
+        errors_sq = np.random.default_rng(trials).standard_normal(shape) ** 2
+        mse, se = estimators._trial_stats(errors_sq.copy())
+        assert np.array_equal(mse, errors_sq.mean(axis=0))
+        if trials == 1:
+            assert np.all(np.isnan(se))
+        else:
+            assert np.array_equal(se, errors_sq.std(axis=0, ddof=1) / math.sqrt(trials))
 
     @pytest.mark.slow
     def test_grid_path_one_bit_bound_validity(self):
