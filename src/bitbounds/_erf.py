@@ -28,8 +28,7 @@ import numpy as np
 from ._tables import ERFCX_POLYNOMIALS, ERFCX_STEPS_PER_UNIT
 
 # Rows: the coefficients of s**8 .. s**1 of every interval, then the low and
-# the high part of s**0, so Horner's rule reads the rows in order after one
-# gather of the intervals' columns.
+# the high part of s**0, so Horner's rule reads the rows in order.
 _COEFFICIENTS = np.array([line.split() for line in ERFCX_POLYNOMIALS.split("\n") if line],
                          dtype=float).T[::-1].copy()
 _STEPS_PER_UNIT = float(ERFCX_STEPS_PER_UNIT)
@@ -66,9 +65,10 @@ def erfcx_erfc(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _erfcx_erfc_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`erfcx_erfc` of a 1-D array.
 
-    One gather of the coefficient table and 17 in-place operations cover
-    the polynomial range; only a call with an entry of 16 or more, or a
-    NaN, pays for the clamps and the continued fraction.
+    Horner's rule gathers one row of coefficients at a time into one buffer
+    and takes 17 in-place operations over the polynomial range; only a call
+    with an entry of 16 or more, or a NaN, pays for the clamps and the
+    continued fraction.
     """
     tail = None
     squared = x
@@ -85,15 +85,13 @@ def _erfcx_erfc_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scaled = x * _STEPS_PER_UNIT
         interval = scaled.astype(np.intp)
     s = np.subtract(scaled, interval, out=scaled)
-    rows = _COEFFICIENTS[:, interval]
-    value = rows[0] * s
-    for row in rows[1:-3]:
-        value += row
+    row = _COEFFICIENTS[0].take(interval)
+    value = row * s
+    for coefficients in _COEFFICIENTS[1:-2]:
+        value += coefficients.take(interval, out=row)
         value *= s
-    value += rows[-3]
-    value *= s
-    value += rows[-2]
-    value += rows[-1]
+    value += _COEFFICIENTS[-2].take(interval, out=row)
+    value += _COEFFICIENTS[-1].take(interval, out=row)
     if tail is not None:
         xt = x[tail]
         fraction = xt.copy()

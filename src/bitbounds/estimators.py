@@ -7,13 +7,14 @@ This module provides:
 * an exact Kalman filter and Rauch-Tung-Striebel smoother for the
   unquantized channel, where the conditional mean is available in closed
   form and attains the bounds; one backward path serves every lag;
-* a grid (point-mass) filter and fixed-interval smoother that approximate
-  the conditional mean for the one-bit channel, where no closed form
-  exists. The banded transition operator and its adjoint are stored as
-  dense row tiles, each over only the columns its rows touch and filled
-  from its own band entries, and applied with one BLAS matrix product per
-  tile; neither the n x n matrix nor a list of all band entries is formed.
-  The one-bit likelihood is one product of the two-column table with a
+* a grid (point-mass) filter and fixed-interval smoother, the one-bit
+  receiver, that approximate the conditional mean where no closed form
+  exists. They read each observation's sign, so an unquantized batch gives
+  what its 1-bit conversion would. The banded transition operator and its
+  adjoint are stored as dense row tiles, each over only the columns its
+  rows touch and filled from its own band entries, and applied with one
+  BLAS matrix product per tile; neither the n x n matrix nor a list of all
+  band entries is formed. The one-bit likelihood is one product of the two-column table with a
   selector that each block builds from its observations' signs. Each
   block's posterior totals, means and variances come from one more
   product, of ``[1; x; x^2]`` with the unnormalised posterior. The grid
@@ -96,7 +97,8 @@ class TrajectoryBatch:
         measured block.
     observations : ndarray, shape (num_trials, horizon)
         ``observations[:, k - 1]`` is the measurement of block k; values
-        are in {-1, +1} for the one-bit channel.
+        are in {-1, +1} for the one-bit channel and finite for the
+        unquantized one.
     """
 
     channel: MeasurementChannel
@@ -119,6 +121,8 @@ class TrajectoryBatch:
             signs |= observations == -1.0
             if not signs.all():
                 raise ValueError("one-bit observations must take values in {-1, +1}.")
+        elif not np.isfinite(observations).all():
+            raise ValueError("unquantized observations must be finite.")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "observations", observations)
 
@@ -578,8 +582,8 @@ _TILE_ROWS = 48
 # Groups of columns whose band entries the build evaluates together: each
 # group holds about 1/56 of the entries, so the float64 temporaries of its
 # cell masses, both edges in one q_function call, stay small beside the
-# float32 tiles (the build peaked at 1.45x the tiles at 1000 points and 1.38x
-# at 5000; 1.52x and 1.44x with 48 groups), and a narrow band does not pay
+# float32 tiles (the build peaked at 1.32x the tiles at 1000 points and 1.38x
+# at 5000; 1.36x and 1.44x with 48 groups), and a narrow band does not pay
 # numpy's per-call cost once per tile.
 _BUILD_GROUPS = 56
 # Every grid array that feeds a product holds no nonzero entry below this
@@ -618,7 +622,7 @@ def _flush(x: np.ndarray, floor, mask: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class _GridOperators:
-    """The grid's tiled operators and likelihood table, built once per grid.
+    """The grid's tiled operators and one-bit likelihood table, built once per grid.
 
     ``forward`` holds the row tiles of the transition operator ``T``, whose
     column j holds the exact cell masses of ``N(alpha * axis[j], sigma_z^2)``
@@ -627,50 +631,34 @@ class _GridOperators:
     ``r0..r1-1`` over the columns ``c0..c1-1`` their entries span (none for
     rows without entries), filled from its own band entries only, each
     computed in float64 and rounded once. ``sign_likes`` is the float32
-    one-bit likelihood table, ``None`` for the unquantized channel. Entries
-    of both below ``_FLOOR`` are 0. The filter, the smoother and every
-    sub-batch of :func:`monte_carlo_mse` share one instance.
+    one-bit likelihood table. Entries of both below ``_FLOOR`` are 0. The
+    filter, the smoother and every sub-batch of :func:`monte_carlo_mse`
+    share one instance.
     """
 
     axis: np.ndarray
     forward: tuple
     adjoint: tuple
-    sign_likes: np.ndarray | None
-    inv_two_var: float
+    sign_likes: np.ndarray
 
-    def likelihood(self, observation: np.ndarray, out: np.ndarray, wide: np.ndarray,
-                   mask: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """``scale`` times each trial's likelihood of ``observation`` at each grid point.
+    def likelihood(self, observation: np.ndarray, out: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """``scale`` times each trial's likelihood of ``observation``'s sign at each grid point.
 
         ``observation`` (trials,) is one block's column of the observations
         and ``scale`` a float32 (trials,) row: the filter carries its
         normalisation of the posterior in it, the smoother that of the
         backward evidence. The result goes into float32 ``out`` (n, trials).
-        For the one-bit channel the signs build the selector ``[~up; up] *
-        scale`` per block, so a product with ``sign_likes`` gathers and scales
-        its columns exactly (each entry is ``scale * q + 0 * q'``) and, unlike
-        ``np.take`` or fancy indexing, writes into ``out`` at BLAS speed. For
-        the unquantized channel the exponent is taken in the float64 work
-        buffer ``wide``, so it keeps its digits, and its exponential is rounded
-        into ``out`` once, flushed below ``_FLOOR`` through the bool buffer
-        ``mask`` (both of ``out``'s shape; the one-bit channel reads neither)
-        and then scaled.
+        ``y >= 0`` is +1, as in :func:`simulate`. The signs build the
+        selector ``[~up; up] * scale``, so a product with ``sign_likes``
+        gathers and scales its columns exactly (each entry is ``scale * q +
+        0 * q'``) and, unlike ``np.take``, writes into ``out`` at BLAS speed.
         """
-        if self.sign_likes is None:
-            np.subtract(self.axis[:, None], observation[None, :], out=wide)
-            np.square(wide, out=wide)
-            wide *= -self.inv_two_var
-            np.exp(wide, out=out, casting="same_kind")
-            _flush(out, _FLOOR, mask)
-            out *= scale
-            return out
-        up = observation > 0.0
+        up = observation >= 0.0
         # np.array builds the (2, trials) selector in C, np.stack in Python
         return np.matmul(self.sign_likes, np.array((~up, up)) * scale, out=out)
 
 
-def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
-                    channel: MeasurementChannel) -> _GridOperators:
+def _grid_operators(axis: np.ndarray, model: GaussMarkovModel) -> _GridOperators:
     n = axis.size
     h = axis[1] - axis[0]
     centers = model.alpha * axis
@@ -726,14 +714,12 @@ def _grid_operators(axis: np.ndarray, model: GaussMarkovModel,
         values[values < _FLOOR] = 0.0
         scatter(forward, rows, cols, values)
         scatter(adjoint, cols, rows, values)
-    sign_likes = None
-    if channel is MeasurementChannel.ONE_BIT:
-        # column 0: P(y = -1 | theta), column 1: P(y = +1 | theta)
-        sign_likes = np.stack((q_function(axis / model.sigma_eta),
-                               q_function(-axis / model.sigma_eta)), axis=1).astype(np.float32)
-        _flush(sign_likes, _FLOOR, np.empty(sign_likes.shape, dtype=bool))
+    # column 0: P(y = -1 | theta), column 1: P(y = +1 | theta)
+    sign_likes = np.stack((q_function(axis / model.sigma_eta),
+                           q_function(-axis / model.sigma_eta)), axis=1).astype(np.float32)
+    _flush(sign_likes, _FLOOR, np.empty(sign_likes.shape, dtype=bool))
     return _GridOperators(axis=axis, forward=tiles(forward), adjoint=tiles(adjoint),
-                          sign_likes=sign_likes, inv_two_var=0.5 / model.sigma_eta**2)
+                          sign_likes=sign_likes)
 
 
 def _powers(axis: np.ndarray) -> np.ndarray:
@@ -767,8 +753,7 @@ def _checkpoint_stride(horizon: int) -> int:
 
 
 def _filter_step(operators: _GridOperators, previous: np.ndarray, observation: np.ndarray,
-                 scale: np.ndarray, out: np.ndarray, lik: np.ndarray, wide: np.ndarray,
-                 mask: np.ndarray) -> np.ndarray:
+                 scale: np.ndarray, out: np.ndarray, lik: np.ndarray) -> np.ndarray:
     """One block of the filter into float32 ``out`` (n, trials): ``(T previous) * like * scale``.
 
     ``previous`` is the last block's unnormalised posterior, ``observation``
@@ -776,10 +761,10 @@ def _filter_step(operators: _GridOperators, previous: np.ndarray, observation: n
     last block's totals, so ``out`` is the unnormalised posterior of a
     normalised predecessor. :func:`grid_filter` and the smoother's replay
     both run this, with the same operands, so they agree bit for bit.
-    ``lik``, ``wide`` and ``mask`` are work buffers of ``out``'s shape.
+    ``lik`` is a work buffer of ``out``'s shape.
     """
     _apply_tiles(operators.forward, previous, out)
-    out *= operators.likelihood(observation, lik, wide, mask, scale)
+    out *= operators.likelihood(observation, lik, scale)
     return out
 
 
@@ -789,9 +774,10 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     """Discretized Bayes filter on a uniform point-mass grid.
 
     Each block applies the banded transition operator to the previous
-    posterior and multiplies by the measurement likelihood. Works for both
-    channels; it is the reference estimator for the one-bit channel, where
-    no closed-form posterior exists.
+    posterior and multiplies by the likelihood of the sign of the block's
+    observation: the reference estimator for the one-bit channel. On an
+    unquantized batch it returns, bit for bit, what it returns on the
+    one-bit batch that :func:`simulate` draws from the same seed.
 
     Nothing is normalised in place: each trial's total ``t_k``, from the
     moment product, is carried into the next block's likelihood as
@@ -815,7 +801,7 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
         ``GridSpec.half_width`` or add points.
     """
     if operators is None:
-        operators = _grid_operators(_grid_axis(model, grid, batch.horizon), model, batch.channel)
+        operators = _grid_operators(_grid_axis(model, grid, batch.horizon), model)
     axis = operators.axis
     n, trials, k_max = axis.size, batch.num_trials, batch.horizon
     stride = _checkpoint_stride(k_max)
@@ -850,8 +836,7 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     _flush(previous, _FLOOR, mask)
     for k in range(1, k_max + 1):
         posterior = checkpoints[k // stride] if k % stride == 0 else slabs[k % 2]
-        _filter_step(operators, previous, batch.observations[:, k - 1], inverse, posterior, lik,
-                     wide, mask)
+        _filter_step(operators, previous, batch.observations[:, k - 1], inverse, posterior, lik)
         # the moments accumulate in float64: m2 / total - mean^2 cancels
         np.copyto(wide, posterior)
         total = np.matmul(powers, wide, out=raw)[0]
@@ -870,17 +855,15 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
 
 
 def _replay(filtered: GridFilterResult, start: int, out: np.ndarray, lik: np.ndarray,
-            wide: np.ndarray, mask: np.ndarray, inverse: np.ndarray,
-            floor: np.ndarray) -> np.ndarray:
+            mask: np.ndarray, inverse: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """The filter's posteriors of blocks ``start .. start + len(out) - 1`` into ``out``.
 
     ``start`` is a checkpoint block; ``out`` (blocks, n, trials) float32
     receives its checkpoint, then one :func:`_filter_step` per block with the
     batch's observations and the totals that the filter stored, flushed as
     the filter flushed, so every slab equals the filter's posterior bit for
-    bit. It writes only ``out`` and its work buffers: ``lik``, ``wide`` and
-    ``mask`` of one slab's shape, ``inverse`` and ``floor`` float32 ones of
-    shape (trials,).
+    bit. It writes only ``out`` and its work buffers: ``lik`` and ``mask`` of
+    one slab's shape and the float32 (trials,) ``inverse`` and ``floor``.
     """
     totals = filtered.totals
     np.copyto(out[0], filtered.pmfs[:, start // _checkpoint_stride(filtered.horizon)].T)
@@ -888,7 +871,7 @@ def _replay(filtered: GridFilterResult, start: int, out: np.ndarray, lik: np.nda
         k = start + i
         np.divide(1.0, totals[k - 1], out=inverse)
         _filter_step(filtered.operators, out[i - 1], filtered.batch.observations[:, k - 1],
-                     inverse, out[i], lik, wide, mask)
+                     inverse, out[i], lik)
         _flush(out[i], np.multiply(totals[k], _FLOOR, out=floor), mask)
     return out
 
@@ -956,9 +939,9 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     for start in range(k_max - 1 - (k_max - 1) % stride, -1, -stride):
         blocks = min(stride, k_max - start)
         # ``weighted`` is free until the backward step below rewrites it
-        _replay(filtered, start, segment[:blocks], weighted, wide, mask, step_scale, floor)
+        _replay(filtered, start, segment[:blocks], weighted, mask, step_scale, floor)
         for l in range(start + blocks - 1, start - 1, -1):
-            operators.likelihood(batch.observations[:, l], weighted, wide, mask, inverse)
+            operators.likelihood(batch.observations[:, l], weighted, inverse)
             weighted *= beta
             _apply_tiles(operators.adjoint, weighted, beta)
             mass = np.matmul(ones, beta, out=inverse)
@@ -1027,6 +1010,10 @@ def _sub_batch_trials(num_points: int, horizon: int) -> int:
     return max(1, min(_SUB_BATCH_TRIALS, _SUB_BATCH_BYTES // (4 * num_points * slabs)))
 
 
+# The channel that each estimator of monte_carlo_mse reads.
+_ESTIMATOR_CHANNELS = {"kalman": MeasurementChannel.UNQUANTIZED, "grid": MeasurementChannel.ONE_BIT}
+
+
 def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estimator: str,
                     seed: int, num_trials: int, horizon: int, lag: int = 0,
                     grid: GridSpec = GridSpec(),
@@ -1038,8 +1025,8 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     model : GaussMarkovModel
     channel : MeasurementChannel
     estimator : str
-        ``"kalman"`` (unquantized only; RTS smoothing at the given lag) or
-        ``"grid"`` (either channel; fixed-interval smoothing).
+        ``"kalman"`` (unquantized channel only; RTS smoothing at the given
+        lag) or ``"grid"`` (one-bit channel only; fixed-interval smoothing).
     seed, num_trials, horizon : int
         Simulation parameters; see :func:`simulate`.
     lag : int
@@ -1058,10 +1045,12 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     -------
     MseReport
     """
-    if estimator not in ("kalman", "grid"):
+    if estimator not in _ESTIMATOR_CHANNELS:
         raise ValueError(f"estimator must be 'kalman' or 'grid', got {estimator!r}.")
-    if estimator == "kalman" and channel is MeasurementChannel.ONE_BIT:
-        raise ValueError("the kalman estimator requires the unquantized channel.")
+    paired = _ESTIMATOR_CHANNELS[estimator]
+    # a channel name is no channel: simulate raises its TypeError
+    if isinstance(channel, MeasurementChannel) and channel is not paired:
+        raise ValueError(f"the {estimator} estimator requires the {paired.value} channel.")
     if estimator == "grid" and lag != 0:
         raise ValueError(f"the grid estimator smooths over the whole interval; got lag {lag}.")
     burn = burn_in_blocks(model, horizon)
@@ -1096,7 +1085,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         err_f = np.empty_like(states)
         err_s = np.empty_like(states)
         step = _sub_batch_trials(grid.num_points, horizon)
-        operators = _grid_operators(_grid_axis(model, grid, horizon), model, channel)
+        operators = _grid_operators(_grid_axis(model, grid, horizon), model)
         for start in range(0, num_trials, step):
             trials = slice(start, start + step)
             sub = TrajectoryBatch(channel, states[trials], batch.observations[trials])

@@ -211,11 +211,41 @@ def _csr_apply(matrix, x, out):
     return out
 
 
-def _oracle_likelihood(ops, obs_col: np.ndarray) -> np.ndarray:
-    """Likelihood of one block's observations, shape (n, trials), as a new float64 array."""
-    if ops.sign_likes is None:
-        return np.exp(-ops.inv_two_var * (ops.axis[:, None] - obs_col[None, :]) ** 2)
-    return ops.sign_likes[:, (obs_col > 0.0).astype(np.intp)]
+def _oracle_likelihood(ops, obs_col: np.ndarray, sigma_eta: float | None = None) -> np.ndarray:
+    """Likelihood of one block's observations, shape (n, trials), as a new float64 array.
+
+    The one-bit table's column of each observation's sign (``y >= 0`` is
+    +1), or, given ``sigma_eta``, the Gaussian density of an unquantized
+    observation up to a constant: the likelihood of an ideal converter.
+    """
+    if sigma_eta is None:
+        return ops.sign_likes[:, (obs_col >= 0.0).astype(np.intp)]
+    return np.exp(-(0.5 / sigma_eta**2) * (ops.axis[:, None] - obs_col[None, :]) ** 2)
+
+
+@pytest.fixture
+def gaussian_grid(monkeypatch):
+    """``gaussian_grid(model)`` makes the grid the receiver of an ideal converter.
+
+    It patches ``_GridOperators.likelihood`` with the Gaussian density of
+    :func:`_oracle_likelihood`, rounded once to float32, flushed below the
+    floor and scaled, and returns the ``sigma_eta`` that the two-pass
+    oracles take. The package's grid reads only signs; this second form,
+    whose exact filter is Kalman's, lets the grid be checked against
+    Kalman/RTS and under a likelihood that sharpens with the SNR.
+    """
+    def patch(model: GaussMarkovModel) -> float:
+        def likelihood(self, observation, out, scale):
+            np.copyto(out, _oracle_likelihood(self, observation, model.sigma_eta),
+                      casting="same_kind")
+            out[out < estimators._FLOOR] = 0.0
+            out *= scale
+            return out
+
+        monkeypatch.setattr(estimators._GridOperators, "likelihood", likelihood)
+        return model.sigma_eta
+
+    return patch
 
 
 def _oracle_moments(axis: np.ndarray, pmf: np.ndarray):
@@ -224,25 +254,22 @@ def _oracle_moments(axis: np.ndarray, pmf: np.ndarray):
     return mean, np.maximum(var, 0.0)
 
 
-def _float64_operators(axis: np.ndarray, model: GaussMarkovModel, channel):
+def _float64_operators(axis: np.ndarray, model: GaussMarkovModel):
     """The grid operators as the package builds them, but in float64 and unflushed:
     the CSR matrix ``T`` and its transpose, and the one-bit table as computed."""
     matrix = _transition_matrix(axis, model)
-    ops = estimators._grid_operators(axis, model, channel)
-    sign_likes = None
-    if ops.sign_likes is not None:
-        sign_likes = np.stack((q_function(axis / model.sigma_eta),
-                               q_function(-axis / model.sigma_eta)), axis=1)
-    return dataclasses.replace(ops, forward=matrix, adjoint=matrix.T.tocsr(),
-                               sign_likes=sign_likes)
+    sign_likes = np.stack((q_function(axis / model.sigma_eta),
+                           q_function(-axis / model.sigma_eta)), axis=1)
+    return dataclasses.replace(estimators._grid_operators(axis, model), forward=matrix,
+                               adjoint=matrix.T.tocsr(), sign_likes=sign_likes)
 
 
-def _two_pass_filter(batch, model, grid=GridSpec()):
+def _two_pass_filter(batch, model, grid=GridSpec(), sigma_eta=None):
     """Reference ``grid_filter``, in float64 throughout and never flushed: per
     block, normalise by the column sums, then take each moment from the
-    normalised posterior in a pass of its own. Its ``pmfs`` are float64."""
-    ops = _float64_operators(estimators._grid_axis(model, grid, batch.horizon), model,
-                             batch.channel)
+    normalised posterior in a pass of its own. Its ``pmfs`` are float64.
+    ``sigma_eta`` selects the Gaussian likelihood (see :func:`_oracle_likelihood`)."""
+    ops = _float64_operators(estimators._grid_axis(model, grid, batch.horizon), model)
     axis = ops.axis
     prior = estimators._cell_masses(axis, model.mu0, model.sigma0, axis[1] - axis[0])
     pmf = np.repeat((prior / prior.sum())[:, None], batch.num_trials, axis=1)
@@ -253,7 +280,7 @@ def _two_pass_filter(batch, model, grid=GridSpec()):
     means[:, 0], variances[:, 0] = _oracle_moments(axis, pmf)
     for k in range(1, batch.horizon + 1):
         posterior = ops.forward @ pmf
-        posterior *= _oracle_likelihood(ops, batch.observations[:, k - 1])
+        posterior *= _oracle_likelihood(ops, batch.observations[:, k - 1], sigma_eta)
         pmf = posterior / posterior.sum(axis=0)
         store[k] = pmf
         means[:, k], variances[:, k] = _oracle_moments(axis, pmf)
@@ -263,10 +290,11 @@ def _two_pass_filter(batch, model, grid=GridSpec()):
                                        batch=batch, operators=ops)
 
 
-def _two_pass_smoother(filtered):
+def _two_pass_smoother(filtered, sigma_eta=None):
     """Reference ``grid_smoother``: normalises each smoothed posterior before its moments.
 
-    In float64 and never flushed when ``filtered`` comes from :func:`_two_pass_filter`.
+    In float64 and never flushed when ``filtered`` comes from :func:`_two_pass_filter`,
+    with the likelihood that ``sigma_eta`` selects there.
     """
     ops, batch = filtered.operators, filtered.batch
     store = filtered.pmfs.transpose(1, 2, 0)
@@ -275,7 +303,7 @@ def _two_pass_smoother(filtered):
     variances = filtered.variances.copy()
     beta = np.ones((filtered.axis.size, batch.num_trials))
     for l in range(k_max - 1, -1, -1):
-        beta = ops.adjoint @ (beta * _oracle_likelihood(ops, batch.observations[:, l]))
+        beta = ops.adjoint @ (beta * _oracle_likelihood(ops, batch.observations[:, l], sigma_eta))
         beta /= beta.max(axis=0)
         posterior = store[l] * beta
         posterior /= posterior.sum(axis=0)
@@ -284,10 +312,10 @@ def _two_pass_smoother(filtered):
 
 
 def _replay_work(filtered):
-    """Work buffers for ``estimators._replay``: lik, wide, mask, inverse, floor."""
+    """Work buffers for ``estimators._replay``: lik, mask, inverse, floor."""
     shape = (filtered.axis.size, filtered.batch.num_trials)
     trials = shape[1]
-    return (np.empty(shape, dtype=np.float32), np.empty(shape), np.empty(shape, dtype=bool),
+    return (np.empty(shape, dtype=np.float32), np.empty(shape, dtype=bool),
             np.empty(trials, dtype=np.float32), np.empty(trials, dtype=np.float32))
 
 
@@ -402,9 +430,18 @@ class TestTrajectoryBatch:
     def test_one_bit_observations_must_be_signs(self, value):
         observations = np.ones((2, 4))
         observations[1, 2] = value
-        TrajectoryBatch(MeasurementChannel.UNQUANTIZED, np.zeros((2, 5)), observations)
+        if math.isfinite(value):
+            TrajectoryBatch(MeasurementChannel.UNQUANTIZED, np.zeros((2, 5)), observations)
         with pytest.raises(ValueError, match="one-bit"):
             TrajectoryBatch(MeasurementChannel.ONE_BIT, np.zeros((2, 5)), observations)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_unquantized_observations_must_be_finite(self, value):
+        # The grid reads signs, and a NaN would read as -1 without a word.
+        observations = np.ones((2, 4))
+        observations[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            TrajectoryBatch(MeasurementChannel.UNQUANTIZED, np.zeros((2, 5)), observations)
 
 
 class TestKalmanFilter:
@@ -565,8 +602,9 @@ class TestChunkBoundaries:
 
 
 class TestGridFilter:
-    def test_matches_kalman_on_linear_channel(self):
+    def test_matches_kalman_on_linear_channel(self, gaussian_grid):
         m = _model()
+        gaussian_grid(m)
         batch = simulate(m, MeasurementChannel.UNQUANTIZED, 21, 8, 25)
         exact = kalman_filter(batch, m)
         approx = grid_filter(batch, m, GridSpec(num_points=2000))
@@ -574,8 +612,9 @@ class TestGridFilter:
         assert_allclose(approx.variances, np.broadcast_to(exact.variances, (8, 26)),
                         atol=1e-3 * m.sigma_eta**2)
 
-    def test_smoother_matches_rts_on_linear_channel(self):
+    def test_smoother_matches_rts_on_linear_channel(self, gaussian_grid):
         m = _model()
+        gaussian_grid(m)
         batch = simulate(m, MeasurementChannel.UNQUANTIZED, 21, 8, 25)
         exact = rts_smoother(kalman_filter(batch, m), m)
         approx = grid_smoother(grid_filter(batch, m, GridSpec(num_points=2000)))
@@ -601,6 +640,21 @@ class TestGridFilter:
         assert_allclose(b.means, -a.means, atol=1e-7)
         assert_allclose(b.variances, a.variances, atol=1e-7)
 
+    @pytest.mark.parametrize("snr_db", (-10.0, 5.0))
+    def test_an_unquantized_batch_reads_as_its_one_bit_twin(self, snr_db):
+        # The grid reads signs, y >= 0 as +1 as simulate converts them, so
+        # an ideal converter's batch gives, bit for bit, what the 1-bit
+        # converter's batch from the same seed gives.
+        m = model_for_snr(0.999, snr_db)
+        ideal = simulate(m, MeasurementChannel.UNQUANTIZED, 20260814, 7, 60)
+        one_bit = simulate(m, MeasurementChannel.ONE_BIT, 20260814, 7, 60)
+        filtered, twin = grid_filter(ideal, m), grid_filter(one_bit, m)
+        for name in ("means", "variances", "pmfs", "totals"):
+            assert np.array_equal(getattr(filtered, name), getattr(twin, name)), name
+        smoothed, smoothed_twin = grid_smoother(filtered), grid_smoother(twin)
+        assert np.array_equal(smoothed.means, smoothed_twin.means)
+        assert np.array_equal(smoothed.variances, smoothed_twin.variances)
+
     def test_pmfs_are_per_trial_float32_posteriors(self):
         # Horizon 12 keeps every 4th block: blocks 0, 4, 8 and 12.
         m = model_for_snr(0.9, 0.0)
@@ -618,16 +672,17 @@ class TestGridFilter:
     # checkpoint stride c; 25 ends on a one-block segment after the
     # checkpoint at 24, and 60 is no multiple of its stride 8.
     @pytest.mark.parametrize("horizon", (1, 2, 3, 6, 25, 60))
-    def test_matches_the_two_pass_oracle(self, channel, horizon):
+    def test_matches_the_two_pass_oracle(self, channel, horizon, gaussian_grid):
         # Float32 arithmetic with its flush against the float64 two-pass
         # loop: the moments moved by at most 1.7e-7 relative on the default
-        # grid, both channels, over these horizons. Posterior entries above
-        # 1e-8 moved by 6.5e-7 relative; the flushed tails by 1.5e-13
-        # absolute.
+        # grid, both likelihoods (the unquantized channel's is the Gaussian
+        # one), over these horizons. Posterior entries above 1e-8 moved by
+        # 6.5e-7 relative; the flushed tails by 1.5e-13 absolute.
         m = model_for_snr(0.999, -10.0)
+        sigma_eta = gaussian_grid(m) if channel is MeasurementChannel.UNQUANTIZED else None
         batch = simulate(m, channel, 20260814, 7, horizon)
         filtered = grid_filter(batch, m)
-        oracle = _two_pass_filter(batch, m)
+        oracle = _two_pass_filter(batch, m, sigma_eta=sigma_eta)
         _assert_moments_match(filtered, oracle, rtol=1e-5)
         # every block, normalised: the checkpoints and the replayed blocks
         stride = estimators._checkpoint_stride(horizon)
@@ -635,14 +690,18 @@ class TestGridFilter:
         assert_allclose(checkpoints, oracle.pmfs[:, ::stride], rtol=1e-6, atol=1e-12)
         posteriors = _replayed(filtered) / filtered.totals[:, None, :]
         assert_allclose(posteriors.transpose(2, 0, 1), oracle.pmfs, rtol=1e-6, atol=1e-12)
-        _assert_moments_match(grid_smoother(filtered), _two_pass_smoother(oracle), rtol=1e-5)
+        _assert_moments_match(grid_smoother(filtered), _two_pass_smoother(oracle, sigma_eta),
+                              rtol=1e-5)
 
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
-    def test_replay_continues_into_the_next_checkpoint_bit_for_bit(self, channel):
+    def test_replay_continues_into_the_next_checkpoint_bit_for_bit(self, channel, gaussian_grid):
         # Each segment replayed one block past its end lands on the next
         # checkpoint: the replay repeats the filter's step with the same
         # operands. Horizon 60 has stride 8: checkpoints at 0, 8, ..., 56.
+        # The unquantized channel runs the Gaussian likelihood.
         m = model_for_snr(0.999, -10.0)
+        if channel is MeasurementChannel.UNQUANTIZED:
+            gaussian_grid(m)
         filtered = grid_filter(simulate(m, channel, 20260814, 7, 60), m, GridSpec(num_points=400))
         stride = estimators._checkpoint_stride(60)
         out = np.empty((stride + 1, 400, 7), dtype=np.float32)
@@ -653,23 +712,24 @@ class TestGridFilter:
 
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
     def test_likelihood_buffer_matches_the_table_gather_exactly(self, channel):
+        # An unquantized observation reads as its sign; 0 and -0 as +1.
         m = model_for_snr(0.9, 0.0)
         batch = simulate(m, channel, 8, 9, 30)
+        observations = batch.observations.copy()
+        if channel is MeasurementChannel.UNQUANTIZED:
+            observations[:2, 0] = 0.0, -0.0
         ops = grid_filter(batch, m, GridSpec(num_points=300)).operators
         out = np.empty((300, 9), dtype=np.float32)
-        wide, mask = np.empty((300, 9)), np.empty((300, 9), dtype=bool)
         ones = np.ones(9, dtype=np.float32)
         # a non-unit per-trial scale, as the filter and the smoother pass
         scale = np.linspace(0.3, 7.0, 9, dtype=np.float32)
         for k in range(30):
-            observation = batch.observations[:, k]
-            # rounded once to float32 and flushed below the floor
-            expected = _oracle_likelihood(ops, observation).astype(np.float32)
-            expected[expected < estimators._FLOOR] = 0.0
-            assert np.array_equal(ops.likelihood(observation, out, wide, mask, ones), expected)
+            observation = observations[:, k]
+            # a gather from the float32 table
+            expected = _oracle_likelihood(ops, observation)
+            assert np.array_equal(ops.likelihood(observation, out, ones), expected)
             # each column scaled exactly as a pass over the unit-scale result
-            assert np.array_equal(ops.likelihood(observation, out, wide, mask, scale),
-                                  expected * scale)
+            assert np.array_equal(ops.likelihood(observation, out, scale), expected * scale)
 
     def test_refinement_stability(self):
         m = model_for_snr(0.9, 0.0)
@@ -683,10 +743,13 @@ class TestGridFilter:
         (0.9, 0.0, MeasurementChannel.ONE_BIT),
         (0.999, -10.0, MeasurementChannel.ONE_BIT),
     ])
-    def test_smoother_survives_a_long_horizon(self, alpha, snr_db, channel):
+    def test_smoother_survives_a_long_horizon(self, alpha, snr_db, channel, gaussian_grid):
         # Unscaled, the backward evidence underflows a few hundred blocks
         # before the end; the scale carried into each likelihood keeps it.
+        # The unquantized channel runs the Gaussian likelihood.
         m = model_for_snr(alpha, snr_db)
+        if channel is MeasurementChannel.UNQUANTIZED:
+            gaussian_grid(m)
         batch = simulate(m, channel, 22, 3, 1500)
         smoothed = grid_smoother(grid_filter(batch, m, GridSpec(num_points=200)))
         assert np.all(np.isfinite(smoothed.means))
@@ -740,9 +803,13 @@ class TestGridFlush:
 
     @pytest.mark.parametrize("snr_db", (0.0, 5.0, 10.0))
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
-    def test_checkpoints_and_replayed_posteriors_hold_no_subnormal(self, snr_db, channel):
+    def test_checkpoints_and_replayed_posteriors_hold_no_subnormal(self, snr_db, channel,
+                                                                      gaussian_grid):
         # Each posterior is flushed below 2^-50 of its own total, not of 1.
+        # The unquantized channel runs the Gaussian likelihood.
         m = model_for_snr(0.999, snr_db)
+        if channel is MeasurementChannel.UNQUANTIZED:
+            gaussian_grid(m)
         filtered = grid_filter(simulate(m, channel, 7, 10, 200), m)
         assert _subnormals(filtered.pmfs) == 0
         assert _subnormals(_replayed(filtered)) == 0
@@ -756,37 +823,37 @@ def _with_observation(batch, trial: int, column: int, value: float):
 
 
 class TestGridDegeneracy:
-    """Each check names the block where the grid lost the state."""
+    """Each check names the block where the grid lost the state.
 
-    def _batch(self):
+    The grid runs the Gaussian likelihood, under which an observation far
+    outside the grid leaves no mass.
+    """
+
+    @pytest.fixture
+    def case(self, gaussian_grid):
         m = model_for_snr(0.9, 0.0)
+        gaussian_grid(m)
         return m, simulate(m, MeasurementChannel.UNQUANTIZED, 4, 5, 40)
 
-    def test_filter_raises_on_an_observation_far_outside_the_grid(self):
-        m, batch = self._batch()
+    def test_filter_raises_on_an_observation_far_outside_the_grid(self, case):
+        m, batch = case
         with pytest.raises(NumericalDegeneracyError, match="posterior mass vanished") as info:
             grid_filter(_with_observation(batch, 2, 9, 1e6), m, GridSpec(num_points=200))
         assert info.value.block == 10
 
-    def test_filter_raises_on_a_nan_observation(self):
-        m, batch = self._batch()
-        with pytest.raises(NumericalDegeneracyError, match="posterior mass vanished") as info:
-            grid_filter(_with_observation(batch, 1, 4, math.nan), m, GridSpec(num_points=200))
-        assert info.value.block == 5
-
-    def test_smoother_raises_when_backward_evidence_vanishes(self):
+    def test_smoother_raises_when_backward_evidence_vanishes(self, case):
         # Observation column l is block l + 1's, which the step into block l reads.
-        m, batch = self._batch()
+        m, batch = case
         filtered = grid_filter(batch, m, GridSpec(num_points=200))
         replaced = dataclasses.replace(filtered, batch=_with_observation(batch, 3, 20, 1e6))
         with pytest.raises(NumericalDegeneracyError, match="backward evidence vanished") as info:
             grid_smoother(replaced)
         assert info.value.block == 20
 
-    def test_smoother_raises_when_the_smoothed_mass_vanishes(self):
+    def test_smoother_raises_when_the_smoothed_mass_vanishes(self, case):
         # Horizon 40 has stride 7: the checkpoint of block 28 seeds blocks
         # 28-34, and the backward pass meets block 34 first.
-        m, batch = self._batch()
+        m, batch = case
         filtered = grid_filter(batch, m, GridSpec(num_points=200))
         filtered.pmfs[:, 4] = 0.0
         with pytest.raises(NumericalDegeneracyError,
@@ -810,7 +877,7 @@ class TestTiledOperator:
                                       GridSpec(num_points=1000, half_width=32.0)))
     def test_products_match_the_csr_oracle(self, alpha, step_ratio, grid):
         axis, model = _operator_case(alpha, step_ratio, grid)
-        ops = estimators._grid_operators(axis, model, MeasurementChannel.ONE_BIT)
+        ops = estimators._grid_operators(axis, model)
         matrix = _transition_matrix(axis, model)
         n = axis.size
         x = np.random.default_rng(7).random((n, 9))
@@ -842,7 +909,7 @@ class TestTiledOperator:
         budget = n * (estimators._TILE_ROWS + 2 * halfband + 1)
         tracemalloc.start()
         try:
-            ops = estimators._grid_operators(axis, model, MeasurementChannel.ONE_BIT)
+            ops = estimators._grid_operators(axis, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -858,9 +925,9 @@ class TestTiledOperator:
         tiled = monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", **kwargs)
         build = estimators._grid_operators
 
-        def with_oracle(axis, model, channel):
+        def with_oracle(axis, model):
             matrix = _transition_matrix(axis, model)
-            return dataclasses.replace(build(axis, model, channel), forward=matrix,
+            return dataclasses.replace(build(axis, model), forward=matrix,
                                        adjoint=matrix.T.tocsr())
 
         monkeypatch.setattr(estimators, "_grid_operators", with_oracle)
@@ -874,8 +941,7 @@ class TestTiledOperator:
             else:
                 assert a == b
 
-    @pytest.mark.parametrize("channel", list(MeasurementChannel))
-    def test_operators_are_built_once_per_call(self, channel, monkeypatch):
+    def test_operators_are_built_once_per_call(self, monkeypatch):
         builds = []
         build = estimators._grid_operators
 
@@ -886,8 +952,8 @@ class TestTiledOperator:
         monkeypatch.setattr(estimators, "_grid_operators", counted)
         # sub-batches of 3 trials
         monkeypatch.setattr(estimators, "_SUB_BATCH_TRIALS", 3)
-        monte_carlo_mse(model_for_snr(0.9, 0.0), channel, "grid", seed=3, num_trials=7,
-                        horizon=40, grid=GridSpec(num_points=200))
+        monte_carlo_mse(model_for_snr(0.9, 0.0), MeasurementChannel.ONE_BIT, "grid", seed=3,
+                        num_trials=7, horizon=40, grid=GridSpec(num_points=200))
         assert len(builds) == 1
 
     def test_sub_batches_hold_checkpoints_only(self, monkeypatch):
@@ -926,7 +992,7 @@ class TestTiledOperator:
         axis = estimators._grid_axis(model, GridSpec(num_points=num_points), 500)
         tracemalloc.start()
         try:
-            ops = estimators._grid_operators(axis, model, MeasurementChannel.ONE_BIT)
+            ops = estimators._grid_operators(axis, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -947,10 +1013,10 @@ class TestTiledOperator:
 
         axis = estimators._grid_axis(model, GridSpec(), 500)
         h = axis[1] - axis[0]
-        ops = estimators._grid_operators(axis, model, MeasurementChannel.ONE_BIT)
+        ops = estimators._grid_operators(axis, model)
         prior = estimators._cell_masses(axis, model.mu0, model.sigma0, h)
         monkeypatch.setattr(estimators, "_cell_masses", two_calls)
-        oracle = estimators._grid_operators(axis, model, MeasurementChannel.ONE_BIT)
+        oracle = estimators._grid_operators(axis, model)
         assert np.array_equal(prior, two_calls(axis, model.mu0, model.sigma0, h))
         for got, want in ((ops.forward, oracle.forward), (ops.adjoint, oracle.adjoint)):
             assert len(got) == len(want)
@@ -1024,8 +1090,11 @@ class TestMonteCarloMse:
         with pytest.raises(ValueError):
             monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "exact",
                             seed=1, num_trials=4, horizon=50)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unquantized"):
             monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "kalman",
+                            seed=1, num_trials=4, horizon=50)
+        with pytest.raises(ValueError, match="one_bit"):
+            monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "grid",
                             seed=1, num_trials=4, horizon=50)
 
     def test_rejects_horizon_shorter_than_burn_in_plus_lag(self):
