@@ -48,10 +48,13 @@ print(f"{'smoother':>10} {report.steady_smooth_mse:10.5f} "
       f"{report.steady_smooth_bound:10.5f} "
       f"{report.steady_smooth_mse / report.steady_smooth_bound:10.4f}")
 
-# Simulation batches are reproducible from a single root seed, and both
-# channels share state paths so channel comparisons use common random
-# numbers.
-a = simulate(model, MeasurementChannel.ONE_BIT, seed, 3, 5)
-b = simulate(model, MeasurementChannel.UNQUANTIZED, seed, 3, 5)
-print("\nsame seed, same states:", bool(np.array_equal(a.states, b.states)))
-print("one-bit row 0 signs:   ", a.observations[0].astype(int))
+# Simulation batches are reproducible from a single root seed. A batch
+# holds the unquantized measurements y_k, and both receivers read it: the
+# Kalman filter reads y_k, the grid its sign (y_k >= 0 is +1). So the two
+# channels are compared on common random numbers.
+a = simulate(model, seed, 3, 5)
+b = simulate(model, seed, 3, 5)
+print("\nsame seed, same batch:", bool(np.array_equal(a.states, b.states)
+                                   and np.array_equal(a.observations, b.observations)))
+print("row 0 measurements:   ", np.round(a.observations[0], 2))
+print("row 0 signs:          ", np.where(a.observations[0] >= 0.0, 1, -1))

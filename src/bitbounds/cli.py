@@ -569,7 +569,7 @@ def run_selftest() -> tuple[str, int]:
 
     # The RTS variances do not depend on the data, so one all-zero trial
     # suffices.
-    batch = TrajectoryBatch(MeasurementChannel.UNQUANTIZED, np.zeros((1, 31)), np.zeros((1, 30)))
+    batch = TrajectoryBatch(np.zeros((1, 31)), np.zeros((1, 30)))
     worst = 0.0
     for alpha in (0.5, 0.9, 0.99):
         for sigma_z in (0.5, 1.0, 2.0):

@@ -9,8 +9,8 @@ This module provides:
   form and attains the bounds; one backward path serves every lag;
 * a grid (point-mass) filter and fixed-interval smoother, the one-bit
   receiver, that approximate the conditional mean where no closed form
-  exists. They read each observation's sign, so an unquantized batch gives
-  what its 1-bit conversion would. The banded transition operator and its
+  exists. They read the sign of each unquantized observation, as a 1-bit
+  converter would. The banded transition operator and its
   adjoint are stored as dense row tiles, each over only the columns its
   rows touch and filled from its own band entries, and applied with one
   BLAS matrix product per tile; neither the n x n matrix nor a list of all
@@ -26,9 +26,10 @@ This module provides:
   smoother keeps no posterior per block: the filter checkpoints every
   ``c``-th posterior, ``c = ceil(sqrt(K + 1))``, and the smoother replays
   one segment of ``c`` blocks at a time from its checkpoint, bit for bit;
-* a seeded trajectory simulator and a Monte Carlo harness that compares
-  empirical MSE per block against the matching bound values. The simulator
-  runs the state recursion as a numpy loop over blocks, bit-identical to
+* a seeded trajectory simulator, whose one unquantized batch every
+  receiver reads, and a Monte Carlo harness that compares empirical MSE
+  per block against the matching bound values. The simulator runs the
+  state recursion as a numpy loop over blocks, bit-identical to
   ``scipy.signal.lfilter`` (the tests' oracle) without importing it.
 
 Randomness contract: trial ``i`` draws from ``default_rng`` seeded with the
@@ -87,27 +88,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    """Simulated state trajectories with their measurements.
+    """Simulated state trajectories with the unquantized measurements every receiver reads.
 
     Parameters
     ----------
-    channel : MeasurementChannel
     states : ndarray, shape (num_trials, horizon + 1)
         ``states[:, k]`` is ``theta_k``; at least one trial and one
         measured block.
     observations : ndarray, shape (num_trials, horizon)
-        ``observations[:, k - 1]`` is the measurement of block k; values
-        are in {-1, +1} for the one-bit channel and finite for the
-        unquantized one.
+        ``observations[:, k - 1]`` is ``y_k = theta_k + eta_k``; finite.
     """
 
-    channel: MeasurementChannel
     states: np.ndarray
     observations: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.channel, MeasurementChannel):
-            raise TypeError(f"channel must be a MeasurementChannel, got {self.channel!r}.")
         states = np.asarray(self.states, dtype=float)
         observations = np.asarray(self.observations, dtype=float)
         if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] < 2:
@@ -116,13 +111,8 @@ class TrajectoryBatch:
         expected = (states.shape[0], states.shape[1] - 1)
         if observations.shape != expected:
             raise ValueError(f"observations must have shape {expected}, got {observations.shape}.")
-        if self.channel is MeasurementChannel.ONE_BIT:
-            signs = observations == 1.0
-            signs |= observations == -1.0
-            if not signs.all():
-                raise ValueError("one-bit observations must take values in {-1, +1}.")
-        elif not np.isfinite(observations).all():
-            raise ValueError("unquantized observations must be finite.")
+        if not np.isfinite(observations).all():
+            raise ValueError("observations must be finite.")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "observations", observations)
 
@@ -178,12 +168,10 @@ class KalmanResult:
 class RtsResult:
     """Smoothed means and analytic variances.
 
-    ``lag`` is the fixed smoothing lag; ``None`` marks fixed-interval
-    output, where block ``l`` uses all measurements. Entry ``l`` of both
-    arrays refers to state block ``l``.
+    Entry ``l`` of both arrays refers to state block ``l``; a lag-``delta``
+    result ends at block ``K - delta``.
     """
 
-    lag: int | None
     means: np.ndarray
     variances: np.ndarray
 
@@ -320,14 +308,13 @@ def _forward_in_chunks(source: np.ndarray, out: np.ndarray, step) -> np.ndarray:
     return out
 
 
-def simulate(model: GaussMarkovModel, channel: MeasurementChannel, seed: int,
-             num_trials: int, horizon: int) -> TrajectoryBatch:
-    """Draw a reproducible batch of trajectories and measurements.
+def simulate(model: GaussMarkovModel, seed: int, num_trials: int,
+             horizon: int) -> TrajectoryBatch:
+    """Draw a reproducible batch of trajectories and unquantized measurements.
 
     Parameters
     ----------
     model : GaussMarkovModel
-    channel : MeasurementChannel
     seed : int
         Root seed in ``[0, 2^64)``.
     num_trials : int
@@ -338,15 +325,7 @@ def simulate(model: GaussMarkovModel, channel: MeasurementChannel, seed: int,
     -------
     TrajectoryBatch
         Identical inputs produce bit-identical batches.
-
-    Raises
-    ------
-    TypeError
-        If ``channel`` is not a :class:`MeasurementChannel`; checked before
-        anything is drawn.
     """
-    if not isinstance(channel, MeasurementChannel):
-        raise TypeError(f"channel must be a MeasurementChannel, got {channel!r}.")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}.")
     if num_trials < 1:
@@ -375,21 +354,15 @@ def simulate(model: GaussMarkovModel, channel: MeasurementChannel, seed: int,
     # eta_k + theta_k, in the buffer of the eta draws (the sum commutes)
     observations *= model.sigma_eta
     observations += states[:, 1:]
-    if channel is MeasurementChannel.ONE_BIT:
-        # +1 where eta_k + theta_k >= 0 and -1 elsewhere, in place
-        up = observations >= 0.0
-        np.multiply(up, 2.0, out=observations)
-        observations -= 1.0
-    return TrajectoryBatch(channel, states, observations)
+    return TrajectoryBatch(states, observations)
 
 
 def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResult:
-    """Exact conditional-mean filter for the unquantized channel.
+    """Exact conditional-mean filter for the unquantized channel: it reads ``y_k``.
 
     Parameters
     ----------
     batch : TrajectoryBatch
-        Must carry unquantized observations.
     model : GaussMarkovModel
 
     Returns
@@ -400,8 +373,6 @@ def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResu
         ``predicted_variances[k]`` the one-step prior variance of block k,
         with entry 0 equal to the prior variance.
     """
-    if batch.channel is not MeasurementChannel.UNQUANTIZED:
-        raise ValueError("kalman_filter requires an unquantized batch.")
     p = model.sigma0**2
     variances, predicted, gains = [p], [p], [0.0]
     a2, q, r = model.alpha**2, model.sigma_z**2, model.sigma_eta**2
@@ -524,7 +495,7 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
         np.subtract(rows[:smoothed], corrected, out=corrected)
         corrected += filt[:smoothed]
         np.copyto(means[:, l0 : l0 + smoothed], corrected.T)
-    return RtsResult(lag=lag, means=means, variances=p[:width] + spread)
+    return RtsResult(means=means, variances=p[:width] + spread)
 
 
 def kalman_steady_variance(model: GaussMarkovModel) -> float:
@@ -648,10 +619,10 @@ class _GridOperators:
         and ``scale`` a float32 (trials,) row: the filter carries its
         normalisation of the posterior in it, the smoother that of the
         backward evidence. The result goes into float32 ``out`` (n, trials).
-        ``y >= 0`` is +1, as in :func:`simulate`. The signs build the
-        selector ``[~up; up] * scale``, so a product with ``sign_likes``
-        gathers and scales its columns exactly (each entry is ``scale * q +
-        0 * q'``) and, unlike ``np.take``, writes into ``out`` at BLAS speed.
+        ``y >= 0`` is +1. The signs build the selector ``[~up; up] * scale``,
+        so a product with ``sign_likes`` gathers and scales its columns
+        exactly (each entry is ``scale * q + 0 * q'``) and, unlike
+        ``np.take``, writes into ``out`` at BLAS speed.
         """
         up = observation >= 0.0
         # np.array builds the (2, trials) selector in C, np.stack in Python
@@ -775,9 +746,8 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
 
     Each block applies the banded transition operator to the previous
     posterior and multiplies by the likelihood of the sign of the block's
-    observation: the reference estimator for the one-bit channel. On an
-    unquantized batch it returns, bit for bit, what it returns on the
-    one-bit batch that :func:`simulate` draws from the same seed.
+    observation (``y >= 0`` is +1): the reference estimator for the one-bit
+    channel. A batch of signs, ``+-1``, reads as itself.
 
     Nothing is normalised in place: each trial's total ``t_k``, from the
     moment product, is carried into the next block's likelihood as
@@ -1020,13 +990,18 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> MseReport:
     """Empirical filtering and smoothing MSE paired with their bounds.
 
+    Both estimators read the unquantized batch that :func:`simulate` draws.
+    ``channel``, checked before anything is drawn, selects the bounds and
+    must be the estimator's own.
+
     Parameters
     ----------
     model : GaussMarkovModel
     channel : MeasurementChannel
     estimator : str
         ``"kalman"`` (unquantized channel only; RTS smoothing at the given
-        lag) or ``"grid"`` (one-bit channel only; fixed-interval smoothing).
+        lag) or ``"grid"`` (one-bit channel only, reading the signs;
+        fixed-interval smoothing).
     seed, num_trials, horizon : int
         Simulation parameters; see :func:`simulate`.
     lag : int
@@ -1048,7 +1023,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     if estimator not in _ESTIMATOR_CHANNELS:
         raise ValueError(f"estimator must be 'kalman' or 'grid', got {estimator!r}.")
     paired = _ESTIMATOR_CHANNELS[estimator]
-    # a channel name is no channel: simulate raises its TypeError
+    # a channel name is no channel: per_block_fims raises its TypeError
     if isinstance(channel, MeasurementChannel) and channel is not paired:
         raise ValueError(f"the {estimator} estimator requires the {paired.value} channel.")
     if estimator == "grid" and lag != 0:
@@ -1056,12 +1031,11 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     burn = burn_in_blocks(model, horizon)
     if estimator == "kalman" and not horizon > burn + lag:
         raise ValueError(f"horizon {horizon} too short for burn-in {burn} plus lag {lag}.")
-    batch = simulate(model, channel, seed, num_trials, horizon)
-
     fims = per_block_fims(model, channel, horizon, spec)
     filter_info = filtered_information(model, fims)
     steady_fim = steady_expected_fim(model, channel, spec)
     steady_j = quadratic_filter_root(model, steady_fim)
+    batch = simulate(model, seed, num_trials, horizon)
 
     if estimator == "kalman":
         filtered = kalman_filter(batch, model)
@@ -1088,7 +1062,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         operators = _grid_operators(_grid_axis(model, grid, horizon), model)
         for start in range(0, num_trials, step):
             trials = slice(start, start + step)
-            sub = TrajectoryBatch(channel, states[trials], batch.observations[trials])
+            sub = TrajectoryBatch(states[trials], batch.observations[trials])
             gf = grid_filter(sub, model, grid, operators=operators)
             gs = grid_smoother(gf)
             err_f[trials] = (gf.means - sub.states) ** 2

@@ -29,7 +29,6 @@ def test_every_exported_name_resolves(module_name):
 _MODEL = bitbounds.model_for_snr(0.9, 0.0)
 # Every public path whose result depends on the channel, with small sizes.
 _CHANNEL_CALLS = {
-    "simulate": lambda channel: bitbounds.simulate(_MODEL, channel, 1, 2, 5),
     "monte_carlo_mse grid": lambda channel: bitbounds.monte_carlo_mse(
         _MODEL, channel, "grid", 1, 20, 60, grid=bitbounds.GridSpec(num_points=200)),
     "monte_carlo_mse kalman": lambda channel: bitbounds.monte_carlo_mse(
@@ -38,8 +37,6 @@ _CHANNEL_CALLS = {
     "filter_bim_sequence": lambda channel: bitbounds.filter_bim_sequence(_MODEL, channel, 3),
     "smooth_bim_compact": lambda channel: bitbounds.smooth_bim_compact(_MODEL, channel, 3),
     "steady_expected_fim": lambda channel: bitbounds.steady_expected_fim(_MODEL, channel),
-    "TrajectoryBatch": lambda channel: bitbounds.TrajectoryBatch(
-        channel, np.zeros((1, 3)), np.ones((1, 2))),
 }
 
 
@@ -51,6 +48,20 @@ def test_a_channel_name_is_not_a_channel(entry, channel):
     # different channels without an error.
     with pytest.raises(TypeError, match="MeasurementChannel"):
         _CHANNEL_CALLS[entry](channel)
+
+
+@pytest.mark.parametrize("channel", list(bitbounds.MeasurementChannel))
+@pytest.mark.parametrize("entry", ["simulate", "TrajectoryBatch"])
+def test_a_batch_takes_no_channel(entry, channel):
+    # A batch holds what was drawn, for every receiver alike. A call that
+    # still passes a channel first fails, rather than shifting its arguments.
+    calls = {
+        "simulate": lambda: bitbounds.simulate(_MODEL, channel, 1, 2, 5),
+        "TrajectoryBatch": lambda: bitbounds.TrajectoryBatch(
+            channel, np.zeros((2, 6)), np.ones((2, 5))),
+    }
+    with pytest.raises(TypeError):
+        calls[entry]()
 
 
 def test_readme_library_example_prints_its_stated_values():
