@@ -46,7 +46,7 @@ print(f"stationary-marginal limit = {limit:.6f}")
 # with its own backward recursion; the gain is never negative, zero at the
 # final block and largest deep in the interior.
 fims = per_block_fims(model, MeasurementChannel.ONE_BIT, horizon)
-gains = smoothing_gain(model, fims, anchor=horizon)
+gains = smoothing_gain(model, fims)
 smoothed = smooth_bim_compact(model, MeasurementChannel.ONE_BIT, horizon)
 print("\none-bit smoothing vs filtering")
 print(f"{'l':>3} {'J_l|l':>12} {'gain':>12} {'J_l|K':>12}")

@@ -11,7 +11,6 @@ line tool (``bitbounds``) runs the standard sweep and validation experiments.
 """
 
 from .bim import (
-    BimKind,
     BimSequence,
     filter_bim_sequence,
     filtered_information,
@@ -71,7 +70,6 @@ from .steady import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BimKind",
     "BimSequence",
     "DEFAULT_QUADRATURE",
     "GaussMarkovModel",

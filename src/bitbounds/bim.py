@@ -13,12 +13,14 @@ recursions. Their inverses lower-bound the MSE of any estimator of
 * smoothing (``l < k``): the filtered information plus a smoothing gain that
   obeys its own backward recursion (:func:`~bitbounds.core.gain_step`).
 
-Block 0 carries the prior only; measurements enter at blocks 1..K.
+Block 0 carries the prior only; measurements enter at blocks 1..K. Every
+sequence is conditioned on the measurements up to its last block ``K``:
+conditioning on an earlier block ``k`` is the same computation at horizon
+``k``, bit for bit.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,6 @@ from .core import (
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fq_batch
 
 __all__ = [
-    "BimKind",
     "BimSequence",
     "per_block_fims",
     "filtered_information",
@@ -44,33 +45,21 @@ __all__ = [
 ]
 
 
-class BimKind(enum.Enum):
-    FILTER = "filter"
-    PREDICT = "predict"
-    SMOOTH = "smooth"
-
-
 @dataclass(frozen=True)
 class BimSequence:
     """A sequence of per-block Bayesian informations.
 
     Parameters
     ----------
-    kind : BimKind
-        Which recursion produced the sequence.
     values : ndarray, shape (L,)
-        ``FILTER``: ``values[k]`` is the information of block ``k`` given
-        measurements 1..k. ``PREDICT``: ``values[m]`` is the information of
-        block ``anchor + m`` given measurements 1..anchor. ``SMOOTH``:
-        ``values[l]`` is the information of block ``l`` given measurements
-        1..anchor.
-    anchor : int or None
-        Conditioning block for ``PREDICT`` and ``SMOOTH`` sequences.
+        Finite. From :func:`filter_bim_sequence`, ``values[k]`` is the
+        information of block ``k`` given measurements 1..k; from
+        :func:`smooth_bim_compact`, of block ``l`` given measurements
+        1..L-1; from :func:`predict_bim`, of ``m`` blocks past the last
+        measurement.
     """
 
-    kind: BimKind
     values: np.ndarray
-    anchor: int | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -79,8 +68,6 @@ class BimSequence:
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite.")
         object.__setattr__(self, "values", values)
-        if self.anchor is not None and not 0 <= self.anchor:
-            raise ValueError(f"anchor must be a nonnegative block index, got {self.anchor}.")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -166,104 +153,74 @@ def filter_bim_sequence(model: GaussMarkovModel, channel: MeasurementChannel,
     Returns
     -------
     BimSequence
-        ``kind`` FILTER, length ``num_blocks + 1``.
+        Length ``num_blocks + 1``.
     """
     fims = per_block_fims(model, channel, num_blocks, spec)
-    return BimSequence(BimKind.FILTER, filtered_information(model, fims))
+    return BimSequence(filtered_information(model, fims))
 
 
-def predict_bim(model: GaussMarkovModel, filtered: BimSequence, num_steps: int,
-                anchor: int | None = None) -> BimSequence:
-    """Predicted information for blocks anchor..anchor+num_steps.
+def predict_bim(model: GaussMarkovModel, filtered: BimSequence, num_steps: int) -> BimSequence:
+    """Predicted information for the ``num_steps`` blocks past the last of ``filtered``.
 
-    Iterates measurement-free forward steps from a filtered information.
-    As the horizon grows the values contract toward the model-only fixed
-    point, ``(1 - alpha^2) / sigma_z^2`` for a stationary chain.
-
-    Parameters
-    ----------
-    model : GaussMarkovModel
-    filtered : BimSequence
-        A FILTER sequence for the same model.
-    num_steps : int
-        Number of blocks to predict ahead; must be nonnegative.
-    anchor : int, optional
-        Block whose filtered information seeds the prediction; defaults to
-        the last block of ``filtered``.
+    Iterates measurement-free forward steps from ``filtered.values[-1]``,
+    which contract toward the model-only fixed point
+    ``(1 - alpha^2) / sigma_z^2`` of a stationary chain. A smoothed
+    sequence ends on the filtered value (its last gain is zero), so it
+    predicts the same values.
 
     Returns
     -------
     BimSequence
-        ``kind`` PREDICT, length ``num_steps + 1``; entry ``m`` refers to
-        block ``anchor + m``.
+        Length ``num_steps + 1`` (``num_steps`` nonnegative); entry ``m``
+        refers to ``m`` blocks past the last measurement.
     """
-    if filtered.kind is not BimKind.FILTER:
-        raise ValueError(f"predict_bim requires a FILTER sequence, got {filtered.kind}.")
     if num_steps < 0:
         raise ValueError(f"num_steps must be nonnegative, got {num_steps}.")
-    if anchor is None:
-        anchor = len(filtered) - 1
-    if not 0 <= anchor < len(filtered):
-        raise ValueError(f"anchor {anchor} outside filtered sequence of length {len(filtered)}.")
-    j = float(filtered.values[anchor])
+    j = float(filtered.values[-1])
     values = [j]
     for _ in range(num_steps):
         j = forward_info_step(model, j)
         values.append(j)
-    return BimSequence(BimKind.PREDICT, values, anchor=anchor)
+    return BimSequence(values)
 
 
-def smoothing_gain(model: GaussMarkovModel, fims: np.ndarray, anchor: int) -> np.ndarray:
-    """Information gained by smoothing, per block.
+def smoothing_gain(model: GaussMarkovModel, fims: np.ndarray) -> np.ndarray:
+    """Information gained by smoothing, per block, from the :func:`per_block_fims` array.
 
-    The gain ``kappa(l | anchor) = J(l | anchor) - J(l | l)`` obeys its own
-    backward recursion that needs only the expected measurement
-    informations, not the filtered sequence: ``kappa(anchor) = 0``, and
-    ``kappa(l)`` is one :func:`~bitbounds.core.gain_step` from
-    ``kappa(l + 1)`` with ``fims[l + 1]``.
-
-    Parameters
-    ----------
-    model : GaussMarkovModel
-    fims : ndarray
-        Expected measurement information per block, indexed by block;
-        entries l+1..anchor are consumed.
-    anchor : int
-        Last measurement block conditioned on.
-
-    Returns
-    -------
-    ndarray, shape (anchor + 1,)
-        Entry ``l`` is ``kappa(l | anchor)``; every entry is nonnegative
-        and entry ``anchor`` is zero.
+    The backward counterpart of :func:`filtered_information`. With ``K``
+    the last block of ``fims``, the gain
+    ``kappa(l | K) = J(l | K) - J(l | l)`` obeys its own backward
+    recursion that needs only the expected measurement informations, not
+    the filtered sequence: ``kappa(K) = 0``, and ``kappa(l)`` is one
+    :func:`~bitbounds.core.gain_step` from ``kappa(l + 1)`` with
+    ``fims[l + 1]``. The result has the length of ``fims``; every entry is
+    nonnegative and the last is zero. The gains given measurements up to an
+    earlier block ``k`` are those of ``fims[:k + 1]``.
     """
     fims = np.asarray(fims, dtype=float)
-    if not 0 <= anchor < fims.shape[0]:
-        raise ValueError(f"anchor {anchor} outside fims of length {fims.shape[0]}.")
+    if fims.ndim != 1 or fims.shape[0] < 1:
+        raise ValueError(f"fims must have shape (K + 1,), got {fims.shape}.")
     kappa = 0.0
     gains = [kappa]
-    for fim in reversed(fims[1 : anchor + 1].tolist()):
+    for fim in reversed(fims.tolist()[1:]):
         kappa = gain_step(model, kappa, fim)
         gains.append(kappa)
     gains.reverse()
     return np.array(gains)
 
 
-def smooth_bim_compact(model: GaussMarkovModel, channel: MeasurementChannel, anchor: int,
+def smooth_bim_compact(model: GaussMarkovModel, channel: MeasurementChannel, num_blocks: int,
                        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> BimSequence:
-    """Smoothed information via the decomposition ``J(l|k) = J(l|l) + kappa(l|k)``.
+    """Smoothed information of blocks 0..num_blocks given measurements 1..num_blocks.
 
-    The filtered term and the smoothing gain are computed from one array of
-    expected measurement informations and added, so no step subtracts
-    informations.
+    Uses the decomposition ``J(l|K) = J(l|l) + kappa(l|K)``: the filtered
+    term and the smoothing gain are computed from one array of expected
+    measurement informations and added, so no step subtracts informations.
 
     Returns
     -------
     BimSequence
-        ``kind`` SMOOTH, length ``anchor + 1``.
+        Length ``num_blocks + 1``; the last entry is the filtered value.
     """
-    if anchor < 0:
-        raise ValueError(f"anchor must be nonnegative, got {anchor}.")
-    fims = per_block_fims(model, channel, anchor, spec)
-    values = filtered_information(model, fims) + smoothing_gain(model, fims, anchor)
-    return BimSequence(BimKind.SMOOTH, values, anchor=anchor)
+    fims = per_block_fims(model, channel, num_blocks, spec)
+    return BimSequence(filtered_information(model, fims) + smoothing_gain(model, fims))

@@ -1008,11 +1008,12 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         Smoothing lag for the Kalman path; the steady region must fit,
         ``horizon > burn-in + lag``. The grid path requires 0.
     grid : GridSpec
-        Grid geometry for the grid path. It runs its trials in sub-batches
-        of up to 100, one tile product wide, fewer on grids where their
-        checkpoints and replayed segment would pass 20 MB
-        (:func:`_sub_batch_trials`); the split moves results by summation
-        order only. Memory grows as ``sqrt(K)`` in the horizon, not as K.
+        Grid geometry for the grid path; the Kalman path requires the
+        default. The grid path runs its trials in sub-batches of up to
+        100, one tile product wide, fewer on grids where their checkpoints
+        and replayed segment would pass 20 MB (:func:`_sub_batch_trials`);
+        the split moves results by summation order only. Memory grows as
+        ``sqrt(K)`` in the horizon, not as K.
     spec : QuadratureSpec
         Quadrature for the bound values.
 
@@ -1028,6 +1029,8 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         raise ValueError(f"the {estimator} estimator requires the {paired.value} channel.")
     if estimator == "grid" and lag != 0:
         raise ValueError(f"the grid estimator smooths over the whole interval; got lag {lag}.")
+    if estimator == "kalman" and grid != GridSpec():
+        raise ValueError(f"the kalman estimator reads no grid; got {grid}.")
     burn = burn_in_blocks(model, horizon)
     if estimator == "kalman" and not horizon > burn + lag:
         raise ValueError(f"horizon {horizon} too short for burn-in {burn} plus lag {lag}.")
@@ -1053,7 +1056,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         smooth_lo, smooth_hi = burn, horizon - lag
         report_lag: int | None = lag
     else:
-        smooth_bounds = 1.0 / (filter_info + smoothing_gain(model, fims, horizon))
+        smooth_bounds = 1.0 / (filter_info + smoothing_gain(model, fims))
         steady_smooth_bound = 1.0 / (steady_j + quadratic_gain_root(model, steady_fim))
         states = batch.states
         err_f = np.empty_like(states)

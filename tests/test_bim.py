@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from scipy import linalg
 
 from bitbounds import (
-    BimKind,
     BimSequence,
     GaussMarkovModel,
     MeasurementChannel,
@@ -22,6 +21,7 @@ from bitbounds import (
     filter_bim_sequence,
     forward_info_step,
     gain_step,
+    model_for_snr,
     per_block_fims,
     predict_bim,
     q_function,
@@ -126,7 +126,6 @@ class TestFilterSequence:
         seq = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 3)
         assert seq.values[0] == 4.0
         assert len(seq) == 4
-        assert seq.kind is BimKind.FILTER
 
     def test_one_bit_never_beats_unquantized(self):
         m = GaussMarkovModel(alpha=0.95, sigma_z=0.5, sigma_eta=1.0, sigma0=1.0)
@@ -268,14 +267,14 @@ class TestPerBlockOracle:
         assert np.array_equal(per_block_fims(m, channel, horizon, spec), fims)
         filtered = filter_bim_sequence(m, channel, horizon, spec)
         assert np.array_equal(filtered.values, _filtered_oracle(m, fims))
-        for anchor in (None, 17):
-            start = filtered.values[-1 if anchor is None else anchor]
-            ahead = predict_bim(m, filtered, 80, anchor=anchor)
-            assert np.array_equal(ahead.values, _predicted_oracle(m, start, 80))
+        ahead = predict_bim(m, filtered, 80)
+        assert np.array_equal(ahead.values, _predicted_oracle(m, filtered.values[-1], 80))
+        ahead = predict_bim(m, filter_bim_sequence(m, channel, 17, spec), 80)
+        assert np.array_equal(ahead.values, _predicted_oracle(m, filtered.values[17], 80))
         smoothed = smooth_bim_compact(m, channel, horizon, spec)
         want = _filtered_oracle(m, fims) + _gain_oracle(m, fims, horizon)
         assert np.array_equal(smoothed.values, want)
-        assert np.array_equal(smoothing_gain(m, fims, 50), _gain_oracle(m, fims, 50))
+        assert np.array_equal(smoothing_gain(m, fims[:51]), _gain_oracle(m, fims, 50))
 
     @pytest.mark.parametrize("mu0", [0.0, 0.5])
     def test_long_horizon_spans_several_array_evaluations(self, mu0):
@@ -293,7 +292,6 @@ class TestPrediction:
         m = GaussMarkovModel(alpha=0.9, sigma_z=1.0, sigma_eta=1.0, sigma0=1.0)
         filtered = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 10)
         pred = predict_bim(m, filtered, 0)
-        assert pred.kind is BimKind.PREDICT
         assert_allclose(pred.values[0], filtered.values[-1], rtol=0)
 
     def test_limit_is_stationary_precision(self):
@@ -315,11 +313,14 @@ class TestPrediction:
         pred = predict_bim(_golden_model(), filtered, 5)
         assert_allclose(np.diff(pred.variances), 1.0, rtol=1e-12)
 
-    def test_requires_filter_sequence(self):
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_a_smoothed_sequence_predicts_as_the_filtered_one(self, channel):
+        # The last smoothing gain is zero, so both sequences end on one value.
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=1.0)
-        smoothed = smooth_bim_compact(m, MeasurementChannel.UNQUANTIZED, 10)
-        with pytest.raises(ValueError):
-            predict_bim(m, smoothed, 3)
+        smoothed = smooth_bim_compact(m, channel, 10)
+        filtered = filter_bim_sequence(m, channel, 10)
+        assert np.array_equal(predict_bim(m, smoothed, 30).values,
+                              predict_bim(m, filtered, 30).values)
 
 
 class TestSmoothing:
@@ -328,7 +329,6 @@ class TestSmoothing:
         filtered = filter_bim_sequence(m, MeasurementChannel.UNQUANTIZED, 25)
         smoothed = smooth_bim_compact(m, MeasurementChannel.UNQUANTIZED, 25)
         assert smoothed.values[-1] == filtered.values[-1]
-        assert smoothed.anchor == 25
         assert len(smoothed) == 26
 
     def test_partial_anchor(self):
@@ -352,7 +352,7 @@ class TestSmoothing:
     def test_gain_is_zero_at_anchor_and_grows_backward(self):
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=1.0)
         fims = per_block_fims(m, MeasurementChannel.UNQUANTIZED, 30)
-        gains = smoothing_gain(m, fims, 30)
+        gains = smoothing_gain(m, fims)
         assert gains.shape == (31,)
         assert gains[30] == 0.0
         assert np.all(np.diff(gains) <= 1e-12)
@@ -360,15 +360,23 @@ class TestSmoothing:
 
     def test_stationary_gains_match_steady_lag_gains(self):
         # With a stationary prior every block sees the same expected
-        # information, so kappa(l | anchor) depends only on the lag.
+        # information, so kappa(l | K) depends only on the lag K - l.
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8,
                              sigma0=math.sqrt(0.36 / 0.19))
         fims = per_block_fims(m, MeasurementChannel.ONE_BIT, 15)
-        gains = smoothing_gain(m, fims, 15)
+        gains = smoothing_gain(m, fims)
         f = steady_expected_fim(m, MeasurementChannel.ONE_BIT)
         for l in range(16):
             lagged = steady_lag_gain(m, f, 15 - l)
             assert_allclose(gains[l], lagged, rtol=1e-12)
+
+    @pytest.mark.parametrize("alpha, snr_db", [(0.9, -5.0), (0.999, -10.0), (0.5, 10.0)])
+    @pytest.mark.parametrize("channel", list(MeasurementChannel))
+    def test_stationary_smoothing_is_symmetric_in_time(self, alpha, snr_db, channel):
+        # A stationary chain read backward is the same chain, so measured
+        # block l given blocks 1..12 is block 13 - l seen in reverse.
+        values = smooth_bim_compact(model_for_snr(alpha, snr_db), channel, 12).values
+        assert_allclose(values[1:], values[:0:-1], rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("lag", [0, 1, 7, 40])
     def test_lagged_gains_equal_fixed_interval_gains(self, lag):
@@ -376,7 +384,7 @@ class TestSmoothing:
         m = GaussMarkovModel(alpha=0.9, sigma_z=0.6, sigma_eta=0.8, sigma0=3.0)
         fims = per_block_fims(m, MeasurementChannel.ONE_BIT, 40)
         lagged = _lagged_gains(m, fims, lag)
-        expected = [smoothing_gain(m, fims, l + lag)[l] for l in range(41 - lag)]
+        expected = [smoothing_gain(m, fims[: l + lag + 1])[l] for l in range(41 - lag)]
         assert lagged.shape == (41 - lag,)
         assert np.array_equal(lagged, expected)
 
@@ -471,18 +479,18 @@ class TestProperties:
     @given(model=_models(stationary_prior=True),
            channel=st.sampled_from(list(MeasurementChannel)))
     def test_stationary_gains_depend_on_the_lag_only(self, model, channel):
-        anchor = 12
-        gains = smoothing_gain(model, per_block_fims(model, channel, anchor), anchor)
+        horizon = 12
+        gains = smoothing_gain(model, per_block_fims(model, channel, horizon))
         fim = steady_expected_fim(model, channel)
-        lagged = [steady_lag_gain(model, fim, anchor - l) for l in range(anchor + 1)]
+        lagged = [steady_lag_gain(model, fim, horizon - l) for l in range(horizon + 1)]
         assert_allclose(gains, lagged, rtol=1e-12, atol=0)
 
 
 class TestBimSequenceValidation:
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValueError):
-            BimSequence(BimKind.FILTER, np.array([1.0, math.nan]))
+            BimSequence(np.array([1.0, math.nan]))
 
     def test_rejects_non_vector_values(self):
         with pytest.raises(ValueError):
-            BimSequence(BimKind.FILTER, np.ones((3, 1, 1)))
+            BimSequence(np.ones((3, 1, 1)))

@@ -1,7 +1,10 @@
 """Experiment CLI: config handling, output files, exit codes."""
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -287,6 +290,15 @@ class TestSelftest:
         assert main(["selftest", "--out", str(out)]) == 0
         assert "summary: 6 checks, 0 failed" in out.read_text()
         assert "PASS" in capsys.readouterr().out
+
+    def test_module_entry_point_runs_the_cli(self):
+        # python -m bitbounds is the package's one module entry point
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-m", "bitbounds", "selftest"], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == run_selftest()[0] + "\n"
 
     def test_cli_maps_failures_to_exit_codes_above_2(self, monkeypatch, capsys):
         # Validation failures start at 3, clear of the usage code (1).

@@ -1099,6 +1099,9 @@ class TestMonteCarloMse:
         with pytest.raises(ValueError, match="one_bit"):
             monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "grid",
                             seed=1, num_trials=4, horizon=50)
+        with pytest.raises(ValueError, match="GridSpec"):
+            monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman",
+                            seed=1, num_trials=4, horizon=50, grid=GridSpec(num_points=200))
 
     def test_rejects_a_channel_name_before_drawing(self, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -1166,8 +1169,9 @@ class TestMonteCarloMse:
         (MeasurementChannel.UNQUANTIZED, "kalman"), (MeasurementChannel.ONE_BIT, "grid"),
     ])
     def test_builds_the_fims_once(self, channel, estimator, fims_builds):
+        grid = GridSpec(num_points=200) if estimator == "grid" else GridSpec()
         monte_carlo_mse(model_for_snr(0.9, 0.0), channel, estimator, seed=3, num_trials=2,
-                        horizon=60, lag=0, grid=GridSpec(num_points=200))
+                        horizon=60, lag=0, grid=grid)
         assert len(fims_builds) == 1
 
     def test_single_trial_reports_nan_se(self):

@@ -310,6 +310,31 @@ class TestPerformanceRatios:
         assert_allclose(rho_s, 2.01992664129, atol=1e-6)
 
 
+class TestUnitAlphaLimitCurves:
+    """As alpha -> 1 at a fixed SNR the ratios approach curves of one number.
+
+    With ``G = sigma_eta^2 E[F_q]`` (the one-bit information relative to the
+    unquantized one) both channels' roots grow as ``sqrt(s f)``, so ``rho_f``
+    and ``rho_sl`` tend to ``5 log10 G`` and ``rho_s``, whose smoothed
+    information is twice the filtered one, to ``5 log10 G + 10 log10 2``.
+    """
+
+    @pytest.mark.parametrize("snr_db", [-40.0, -20.0, 0.0, 10.0])
+    def test_ratios_converge_to_the_limit_curves(self, snr_db):
+        distances = []
+        for gap in (1e-5, 1e-7, 1e-9):
+            m = model_for_snr(1.0 - gap, snr_db)
+            half_g_db = 5.0 * math.log10(
+                m.sigma_eta**2 * steady_expected_fim(m, MeasurementChannel.ONE_BIT))
+            report = performance_ratios(m)
+            distances.append([abs(report.rho_f_db - half_g_db),
+                              abs(report.rho_sl_db - half_g_db),
+                              abs(report.rho_s_db - half_g_db - 10.0 * math.log10(2.0))])
+        for wider, closer in zip(distances, distances[1:]):
+            assert all(c <= w / 5.0 for w, c in zip(wider, closer)), distances
+        assert max(distances[-1]) < 0.01, distances
+
+
 class TestSnrParameterization:
     def test_round_trip(self):
         for alpha, snr_db, sigma_eta in ((0.9, -17.0, 2.0), (0.999, 3.0, 0.5)):
