@@ -32,25 +32,27 @@ This module provides:
   state recursion as a numpy loop over blocks, bit-identical to
   ``scipy.signal.lfilter`` (the tests' oracle) without importing it.
 
-Randomness contract: trial ``i`` draws from ``default_rng`` seeded with the
-``i``-th child of ``numpy.random.SeedSequence(seed)``; within a trial the
-standard-normal stream ``[theta_0 draw, z_1..z_K, eta_1..eta_K]`` of length
-``2 * horizon + 1`` is drawn in two calls, the first ``horizon + 1`` values
-straight into the trial's row of states and the last ``horizon`` into its
-row of observations. Two calls on one generator draw the values of one
-call, so the stream is that of a single vector of that length. Batches are
-therefore bit-reproducible from ``seed`` alone, and every reduction below
-runs in fixed trial order so repeated runs agree to the last bit.
+Randomness contract: one ``default_rng(seed)`` draws the whole batch as one
+standard-normal stream, block-major: first ``num_trials`` values for the
+``theta_0`` draws, then for each block ``k = 1..K`` ``num_trials`` state
+noises ``z_k`` followed by ``num_trials`` measurement noises ``eta_k``. The
+stream is drawn one chunk of blocks at a time; calls on one generator draw
+the values of one call, so it is that of a single vector of length
+``num_trials * (2 * horizon + 1)``. Batches are therefore bit-reproducible
+from ``seed`` and the trial count, and every reduction below runs in fixed
+trial order so repeated runs agree to the last bit. A batch at horizon
+``K`` is the first ``K`` blocks of any longer batch with the same seed and
+trial count; trial ``i``'s path, though, depends on the trial count.
 
 On the Kalman path :func:`monte_carlo_mse` holds at most three full
 ``(trials, K + 1)`` arrays at once: the states and observations while the
 filter writes its means, then the states and the filtered and smoothed
-means, whose buffers take the squared errors. The simulator's state
-recursion, the Kalman filter and the RTS smoother run block-major, each
-block one contiguous row over all trials, on chunks of ``_CHUNK_BLOCKS``
-blocks copied out of and back into the trial-major arrays; the smoother
-keeps its backward corrections in a ring of at most ``lag`` plus two
-chunks of rows.
+means, whose buffers take the squared errors. The simulator, the Kalman
+filter and the RTS smoother run block-major, each block one contiguous row
+over all trials, on chunks of ``_CHUNK_BLOCKS`` blocks: the simulator draws
+each chunk and copies it into the trial-major arrays, the filter and the
+smoother copy theirs out of and back into them. The smoother keeps its
+backward corrections in a ring of at most ``lag`` plus two chunks of rows.
 """
 
 from __future__ import annotations
@@ -275,37 +277,14 @@ def burn_in_blocks(model: GaussMarkovModel, horizon: int) -> int:
 
 
 # Blocks per chunk of the Kalman path's block-major passes: each chunk of
-# columns is copied into contiguous rows, one per block, and back. At 2000
-# trials and 500 blocks the state recursion ran alike at 16 to 64 blocks per
-# chunk (4.7-5.0 ms) and slower at 8 or at 128 and more (2 vCPUs, one BLAS
-# thread); 32 blocks of 2000 trials are 512 KB.
+# columns is copied into contiguous rows, one per block, and back, and the
+# simulator draws one chunk of blocks at a time. At 2000 trials and 500
+# blocks the state recursion ran alike at 16 to 64 blocks per chunk
+# (4.7-5.0 ms) and slower at 8 or at 128 and more (2 vCPUs, one BLAS
+# thread); the simulator read alike from 16 to 128 within the host's noise
+# (40-60 ms, best of 7). 32 blocks of 2000 trials are 512 KB, twice that
+# for the simulator's state and measurement noises.
 _CHUNK_BLOCKS = 32
-
-
-def _forward_in_chunks(source: np.ndarray, out: np.ndarray, step) -> np.ndarray:
-    """A forward recursion over the columns of ``out``, block-major, one chunk at a time.
-
-    ``out`` (trials, K + 1) comes with column 0 set. For k = 1..K, block k's
-    row starts as a contiguous copy of ``source[:, k - 1]``, and
-    ``step(k, row, previous)`` turns it into ``out[:, k]`` in place, with
-    ``previous`` the row of block k - 1. Each chunk of ``_CHUNK_BLOCKS``
-    columns is copied in and back at once; row 0 of the buffer carries the
-    last block of the chunk before. ``source`` may be a view of ``out``.
-    """
-    trials, width = out.shape
-    rows = np.empty((_CHUNK_BLOCKS + 1, trials))
-    rows[0] = out[:, 0]
-    for k0 in range(1, width, _CHUNK_BLOCKS):
-        n = min(_CHUNK_BLOCKS, width - k0)
-        np.copyto(rows[1 : n + 1], source[:, k0 - 1 : k0 - 1 + n].T)
-        previous = rows[0]
-        for k in range(k0, k0 + n):
-            row = rows[k - k0 + 1]
-            step(k, row, previous)
-            previous = row
-        np.copyto(out[:, k0 : k0 + n], rows[1 : n + 1].T)
-        rows[0] = previous
-    return out
 
 
 def simulate(model: GaussMarkovModel, seed: int, num_trials: int,
@@ -325,6 +304,15 @@ def simulate(model: GaussMarkovModel, seed: int, num_trials: int,
     -------
     TrajectoryBatch
         Identical inputs produce bit-identical batches.
+
+    Notes
+    -----
+    One ``default_rng(seed)`` draws ``num_trials`` values for ``theta_0``,
+    then per block ``num_trials`` state noises and ``num_trials``
+    measurement noises (the module's randomness contract). So the batch at
+    horizon ``K`` is the first ``K`` blocks of the batch at any longer
+    horizon with the same seed and trial count, while trial ``i``'s path
+    changes with the trial count.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}.")
@@ -332,28 +320,30 @@ def simulate(model: GaussMarkovModel, seed: int, num_trials: int,
         raise ValueError(f"num_trials must be >= 1, got {num_trials}.")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}.")
-    children = np.random.SeedSequence(seed).spawn(num_trials)
-    # Each trial's stream goes straight into its two rows: the K + 1 state
-    # draws, then the K measurement draws (two calls draw what one would).
+    rng = np.random.default_rng(seed)
     states = np.empty((num_trials, horizon + 1))
     observations = np.empty((num_trials, horizon))
-    for state_row, observation_row, child in zip(states, observations, children):
-        rng = np.random.default_rng(child)
-        rng.standard_normal(out=state_row)
-        rng.standard_normal(out=observation_row)
-    states[:, 0] = model.mu0 + model.sigma0 * states[:, 0]
-    # theta_k = alpha theta_{k-1} + z_k: each element gets one product and
-    # one sum, as in lfilter's first-order IIR filter, so the bits match it.
+    theta = model.mu0 + model.sigma0 * rng.standard_normal(num_trials)
+    states[:, 0] = theta
+    # Block k's z_k row, then its eta_k row; several calls draw what one would.
+    draws = np.empty((_CHUNK_BLOCKS, 2, num_trials))
+    scales = np.array([[model.sigma_z], [model.sigma_eta]])
     carried = np.empty(num_trials)
-
-    def state_step(k: int, row: np.ndarray, previous: np.ndarray) -> None:
-        row *= model.sigma_z
-        row += np.multiply(previous, model.alpha, carried)
-
-    _forward_in_chunks(states[:, 1:], states, state_step)
-    # eta_k + theta_k, in the buffer of the eta draws (the sum commutes)
-    observations *= model.sigma_eta
-    observations += states[:, 1:]
+    for k0 in range(0, horizon, _CHUNK_BLOCKS):
+        n = min(_CHUNK_BLOCKS, horizon - k0)
+        chunk = draws[:n]
+        rng.standard_normal(out=chunk)
+        chunk *= scales
+        # theta_k = alpha theta_{k-1} + z_k: each element gets one product and
+        # one sum, as in lfilter's first-order IIR filter, so the bits match it.
+        previous = theta
+        for row in chunk[:, 0]:
+            row += np.multiply(previous, model.alpha, carried)
+            previous = row
+        theta[:] = previous
+        chunk[:, 1] += chunk[:, 0]  # y_k = eta_k + theta_k (the sum commutes)
+        np.copyto(states[:, k0 + 1 : k0 + 1 + n], chunk[:, 0].T)
+        np.copyto(observations[:, k0 : k0 + n], chunk[:, 1].T)
     return TrajectoryBatch(states, observations)
 
 
@@ -385,13 +375,19 @@ def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResu
         gains.append(gain)
     means = np.empty((batch.num_trials, batch.horizon + 1))
     means[:, 0] = model.mu0
-
-    def mean_step(k: int, row: np.ndarray, previous: np.ndarray) -> None:
-        # m_k = m_pred + gain (y_k - m_pred), over y_k
-        m_pred = model.alpha * previous
-        row[...] = m_pred + gains[k] * (row - m_pred)
-
-    _forward_in_chunks(batch.observations, means, mean_step)
+    # Block-major, one chunk of y_k rows at a time; row 0 carries the last
+    # mean of the chunk before.
+    rows = np.empty((_CHUNK_BLOCKS + 1, batch.num_trials))
+    rows[0] = model.mu0
+    for k0 in range(1, batch.horizon + 1, _CHUNK_BLOCKS):
+        n = min(_CHUNK_BLOCKS, batch.horizon + 1 - k0)
+        np.copyto(rows[1 : n + 1], batch.observations[:, k0 - 1 : k0 - 1 + n].T)
+        for j in range(1, n + 1):
+            # m_k = m_pred + gain (y_k - m_pred), over y_k
+            m_pred = model.alpha * rows[j - 1]
+            rows[j] = m_pred + gains[k0 + j - 1] * (rows[j] - m_pred)
+        np.copyto(means[:, k0 : k0 + n], rows[1 : n + 1].T)
+        rows[0] = rows[n]
     return KalmanResult(means=means, variances=np.array(variances),
                         predicted_variances=np.array(predicted))
 

@@ -165,15 +165,13 @@ def _lfilter_batch(model, seed, num_trials, horizon):
     """Reference ``simulate``: the state recursion through scipy's IIR filter."""
     from scipy import signal
 
-    children = np.random.SeedSequence(seed).spawn(num_trials)
-    draws = np.stack([np.random.default_rng(c).standard_normal(2 * horizon + 1)
-                      for c in children])
-    theta0 = model.mu0 + model.sigma0 * draws[:, 0]
-    noise_z = model.sigma_z * draws[:, 1 : horizon + 1]
-    later, _ = signal.lfilter([1.0], [1.0, -model.alpha], noise_z, axis=1,
-                              zi=(model.alpha * theta0)[:, None])
-    states = np.concatenate([theta0[:, None], later], axis=1)
-    return states, states[:, 1:] + model.sigma_eta * draws[:, horizon + 1 :]
+    draws = np.random.default_rng(seed).standard_normal(num_trials * (1 + 2 * horizon))
+    theta0 = model.mu0 + model.sigma0 * draws[:num_trials]
+    blocks = draws[num_trials:].reshape(horizon, 2, num_trials)  # z_k, then eta_k
+    later, _ = signal.lfilter([1.0], [1.0, -model.alpha], model.sigma_z * blocks[:, 0],
+                              axis=0, zi=(model.alpha * theta0)[None, :])
+    states = np.concatenate([theta0[:, None], later.T], axis=1)
+    return states, states[:, 1:] + model.sigma_eta * blocks[:, 1].T
 
 
 def _transition_matrix(axis: np.ndarray, model: GaussMarkovModel):
@@ -566,6 +564,16 @@ CHUNK = estimators._CHUNK_BLOCKS
 
 class TestChunkBoundaries:
     """The Kalman path's chunked passes at horizons around the chunk size, bit for bit."""
+
+    @pytest.mark.parametrize("horizon", (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1))
+    def test_a_batch_is_the_first_blocks_of_any_longer_one(self, horizon):
+        # The stream runs block by block over all trials, so a longer
+        # horizon only appends draws.
+        model = GaussMarkovModel(alpha=0.999, sigma_z=0.7, sigma_eta=1.3, sigma0=1.1, mu0=0.2)
+        short = simulate(model, 20260814, 5, horizon)
+        long = simulate(model, 20260814, 5, 100)
+        assert np.array_equal(short.states, long.states[:, : horizon + 1])
+        assert np.array_equal(short.observations, long.observations[:, :horizon])
 
     @pytest.mark.parametrize("horizon", (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1))
     @pytest.mark.parametrize("alpha", (0.999, -0.5))

@@ -19,6 +19,7 @@ from bitbounds import (
     GaussMarkovModel,
     MeasurementChannel,
     gain_step,
+    kalman_steady_variance,
     model_for_snr,
     performance_ratios,
     quadratic_filter_root,
@@ -308,6 +309,33 @@ class TestPerformanceRatios:
         assert_allclose(rho_sl, -0.980672091998, atol=1e-6)
         assert_allclose(rho_f, -0.978218308974, atol=1e-6)
         assert_allclose(rho_s, 2.01992664129, atol=1e-6)
+
+
+# Lags from one step to far past every steady gain's convergence.
+_LAGS = (0, 1, 2, 3, 10, 100, 10**3, 10**4, 10**6, 10**9, 10**12, 10**15)
+
+
+class TestSteadyInvariants:
+    """Fixed-point identities over the documented range of alpha and SNR."""
+
+    @_PROPERTY_SETTINGS
+    @given(alpha=_ALPHAS, snr_db=st.floats(-40.0, 40.0))
+    def test_riccati_variance_is_the_inverse_filtering_information(self, alpha, snr_db):
+        # The covariance-form Riccati fixed point and the information-form
+        # root are independent closed forms of one steady filter.
+        m = model_for_snr(alpha, snr_db)
+        product = kalman_steady_variance(m) * quadratic_filter_root(m, 1.0 / m.sigma_eta**2)
+        assert_allclose(product, 1.0, rtol=1e-12, atol=0.0)
+
+    @_PROPERTY_SETTINGS
+    @given(alpha=_ALPHAS, snr_db=st.floats(-40.0, 40.0))
+    def test_lag_gain_rises_toward_its_fixed_point(self, alpha, snr_db):
+        m = model_for_snr(alpha, snr_db)
+        for channel in MeasurementChannel:
+            fim = steady_expected_fim(m, channel)
+            gains = [steady_lag_gain(m, fim, lag) for lag in _LAGS]
+            assert all(a <= b for a, b in zip(gains, gains[1:])), (channel, gains)
+            assert gains[-1] <= quadratic_gain_root(m, fim), (channel, gains)
 
 
 class TestUnitAlphaLimitCurves:

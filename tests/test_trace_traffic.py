@@ -1,5 +1,6 @@
 """``tools/trace_traffic.py``: which lines of the package a run executes."""
 import contextlib
+import importlib
 import importlib.util
 import io
 import sys
@@ -39,6 +40,17 @@ def test_selftest_runs_its_checks_and_no_monte_carlo():
     assert own and len(missed) < len(own)
     own, missed = lines("estimators.py", "monte_carlo_mse")
     assert own and missed == own
+
+
+def test_the_module_entry_point_runs_every_line_of_main():
+    tool = _tool()
+    importlib.import_module("bitbounds.__main__")  # as a walk over the modules does
+    argv = sys.argv
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        executed = tool.trace(tool.run_module_selftest)
+    assert tool.unrun(executed)["__main__.py"] == []
+    assert out.getvalue() == cli.run_selftest()[0] + "\n"
+    assert sys.argv is argv
 
 
 def test_only_the_package_lines_that_ran_are_recorded():

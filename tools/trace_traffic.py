@@ -5,7 +5,8 @@ Usage: ``python tools/trace_traffic.py``
 The traffic is what the package is run for:
 
 - the five CLI experiments at their defaults, writing into a temporary
-  directory;
+  directory, and ``selftest`` once more through the module entry point,
+  as ``python -m bitbounds selftest`` runs it;
 - one pass of each workload of ``perfbench/workloads.py``, at the
   benchmark's default seed; ``perfbench/`` is imported, never written;
 - the four demos.
@@ -102,6 +103,22 @@ def unrun(executed: set[tuple[str, int]]) -> dict[str, list[tuple[int, int, str]
     return report
 
 
+def run_module_selftest() -> None:
+    """``python -m bitbounds selftest`` in this process, so ``__main__.py`` is traced."""
+    # runpy warns when the entry module was imported before, as a walk
+    # over the package's modules does; it runs afresh either way.
+    sys.modules.pop("bitbounds.__main__", None)
+    argv = sys.argv
+    sys.argv = ["bitbounds", "selftest"]
+    try:
+        runpy.run_module("bitbounds", run_name="__main__")
+    except SystemExit as done:
+        if done.code != 0:
+            raise RuntimeError(f"python -m bitbounds selftest exited with {done.code}") from None
+    finally:
+        sys.argv = argv
+
+
 def _traffic(work: Path) -> None:
     """The experiments, the benchmark workloads and the demos, in that order."""
     from bitbounds import cli
@@ -109,6 +126,7 @@ def _traffic(work: Path) -> None:
     for name in cli.EXPERIMENTS:
         if cli.main([name, "--out", str(work / name)]) != 0:
             raise RuntimeError(f"the {name} experiment failed")
+    run_module_selftest()
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from calibrate import Clock
