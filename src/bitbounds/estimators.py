@@ -35,24 +35,24 @@ This module provides:
 Randomness contract: one ``default_rng(seed)`` draws the whole batch as one
 standard-normal stream, block-major: first ``num_trials`` values for the
 ``theta_0`` draws, then for each block ``k = 1..K`` ``num_trials`` state
-noises ``z_k`` followed by ``num_trials`` measurement noises ``eta_k``. The
-stream is drawn one chunk of blocks at a time; calls on one generator draw
-the values of one call, so it is that of a single vector of length
+noises ``z_k`` followed by ``num_trials`` measurement noises ``eta_k``. Each
+row is drawn by a call of its own; calls on one generator draw the values
+of one call, so the stream is that of a single vector of length
 ``num_trials * (2 * horizon + 1)``. Batches are therefore bit-reproducible
 from ``seed`` and the trial count, and every reduction below runs in fixed
 trial order so repeated runs agree to the last bit. A batch at horizon
 ``K`` is the first ``K`` blocks of any longer batch with the same seed and
 trial count; trial ``i``'s path, though, depends on the trial count.
 
-On the Kalman path :func:`monte_carlo_mse` holds at most three full
-``(trials, K + 1)`` arrays at once: the states and observations while the
-filter writes its means, then the states and the filtered and smoothed
-means, whose buffers take the squared errors. The simulator, the Kalman
-filter and the RTS smoother run block-major, each block one contiguous row
-over all trials, on chunks of ``_CHUNK_BLOCKS`` blocks: the simulator draws
-each chunk and copies it into the trial-major arrays, the filter and the
-smoother copy theirs out of and back into them. The smoother keeps its
-backward corrections in a ring of at most ``lag`` plus two chunks of rows.
+A :class:`TrajectoryBatch` is stored block-major: its ``(trials, K + 1)``
+arrays are Fortran-ordered, so block ``k`` of all trials is one contiguous
+row of ``states.T``. The simulator, the Kalman filter and the RTS smoother
+run over those rows without copying them, and their means are block-major
+too. On the Kalman path :func:`monte_carlo_mse` holds at most three full
+arrays at once: the states and observations while the filter writes its
+means, then the states and the filtered and smoothed means, whose buffers
+take the squared errors; the smoother's last ``lag`` rows of corrections
+are the only other rows it holds.
 """
 
 from __future__ import annotations
@@ -92,6 +92,10 @@ __all__ = [
 class TrajectoryBatch:
     """Simulated state trajectories with the unquantized measurements every receiver reads.
 
+    Both arrays are stored block-major, Fortran-ordered (a copy is made
+    where the input is not), so ``states[:, k]`` is contiguous: the
+    estimators run over blocks, and downstream sums follow memory order.
+
     Parameters
     ----------
     states : ndarray, shape (num_trials, horizon + 1)
@@ -105,8 +109,8 @@ class TrajectoryBatch:
     observations: np.ndarray
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        observations = np.asarray(self.observations, dtype=float)
+        states = np.asfortranarray(self.states, dtype=float)
+        observations = np.asfortranarray(self.observations, dtype=float)
         if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] < 2:
             raise ValueError(f"states must have shape (num_trials, horizon + 1) with "
                              f"num_trials >= 1 and horizon >= 1, got {states.shape}.")
@@ -276,17 +280,6 @@ def burn_in_blocks(model: GaussMarkovModel, horizon: int) -> int:
     return min(math.ceil(10.0 / (1.0 - model.alpha**2)), cap)
 
 
-# Blocks per chunk of the Kalman path's block-major passes: each chunk of
-# columns is copied into contiguous rows, one per block, and back, and the
-# simulator draws one chunk of blocks at a time. At 2000 trials and 500
-# blocks the state recursion ran alike at 16 to 64 blocks per chunk
-# (4.7-5.0 ms) and slower at 8 or at 128 and more (2 vCPUs, one BLAS
-# thread); the simulator read alike from 16 to 128 within the host's noise
-# (40-60 ms, best of 7). 32 blocks of 2000 trials are 512 KB, twice that
-# for the simulator's state and measurement noises.
-_CHUNK_BLOCKS = 32
-
-
 def simulate(model: GaussMarkovModel, seed: int, num_trials: int,
              horizon: int) -> TrajectoryBatch:
     """Draw a reproducible batch of trajectories and unquantized measurements.
@@ -309,10 +302,11 @@ def simulate(model: GaussMarkovModel, seed: int, num_trials: int,
     -----
     One ``default_rng(seed)`` draws ``num_trials`` values for ``theta_0``,
     then per block ``num_trials`` state noises and ``num_trials``
-    measurement noises (the module's randomness contract). So the batch at
-    horizon ``K`` is the first ``K`` blocks of the batch at any longer
-    horizon with the same seed and trial count, while trial ``i``'s path
-    changes with the trial count.
+    measurement noises (the module's randomness contract), each straight
+    into the block's row of the block-major batch. So the batch at horizon
+    ``K`` is the first ``K`` blocks of the batch at any longer horizon with
+    the same seed and trial count, while trial ``i``'s path changes with the
+    trial count.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}.")
@@ -321,30 +315,20 @@ def simulate(model: GaussMarkovModel, seed: int, num_trials: int,
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}.")
     rng = np.random.default_rng(seed)
-    states = np.empty((num_trials, horizon + 1))
-    observations = np.empty((num_trials, horizon))
-    theta = model.mu0 + model.sigma0 * rng.standard_normal(num_trials)
-    states[:, 0] = theta
-    # Block k's z_k row, then its eta_k row; several calls draw what one would.
-    draws = np.empty((_CHUNK_BLOCKS, 2, num_trials))
-    scales = np.array([[model.sigma_z], [model.sigma_eta]])
+    states = np.empty((horizon + 1, num_trials))
+    observations = np.empty((horizon, num_trials))
+    states[0] = model.mu0 + model.sigma0 * rng.standard_normal(num_trials)
     carried = np.empty(num_trials)
-    for k0 in range(0, horizon, _CHUNK_BLOCKS):
-        n = min(_CHUNK_BLOCKS, horizon - k0)
-        chunk = draws[:n]
-        rng.standard_normal(out=chunk)
-        chunk *= scales
+    for previous, theta, y in zip(states, states[1:], observations):
+        rng.standard_normal(out=theta)
+        theta *= model.sigma_z
         # theta_k = alpha theta_{k-1} + z_k: each element gets one product and
         # one sum, as in lfilter's first-order IIR filter, so the bits match it.
-        previous = theta
-        for row in chunk[:, 0]:
-            row += np.multiply(previous, model.alpha, carried)
-            previous = row
-        theta[:] = previous
-        chunk[:, 1] += chunk[:, 0]  # y_k = eta_k + theta_k (the sum commutes)
-        np.copyto(states[:, k0 + 1 : k0 + 1 + n], chunk[:, 0].T)
-        np.copyto(observations[:, k0 : k0 + n], chunk[:, 1].T)
-    return TrajectoryBatch(states, observations)
+        theta += np.multiply(previous, model.alpha, carried)
+        rng.standard_normal(out=y)
+        y *= model.sigma_eta
+        y += theta  # y_k = eta_k + theta_k (the sum commutes)
+    return TrajectoryBatch(states.T, observations.T)
 
 
 def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResult:
@@ -364,31 +348,20 @@ def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResu
         with entry 0 equal to the prior variance.
     """
     p = model.sigma0**2
-    variances, predicted, gains = [p], [p], [0.0]
+    variances, predicted = [p], [p]
     a2, q, r = model.alpha**2, model.sigma_z**2, model.sigma_eta**2
-    for _ in range(batch.horizon):
+    means = np.empty((batch.horizon + 1, batch.num_trials))  # block-major
+    means[0] = model.mu0
+    for k, y in enumerate(batch.observations.T, start=1):
         p_pred = a2 * p + q
         gain = p_pred / (p_pred + r)
         p = (1.0 - gain) * p_pred
         variances.append(p)
         predicted.append(p_pred)
-        gains.append(gain)
-    means = np.empty((batch.num_trials, batch.horizon + 1))
-    means[:, 0] = model.mu0
-    # Block-major, one chunk of y_k rows at a time; row 0 carries the last
-    # mean of the chunk before.
-    rows = np.empty((_CHUNK_BLOCKS + 1, batch.num_trials))
-    rows[0] = model.mu0
-    for k0 in range(1, batch.horizon + 1, _CHUNK_BLOCKS):
-        n = min(_CHUNK_BLOCKS, batch.horizon + 1 - k0)
-        np.copyto(rows[1 : n + 1], batch.observations[:, k0 - 1 : k0 - 1 + n].T)
-        for j in range(1, n + 1):
-            # m_k = m_pred + gain (y_k - m_pred), over y_k
-            m_pred = model.alpha * rows[j - 1]
-            rows[j] = m_pred + gains[k0 + j - 1] * (rows[j] - m_pred)
-        np.copyto(means[:, k0 : k0 + n], rows[1 : n + 1].T)
-        rows[0] = rows[n]
-    return KalmanResult(means=means, variances=np.array(variances),
+        # m_k = m_pred + gain (y_k - m_pred)
+        m_pred = model.alpha * means[k - 1]
+        means[k] = m_pred + gain * (y - m_pred)
+    return KalmanResult(means=means.T, variances=np.array(variances),
                         predicted_variances=np.array(predicted))
 
 
@@ -413,6 +386,11 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
     returns the filter output and ``lag=K`` the fixed-interval block 0, bit
     for bit.
 
+    The pass runs over the rows of the block-major filtered means. The
+    corrections of the blocks it returns are formed in the rows of its
+    block-major result, which then take the smoothed means; only the last
+    ``delta`` rows of corrections need a buffer of their own.
+
     Parameters
     ----------
     filtered : KalmanResult
@@ -436,7 +414,7 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
     k_max = filtered.horizon
     if lag is not None and not 0 <= lag <= k_max:
         raise ValueError(f"lag must be in [0, horizon], got {lag} with horizon {k_max}.")
-    m, p, p_pred = filtered.means, filtered.variances, filtered.predicted_variances
+    p, p_pred = filtered.variances, filtered.predicted_variances
     gains = model.alpha * p[:-1] / p_pred[1:]
     c = gains.tolist()
     steps = (p[1:] - p_pred[1:]).tolist()
@@ -452,46 +430,29 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
     for j in range(reach):
         window *= gains[j : j + width]
     spread = spread[:width] - window * window * spread[reach:]
-    # The backward pass runs block-major, one chunk of blocks at a time from
-    # the last. A ring of ``size`` rows, a whole number of chunks, holds each
-    # chunk's R_l in contiguous rows (block l at row (l - K - 1) % size) until
-    # no block within ``reach`` below reads it. ``filt`` holds a chunk's
-    # filtered means and the next block's, and ``out`` its smoothed means.
-    trials = m.shape[0]
-    size = _CHUNK_BLOCKS * ((reach + _CHUNK_BLOCKS) // _CHUNK_BLOCKS + 1)
-    tail = np.empty((size, trials))
-    tail[size - 1] = 0.0  # R_K
-    filt = np.empty((_CHUNK_BLOCKS + 1, trials))
-    out = np.empty((_CHUNK_BLOCKS, trials))
-    means = np.empty((trials, width))
-    for top in range(k_max, -1, -_CHUNK_BLOCKS):
-        l0 = max(top - _CHUNK_BLOCKS + 1, 0)  # the chunk is blocks l0..top
-        first = (l0 - k_max - 1) % size
-        rows = tail[first : first + top - l0 + 1]
-        known = min(top + 2, k_max + 1) - l0
-        np.copyto(filt[:known], m[:, l0 : l0 + known].T)
-        # R_l = C_l (d_l + R_{l+1}) below K, d_l formed in R_l's row
-        below = known - 1
-        diff = np.multiply(filt[:below], -model.alpha, out=rows[:below])
-        diff += filt[1:known]
-        later = tail[(first + below) % size]
-        for i in range(below - 1, -1, -1):
-            row = rows[i]
-            row += later
-            row *= c[l0 + i]
-            later = row
-        smoothed = min(top + 1, width) - l0
-        if smoothed <= 0:
-            continue
-        # the correction is formed before the filtered value is added
-        corrected = out[:smoothed]
-        np.take(tail, range(first + reach, first + reach + smoothed), axis=0, out=corrected,
-                mode="wrap")
-        corrected *= window[l0 : l0 + smoothed, None]
-        np.subtract(rows[:smoothed], corrected, out=corrected)
-        corrected += filt[:smoothed]
-        np.copyto(means[:, l0 : l0 + smoothed], corrected.T)
-    return RtsResult(means=means, variances=p[:width] + spread)
+    # Row l of ``corrections`` holds R_l, block-major: blocks 0..width-1 in
+    # the rows of the result, the last ``reach`` in ``tail``, freed on return.
+    # d_l is formed in R_l's row below K, and R_K = 0.
+    m = filtered.means.T  # row l is m_l
+    means = np.empty((width, m.shape[1]))
+    tail = np.empty((reach, m.shape[1]))
+    corrections = [*means, *tail]
+    for part, lo in ((means, 0), (tail, width)):
+        diff = part[: k_max - lo]
+        np.multiply(m[lo : lo + len(diff)], -model.alpha, out=diff)
+        diff += m[lo + 1 : lo + 1 + len(diff)]
+    corrections[k_max][...] = 0.0
+    # R_l = C_l (d_l + R_{l+1}), from block K - 1 down
+    for row, later, gain in zip(corrections[-2::-1], corrections[::-1], c[::-1]):
+        row += later
+        row *= gain
+    # R_l - W_l R_{l+reach}, then m_l: rows ascend, so R_{l+reach} is read
+    # before its own row is overwritten
+    scaled = np.empty(m.shape[1])
+    for row, source, w, filt in zip(means, corrections[reach:], window.tolist(), m):
+        row -= np.multiply(source, w, out=scaled)
+        row += filt
+    return RtsResult(means=means.T, variances=p[:width] + spread)
 
 
 def kalman_steady_variance(model: GaussMarkovModel) -> float:
@@ -1001,7 +962,8 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     seed, num_trials, horizon : int
         Simulation parameters; see :func:`simulate`.
     lag : int
-        Smoothing lag for the Kalman path; the steady region must fit,
+        Smoothing lag for the Kalman path, ``>= 0`` and checked before
+        anything is drawn; the steady region must fit,
         ``horizon > burn-in + lag``. The grid path requires 0.
     grid : GridSpec
         Grid geometry for the grid path; the Kalman path requires the
@@ -1023,6 +985,10 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     # a channel name is no channel: per_block_fims raises its TypeError
     if isinstance(channel, MeasurementChannel) and channel is not paired:
         raise ValueError(f"the {estimator} estimator requires the {paired.value} channel.")
+    if not isinstance(lag, (int, np.integer)):
+        raise TypeError(f"lag must be an int, got {lag!r}.")
+    if lag < 0:
+        raise ValueError(f"lag must be >= 0, got {lag}.")
     if estimator == "grid" and lag != 0:
         raise ValueError(f"the grid estimator smooths over the whole interval; got lag {lag}.")
     if estimator == "kalman" and grid != GridSpec():
@@ -1055,8 +1021,9 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         smooth_bounds = 1.0 / (filter_info + smoothing_gain(model, fims))
         steady_smooth_bound = 1.0 / (steady_j + quadratic_gain_root(model, steady_fim))
         states = batch.states
-        err_f = np.empty_like(states)
-        err_s = np.empty_like(states)
+        # trial-major, as the grid's means are: the statistics sum in this order
+        err_f = np.empty(states.shape)
+        err_s = np.empty(states.shape)
         step = _sub_batch_trials(grid.num_points, horizon)
         operators = _grid_operators(_grid_axis(model, grid, horizon), model)
         for start in range(0, num_trials, step):

@@ -362,6 +362,25 @@ class TestUnitAlphaLimitCurves:
             assert all(c <= w / 5.0 for w, c in zip(wider, closer)), distances
         assert max(distances[-1]) < 0.01, distances
 
+    def test_rho_s_crosses_zero_where_g_is_a_quarter(self):
+        # rho_s tends to 5 log10 G + 10 log10 2, which is 0 dB where G = 1/4.
+        # G depends on the SNR alone, and falls as it rises.
+        def g(snr_db):
+            m = model_for_snr(1.0 - 1e-9, snr_db)
+            return m.sigma_eta**2 * steady_expected_fim(m, MeasurementChannel.ONE_BIT)
+
+        lo, hi = 8.0, 9.0
+        assert g(lo) > 0.25 > g(hi)
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if g(mid) > 0.25 else (lo, mid)
+        assert abs(lo - 8.501144) < 1e-6
+        # at alpha = 1 - 1e-9, rho_s is +0.0019 dB 0.01 dB below the root and
+        # -0.0024 dB 0.01 dB above it
+        below = performance_ratios(model_for_snr(1.0 - 1e-9, 8.491)).rho_s_db
+        above = performance_ratios(model_for_snr(1.0 - 1e-9, 8.511)).rho_s_db
+        assert 0.001 < below < 0.003 and -0.003 < above < -0.001, (below, above)
+
 
 class TestSnrParameterization:
     def test_round_trip(self):
