@@ -44,15 +44,18 @@ trial order so repeated runs agree to the last bit. A batch at horizon
 ``K`` is the first ``K`` blocks of any longer batch with the same seed and
 trial count; trial ``i``'s path, though, depends on the trial count.
 
-A :class:`TrajectoryBatch` is stored block-major: its ``(trials, K + 1)``
-arrays are Fortran-ordered, so block ``k`` of all trials is one contiguous
-row of ``states.T``. The simulator, the Kalman filter and the RTS smoother
-run over those rows without copying them, and their means are block-major
-too. On the Kalman path :func:`monte_carlo_mse` holds at most three full
-arrays at once: the states and observations while the filter writes its
-means, then the states and the filtered and smoothed means, whose buffers
-take the squared errors; the smoother's last ``lag`` rows of corrections
-are the only other rows it holds.
+One layout serves every estimator. A :class:`TrajectoryBatch` is stored
+block-major: its ``(trials, K + 1)`` arrays are Fortran-ordered, so block
+``k`` of all trials is one contiguous row of ``states.T``. The simulator and
+all four estimators run over those rows without copying them, and write
+their means (and the grid's variances) one row per block into block-major
+buffers, returned as ``(trials, K + 1)`` views.
+
+On the Kalman path :func:`monte_carlo_mse` holds at most three full arrays
+at once: the states and observations while the filter writes its means,
+then the states and the filtered and smoothed means; the smoother's last
+``lag`` rows of corrections are the only other rows it holds. On both
+paths the buffers of the means take the squared errors in place.
 """
 
 from __future__ import annotations
@@ -86,6 +89,13 @@ __all__ = [
     "grid_smoother",
     "monte_carlo_mse",
 ]
+
+
+def _require_ints(**arguments) -> None:
+    """Raise a TypeError naming the first argument that is not an integer (numpy's included)."""
+    for name, value in arguments.items():
+        if not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an int, got {value!r}.")
 
 
 @dataclass(frozen=True)
@@ -145,6 +155,7 @@ class GridSpec:
     half_width: float = 8.0
 
     def __post_init__(self):
+        _require_ints(num_points=self.num_points)
         if not 64 <= self.num_points <= 100_000:
             raise ValueError(f"num_points must be in [64, 1e5], got {self.num_points}.")
         if not 2.0 <= self.half_width <= 32.0:
@@ -153,17 +164,19 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class KalmanResult:
-    """Kalman filter output: per-trial means, shared analytic variances."""
+    """Kalman filter output: per-trial means, shared analytic variances.
+
+    ``means`` is a ``(trials, K + 1)`` view of a block-major array and
+    ``variances[k]`` is ``P_{k|k}``; :func:`rts_smoother` forms the prior
+    variances ``alpha^2 P_{k|k} + sigma_z^2`` from them and the model.
+    """
 
     means: np.ndarray
     variances: np.ndarray
-    predicted_variances: np.ndarray
 
     def __post_init__(self):
         if self.means.ndim != 2 or self.variances.shape != (self.means.shape[1],):
             raise ValueError("means must be (trials, K+1) with matching variances.")
-        if self.predicted_variances.shape != self.variances.shape:
-            raise ValueError("predicted_variances must match variances in shape.")
 
     @property
     def horizon(self) -> int:
@@ -191,7 +204,8 @@ class GridFilterResult:
     """Grid filter output, with the checkpoints the smoother replays from.
 
     Means and variances are per trial, shape ``(trials, K + 1)``, because
-    the one-bit posterior spread is data-dependent. ``pmfs[t, j]`` is the
+    the one-bit posterior spread is data-dependent; both are transposed
+    views of block-major ``(K + 1, trials)`` arrays. ``pmfs[t, j]`` is the
     unnormalised filtering posterior of trial ``t`` at block ``j * c``,
     every ``c``-th block with ``c = ceil(sqrt(K + 1))``, on ``axis``: shape
     ``(trials, K // c + 1, n)``, float32 as the filter computes it, a
@@ -221,7 +235,11 @@ class GridFilterResult:
 
 @dataclass(frozen=True)
 class GridSmootherResult:
-    """Fixed-interval grid smoother output; block ``l`` uses all measurements."""
+    """Fixed-interval grid smoother output; block ``l`` uses all measurements.
+
+    Means and variances are ``(trials, K + 1)`` views of block-major arrays,
+    as the filter's are.
+    """
 
     means: np.ndarray
     variances: np.ndarray
@@ -308,6 +326,7 @@ def simulate(model: GaussMarkovModel, seed: int, num_trials: int,
     the same seed and trial count, while trial ``i``'s path changes with the
     trial count.
     """
+    _require_ints(seed=seed, num_trials=num_trials, horizon=horizon)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}.")
     if num_trials < 1:
@@ -343,12 +362,10 @@ def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResu
     -------
     KalmanResult
         ``means[:, k]`` is ``E[theta_k | y_1..y_k]``; ``variances[k]`` the
-        posterior variance (data-independent in the linear-Gaussian case);
-        ``predicted_variances[k]`` the one-step prior variance of block k,
-        with entry 0 equal to the prior variance.
+        posterior variance (data-independent in the linear-Gaussian case).
     """
     p = model.sigma0**2
-    variances, predicted = [p], [p]
+    variances = [p]
     a2, q, r = model.alpha**2, model.sigma_z**2, model.sigma_eta**2
     means = np.empty((batch.horizon + 1, batch.num_trials))  # block-major
     means[0] = model.mu0
@@ -357,12 +374,10 @@ def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResu
         gain = p_pred / (p_pred + r)
         p = (1.0 - gain) * p_pred
         variances.append(p)
-        predicted.append(p_pred)
         # m_k = m_pred + gain (y_k - m_pred)
         m_pred = model.alpha * means[k - 1]
         means[k] = m_pred + gain * (y - m_pred)
-    return KalmanResult(means=means.T, variances=np.array(variances),
-                        predicted_variances=np.array(predicted))
+    return KalmanResult(means=means.T, variances=np.array(variances))
 
 
 def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
@@ -414,10 +429,12 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
     k_max = filtered.horizon
     if lag is not None and not 0 <= lag <= k_max:
         raise ValueError(f"lag must be in [0, horizon], got {lag} with horizon {k_max}.")
-    p, p_pred = filtered.variances, filtered.predicted_variances
-    gains = model.alpha * p[:-1] / p_pred[1:]
+    p = filtered.variances
+    # P_{l+1|l}, formed as the filter forms it, so the bits are the filter's
+    p_pred = model.alpha**2 * p[:-1] + model.sigma_z**2
+    gains = model.alpha * p[:-1] / p_pred
     c = gains.tolist()
-    steps = (p[1:] - p_pred[1:]).tolist()
+    steps = (p[1:] - p_pred).tolist()
     spread = [0.0] * (k_max + 1)
     for l in range(k_max - 1, -1, -1):
         spread[l] = c[l] * c[l] * (steps[l] + spread[l + 1])
@@ -752,12 +769,12 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     # below the smallest normal float32, 1 / total would overflow
     tiny = np.finfo(np.float32).tiny
 
-    means = np.empty((trials, k_max + 1))
-    variances = np.empty((trials, k_max + 1))
+    means = np.empty((k_max + 1, trials))  # block-major, like the totals
+    variances = np.empty((k_max + 1, trials))
     totals = np.empty((k_max + 1, trials))
     totals[0] = 1.0
     wide[...] = (prior / total)[:, None]
-    means[:, 0], variances[:, 0] = _moments(np.matmul(powers, wide, out=raw))
+    means[0], variances[0] = _moments(np.matmul(powers, wide, out=raw))
     previous = checkpoints[0]
     previous[...] = wide
     _flush(previous, _FLOOR, mask)
@@ -772,11 +789,11 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
                 f"posterior mass vanished at block {k}; widen the grid.", block=k
             )
         totals[k] = total
-        means[:, k], variances[:, k] = _moments(raw)
+        means[k], variances[k] = _moments(raw)
         _flush(posterior, np.multiply(total, _FLOOR, out=floor), mask)
         np.divide(1.0, total, out=inverse)
         previous = posterior
-    return GridFilterResult(axis=axis, means=means, variances=variances,
+    return GridFilterResult(axis=axis, means=means.T, variances=variances.T,
                             pmfs=checkpoints.transpose(2, 0, 1), totals=totals, batch=batch,
                             operators=operators)
 
@@ -846,10 +863,10 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     ones = np.ones(axis.size, dtype=np.float32)
     raw = np.empty((3, trials))
 
-    means = np.empty((trials, k_max + 1))
-    variances = np.empty((trials, k_max + 1))
-    means[:, k_max] = filtered.means[:, k_max]
-    variances[:, k_max] = filtered.variances[:, k_max]
+    means = np.empty((k_max + 1, trials))  # block-major, as the filter's
+    variances = np.empty((k_max + 1, trials))
+    means[k_max] = filtered.means[:, k_max]
+    variances[k_max] = filtered.variances[:, k_max]
     segment = np.empty((min(stride, k_max), axis.size, trials), dtype=np.float32)
     beta = np.ones((axis.size, trials), dtype=np.float32)
     weighted = np.empty_like(beta)
@@ -887,8 +904,8 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
                 raise NumericalDegeneracyError(
                     f"smoothed posterior mass vanished at block {l}; widen the grid.", block=l
                 )
-            means[:, l], variances[:, l] = _moments(raw)
-    return GridSmootherResult(means=means, variances=variances)
+            means[l], variances[l] = _moments(raw)
+    return GridSmootherResult(means=means.T, variances=variances.T)
 
 
 def _trial_stats(errors_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -985,8 +1002,7 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     # a channel name is no channel: per_block_fims raises its TypeError
     if isinstance(channel, MeasurementChannel) and channel is not paired:
         raise ValueError(f"the {estimator} estimator requires the {paired.value} channel.")
-    if not isinstance(lag, (int, np.integer)):
-        raise TypeError(f"lag must be an int, got {lag!r}.")
+    _require_ints(seed=seed, num_trials=num_trials, horizon=horizon, lag=lag)
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}.")
     if estimator == "grid" and lag != 0:
@@ -1001,18 +1017,12 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     steady_fim = steady_expected_fim(model, channel, spec)
     steady_j = quadratic_filter_root(model, steady_fim)
     batch = simulate(model, seed, num_trials, horizon)
+    states = batch.states
 
     if estimator == "kalman":
         filtered = kalman_filter(batch, model)
-        states = batch.states
         del batch  # the observations are not read again
-        smoothed = rts_smoother(filtered, model, lag)
-        # the errors are squared in place, in the buffers of the means
-        err_f = np.subtract(filtered.means, states, out=filtered.means)
-        np.square(err_f, out=err_f)
-        err_s = np.subtract(smoothed.means, states[:, : horizon - lag + 1], out=smoothed.means)
-        np.square(err_s, out=err_s)
-        del states  # freed before the statistics take their temporaries
+        est_f, est_s = filtered.means, rts_smoother(filtered, model, lag).means
         smooth_bounds = 1.0 / (filter_info[: horizon - lag + 1] + _lagged_gains(model, fims, lag))
         steady_smooth_bound = 1.0 / (steady_j + steady_lag_gain(model, steady_fim, lag))
         smooth_lo, smooth_hi = burn, horizon - lag
@@ -1020,24 +1030,25 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     else:
         smooth_bounds = 1.0 / (filter_info + smoothing_gain(model, fims))
         steady_smooth_bound = 1.0 / (steady_j + quadratic_gain_root(model, steady_fim))
-        states = batch.states
-        # trial-major, as the grid's means are: the statistics sum in this order
-        err_f = np.empty(states.shape)
-        err_s = np.empty(states.shape)
+        est_f = np.empty_like(states)
+        est_s = np.empty_like(states)
         step = _sub_batch_trials(grid.num_points, horizon)
         operators = _grid_operators(_grid_axis(model, grid, horizon), model)
         for start in range(0, num_trials, step):
             trials = slice(start, start + step)
-            sub = TrajectoryBatch(states[trials], batch.observations[trials])
-            gf = grid_filter(sub, model, grid, operators=operators)
-            gs = grid_smoother(gf)
-            err_f[trials] = (gf.means - sub.states) ** 2
-            err_s[trials] = (gs.means - sub.states) ** 2
-            # free this sub-batch's results before the next one runs
-            del gf, gs
+            gf = grid_filter(TrajectoryBatch(states[trials], batch.observations[trials]),
+                             model, grid, operators=operators)
+            est_f[trials] = gf.means
+            est_s[trials] = grid_smoother(gf).means
+            del gf  # freed before the next sub-batch runs
+        del batch  # the observations are not read again
         smooth_lo, smooth_hi = burn, max(burn, horizon - burn // 2)
         report_lag = None
 
+    # the errors are squared in place, in the buffers of the means
+    err_f = np.square(np.subtract(est_f, states, out=est_f), out=est_f)
+    err_s = np.square(np.subtract(est_s, states[:, : est_s.shape[1]], out=est_s), out=est_s)
+    del states  # freed before the statistics take their temporaries
     steady_f = err_f[:, burn : horizon + 1].mean(axis=1)  # one steady-region MSE per trial
     steady_s = err_s[:, smooth_lo : smooth_hi + 1].mean(axis=1)
     # the per-block statistics overwrite the errors

@@ -108,20 +108,26 @@ def _column_kalman(batch, model: GaussMarkovModel) -> np.ndarray:
     return means
 
 
+def _prior_variances(filtered, model: GaussMarkovModel) -> np.ndarray:
+    """``P_{l+1|l}`` for ``l = 0..K-1``, one Python float at a time, as the filter's recursion."""
+    a2, q = model.alpha**2, model.sigma_z**2
+    return np.array([a2 * p + q for p in filtered.variances[:-1].tolist()])
+
+
 def _lag_dp_rts(filtered, model: GaussMarkovModel, lag: int):
     """Reference fixed-lag RTS: a dynamic program over the lag, O(lag K).
 
     Row ``j`` holds ``E[theta_l | y_1..y_{l+j}]`` for every valid ``l``, built
     from row ``j - 1`` shifted by one block. Returns ``(means, variances)``.
     """
-    m, p, p_pred = filtered.means, filtered.variances, filtered.predicted_variances
-    gains = model.alpha * p[:-1] / p_pred[1:]
+    m, p, p_pred = filtered.means, filtered.variances, _prior_variances(filtered, model)
+    gains = model.alpha * p[:-1] / p_pred
     means_row, var_row = m.copy(), p.copy()
     for j in range(1, lag + 1):
         width = filtered.horizon - j + 1
         c = gains[:width]
         means_row = m[:, :width] + c * (means_row[:, 1 : width + 1] - model.alpha * m[:, :width])
-        var_row = p[:width] + c**2 * (var_row[1 : width + 1] - p_pred[1 : width + 1])
+        var_row = p[:width] + c**2 * (var_row[1 : width + 1] - p_pred[:width])
     return means_row, var_row
 
 
@@ -133,8 +139,8 @@ def _whole_array_rts(filtered, model: GaussMarkovModel, lag: int | None):
     corrections. Returns ``(means, variances)``.
     """
     k_max = filtered.horizon
-    m, p, p_pred = filtered.means, filtered.variances, filtered.predicted_variances
-    gains = model.alpha * p[:-1] / p_pred[1:]
+    m, p, p_pred = filtered.means, filtered.variances, _prior_variances(filtered, model)
+    gains = model.alpha * p[:-1] / p_pred
     width = k_max + 1 if lag is None else k_max - lag + 1
     mt = np.ascontiguousarray(m.T)
     tail = np.empty_like(mt)
@@ -142,7 +148,7 @@ def _whole_array_rts(filtered, model: GaussMarkovModel, lag: int | None):
     tail[:-1] += mt[1:]
     tail[k_max] = 0.0
     c = gains.tolist()
-    steps = (p[1:] - p_pred[1:]).tolist()
+    steps = (p[1:] - p_pred).tolist()
     spread = [0.0] * (k_max + 1)
     for l in range(k_max - 1, -1, -1):
         row = tail[l]
@@ -378,6 +384,13 @@ class TestSimulate:
             simulate(_model(), 7, 0, 20)
         with pytest.raises(ValueError):
             simulate(_model(), 7, 4, 0)
+        # a float is no count, even a whole one: the error names the argument
+        for args, name in (((7.0, 4, 20), "seed"), ((7, 4.0, 20), "num_trials"),
+                           ((7, 4, 20.0), "horizon")):
+            with pytest.raises(TypeError, match=name):
+                simulate(_model(), *args)
+        numpy_ints = simulate(_model(), np.uint64(7), np.int64(4), np.int32(20))
+        assert np.array_equal(numpy_ints.states, simulate(_model(), 7, 4, 20).states)
 
 
 class TestTrajectoryBatch:
@@ -444,6 +457,15 @@ class TestTrajectoryBatch:
         got, want = grid_filter(batch, m, grid), grid_filter(drawn, m, grid)
         for name in ("means", "variances", "pmfs", "totals"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        smoothed, smoothed_twin = grid_smoother(got), grid_smoother(want)
+        for name in ("means", "variances"):
+            assert np.array_equal(getattr(smoothed, name), getattr(smoothed_twin, name)), name
+        # every estimator writes its means block-major too, one row per block
+        outputs = [filtered.means, rts_smoother(filtered, m, None).means,
+                   rts_smoother(filtered, m, 1).means, got.means, got.variances,
+                   smoothed.means, smoothed.variances]
+        for i, output in enumerate(outputs):
+            assert output.flags.f_contiguous, i
 
 
 class TestKalmanFilter:
@@ -616,6 +638,12 @@ class TestChunkBoundaries:
 
 
 class TestGridFilter:
+    @pytest.mark.parametrize("num_points", (100.5, 1000.0, "1000"))
+    def test_grid_spec_rejects_a_non_integer_size(self, num_points):
+        with pytest.raises(TypeError, match="num_points"):
+            GridSpec(num_points=num_points)
+        assert GridSpec(num_points=np.int64(200)) == GridSpec(num_points=200)
+
     def test_matches_kalman_on_linear_channel(self, gaussian_grid):
         m = _model()
         gaussian_grid(m)
@@ -1142,19 +1170,32 @@ class TestMonteCarloMse:
                     monte_carlo_mse(model_for_snr(0.9, 0.0), name, estimator,
                                     seed=7, num_trials=4, horizon=60)
 
-    @pytest.mark.parametrize("lag,error", [(-1, ValueError), (2.5, TypeError),
-                                           (None, TypeError), ("3", TypeError)])
-    def test_rejects_a_bad_lag_before_drawing(self, monkeypatch, lag, error):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("monte_carlo_mse drew before checking the lag")
+    @pytest.mark.parametrize("name,value,error", [
+        ("lag", -1, ValueError), ("lag", 2.5, TypeError), ("lag", None, TypeError),
+        ("lag", "3", TypeError), ("num_trials", 3.0, TypeError), ("seed", 7.0, TypeError),
+        ("horizon", 50.0, TypeError),
+    ])
+    def test_rejects_a_bad_integer_before_computing(self, monkeypatch, name, value, error):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"monte_carlo_mse computed before checking {name}")
 
-        monkeypatch.setattr(estimators, "simulate", no_draws)
+        # neither the bound quadratures nor the draws may run first
+        monkeypatch.setattr(estimators, "per_block_fims", no_work)
+        monkeypatch.setattr(estimators, "simulate", no_work)
         m = model_for_snr(0.9, 0.0)
+        kwargs = {**dict(seed=7, num_trials=4, horizon=60, lag=0), name: value}
         for channel, estimator in ((MeasurementChannel.UNQUANTIZED, "kalman"),
                                    (MeasurementChannel.ONE_BIT, "grid")):
-            with pytest.raises(error, match="lag"):
-                monte_carlo_mse(m, channel, estimator, seed=7, num_trials=4, horizon=60,
-                                lag=lag)
+            with pytest.raises(error, match=name):
+                monte_carlo_mse(m, channel, estimator, **kwargs)
+
+    def test_numpy_integers_are_integers(self):
+        m = model_for_snr(0.9, 0.0)
+        got = monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman", np.uint64(3),
+                              np.int64(4), np.int32(60), lag=np.int16(2))
+        want = monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman", 3, 4, 60, lag=2)
+        assert np.array_equal(got.filter_mse, want.filter_mse)
+        assert np.array_equal(got.smooth_mse, want.smooth_mse)
 
     def test_both_estimators_read_the_same_batch(self, monkeypatch):
         # One seed draws one unquantized batch; the grid reads its signs.
