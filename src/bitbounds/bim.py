@@ -28,8 +28,11 @@ import numpy as np
 from .core import (
     GaussMarkovModel,
     MeasurementChannel,
-    forward_info_step,
-    gain_step,
+    _gain_coefficients,
+    _gain_step,
+    _info_coefficients,
+    _info_step,
+    _require_ints,
     marginal_moments,
 )
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fq_batch
@@ -111,6 +114,7 @@ def per_block_fims(model: GaussMarkovModel, channel: MeasurementChannel, num_blo
     """
     if not isinstance(channel, MeasurementChannel):
         raise TypeError(f"channel must be a MeasurementChannel, got {channel!r}.")
+    _require_ints(num_blocks=num_blocks)
     if num_blocks < 0:
         raise ValueError(f"num_blocks must be nonnegative, got {num_blocks}.")
     if channel is MeasurementChannel.UNQUANTIZED:
@@ -133,10 +137,11 @@ def filtered_information(model: GaussMarkovModel, fims: np.ndarray) -> np.ndarra
     fims = np.asarray(fims, dtype=float)
     if fims.ndim != 1 or fims.shape[0] < 1:
         raise ValueError(f"fims must have shape (K + 1,), got {fims.shape}.")
+    a2, q = _info_coefficients(model)
     j = 1.0 / model.sigma0**2
     values = [j]
     for fim in fims.tolist()[1:]:
-        j = forward_info_step(model, j, fim)
+        j = _info_step(j, fim, a2, q)
         values.append(j)
     return np.array(values)
 
@@ -174,12 +179,14 @@ def predict_bim(model: GaussMarkovModel, filtered: BimSequence, num_steps: int) 
         Length ``num_steps + 1`` (``num_steps`` nonnegative); entry ``m``
         refers to ``m`` blocks past the last measurement.
     """
+    _require_ints(num_steps=num_steps)
     if num_steps < 0:
         raise ValueError(f"num_steps must be nonnegative, got {num_steps}.")
+    a2, q = _info_coefficients(model)
     j = float(filtered.values[-1])
     values = [j]
     for _ in range(num_steps):
-        j = forward_info_step(model, j)
+        j = _info_step(j, 0.0, a2, q)
         values.append(j)
     return BimSequence(values)
 
@@ -200,10 +207,11 @@ def smoothing_gain(model: GaussMarkovModel, fims: np.ndarray) -> np.ndarray:
     fims = np.asarray(fims, dtype=float)
     if fims.ndim != 1 or fims.shape[0] < 1:
         raise ValueError(f"fims must have shape (K + 1,), got {fims.shape}.")
+    s, a2s = _gain_coefficients(model)
     kappa = 0.0
     gains = [kappa]
     for fim in reversed(fims.tolist()[1:]):
-        kappa = gain_step(model, kappa, fim)
+        kappa = _gain_step(kappa, fim, s, a2s)
         gains.append(kappa)
     gains.reverse()
     return np.array(gains)

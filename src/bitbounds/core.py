@@ -8,15 +8,28 @@ Each block k >= 1 is observed either directly in additive Gaussian noise
 
 This module provides the model container, the measurement-channel selector,
 the two scalar steps that every finite-horizon bound recursion is built from
-(one forward information step, one backward smoothing-gain step), and the
-closed form of the marginal state moments.
+(one forward information step, one backward smoothing-gain step), the
+closed form of the marginal state moments, and the integer-argument check
+that the package's counts, lags, horizons and seeds go through.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
+
+
+def _require_ints(**arguments) -> None:
+    """Raise a TypeError naming the first argument that is not an integer.
+
+    Python and numpy integers pass; ``bool`` does not, although it is an
+    ``int``: ``True`` as a count or a lag is a mistake, not the number 1.
+    """
+    for name, value in arguments.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an int, got {value!r}.")
 
 
 class MeasurementChannel(enum.Enum):
@@ -80,6 +93,31 @@ class StateMoments:
             raise ValueError(f"StateMoments requires variance > 0, got {self.variance}.")
 
 
+def _info_step(j_prev, fim, a2, q):
+    """:func:`forward_info_step` with its model coefficients ``a2 = alpha^2``, ``q = sigma_z^2``.
+
+    The bound recursions call this once per block with the coefficients
+    formed once per call, so no step recomputes them.
+    """
+    return fim + j_prev / (a2 + q * j_prev)
+
+
+def _gain_step(kappa, fim, s, a2s):
+    """:func:`gain_step` with its model coefficients ``s = 1 / sigma_z^2``, ``a2s = alpha^2 s``."""
+    return a2s * (fim + kappa) / (s + fim + kappa)
+
+
+def _info_coefficients(model: GaussMarkovModel) -> tuple[float, float]:
+    """``(alpha^2, sigma_z^2)``, the coefficients of :func:`_info_step`."""
+    return model.alpha**2, model.sigma_z**2
+
+
+def _gain_coefficients(model: GaussMarkovModel) -> tuple[float, float]:
+    """``(1 / sigma_z^2, alpha^2 / sigma_z^2)``, the coefficients of :func:`_gain_step`."""
+    s = 1.0 / model.sigma_z**2
+    return s, model.alpha**2 * s
+
+
 def forward_info_step(model: GaussMarkovModel, j_prev, fim=0.0):
     """One forward information step: a transition, then a measurement.
 
@@ -93,7 +131,7 @@ def forward_info_step(model: GaussMarkovModel, j_prev, fim=0.0):
     500 steps at ``alpha = 1 - 1e-9``, ``sigma_z = 1e-3``). With ``fim = 0``
     it is the prediction step. Accepts floats or arrays.
     """
-    return fim + j_prev / (model.alpha**2 + model.sigma_z**2 * j_prev)
+    return _info_step(j_prev, fim, *_info_coefficients(model))
 
 
 def gain_step(model: GaussMarkovModel, kappa, fim):
@@ -104,9 +142,7 @@ def gain_step(model: GaussMarkovModel, kappa, fim):
     the information that measurements after block ``l`` add to the
     filtered information of block ``l``. Accepts floats or arrays.
     """
-    s = 1.0 / model.sigma_z**2
-    a2s = model.alpha**2 * s
-    return a2s * (fim + kappa) / (s + fim + kappa)
+    return _gain_step(kappa, fim, *_gain_coefficients(model))
 
 
 def marginal_moments(model: GaussMarkovModel, blocks) -> list[tuple[float, float]]:

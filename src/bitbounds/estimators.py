@@ -51,11 +51,16 @@ all four estimators run over those rows without copying them, and write
 their means (and the grid's variances) one row per block into block-major
 buffers, returned as ``(trials, K + 1)`` views.
 
-On the Kalman path :func:`monte_carlo_mse` holds at most three full arrays
-at once: the states and observations while the filter writes its means,
-then the states and the filtered and smoothed means; the smoother's last
-``lag`` rows of corrections are the only other rows it holds. On both
-paths the buffers of the means take the squared errors in place.
+On the Kalman path :func:`monte_carlo_mse` holds no whole array: it draws,
+filters and lag-smooths the batch in windows of ``C + lag + 1`` block rows,
+``C = max(lag, 64)``, and reduces each block's rows as they become final,
+so its memory does not grow with the horizon. It draws with the row source
+of :func:`simulate` and smooths with :func:`rts_smoother`, so the filtered
+means are bit for bit those of the whole batch and the smoothed means move
+by rounding only. The grid path keeps its whole batch, which its trial
+sub-batches read, and feeds the rows of its means through the same
+statistics. On both paths the buffers of the means take the squared errors
+in place.
 """
 
 from __future__ import annotations
@@ -66,7 +71,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bim import filtered_information, per_block_fims, smoothing_gain
-from .core import GaussMarkovModel, MeasurementChannel, gain_step, state_moments
+from .core import (
+    GaussMarkovModel,
+    MeasurementChannel,
+    _gain_coefficients,
+    _gain_step,
+    _require_ints,
+    state_moments,
+)
 from .exceptions import NumericalDegeneracyError
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, q_function
 from .steady import quadratic_filter_root, quadratic_gain_root, steady_expected_fim, steady_lag_gain
@@ -89,13 +101,6 @@ __all__ = [
     "grid_smoother",
     "monte_carlo_mse",
 ]
-
-
-def _require_ints(**arguments) -> None:
-    """Raise a TypeError naming the first argument that is not an integer (numpy's included)."""
-    for name, value in arguments.items():
-        if not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an int, got {value!r}.")
 
 
 @dataclass(frozen=True)
@@ -290,6 +295,7 @@ def burn_in_blocks(model: GaussMarkovModel, horizon: int) -> int:
     alpha^2))``, capped at half the horizon (the cap always applies when
     ``|alpha| = 1``).
     """
+    _require_ints(horizon=horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}.")
     cap = horizon // 2
@@ -336,18 +342,37 @@ def simulate(model: GaussMarkovModel, seed: int, num_trials: int,
     rng = np.random.default_rng(seed)
     states = np.empty((horizon + 1, num_trials))
     observations = np.empty((horizon, num_trials))
-    states[0] = model.mu0 + model.sigma0 * rng.standard_normal(num_trials)
+    _draw_prior(rng, model, states[0])
     carried = np.empty(num_trials)
     for previous, theta, y in zip(states, states[1:], observations):
-        rng.standard_normal(out=theta)
-        theta *= model.sigma_z
-        # theta_k = alpha theta_{k-1} + z_k: each element gets one product and
-        # one sum, as in lfilter's first-order IIR filter, so the bits match it.
-        theta += np.multiply(previous, model.alpha, carried)
-        rng.standard_normal(out=y)
-        y *= model.sigma_eta
-        y += theta  # y_k = eta_k + theta_k (the sum commutes)
+        _draw_block(rng, model, previous, theta, y, carried)
     return TrajectoryBatch(states.T, observations.T)
+
+
+def _draw_prior(rng: np.random.Generator, model: GaussMarkovModel, theta: np.ndarray) -> None:
+    """Draw the ``theta_0`` row of all trials into ``theta``: the stream's first values."""
+    rng.standard_normal(out=theta)
+    theta *= model.sigma0
+    theta += model.mu0
+
+
+def _draw_block(rng: np.random.Generator, model: GaussMarkovModel, previous: np.ndarray,
+                theta: np.ndarray, y: np.ndarray, carried: np.ndarray) -> None:
+    """Draw block ``k``'s rows ``theta_k`` and ``y_k`` of all trials from ``previous = theta_{k-1}``.
+
+    The state noises come first, then the measurement noises, as the
+    randomness contract orders them. ``carried`` is a work row. Every
+    batch, whole (:func:`simulate`) or streamed (:func:`monte_carlo_mse`),
+    is drawn by this function, so both hold the same values.
+    """
+    rng.standard_normal(out=theta)
+    theta *= model.sigma_z
+    # theta_k = alpha theta_{k-1} + z_k: each element gets one product and
+    # one sum, as in lfilter's first-order IIR filter, so the bits match it.
+    theta += np.multiply(previous, model.alpha, carried)
+    rng.standard_normal(out=y)
+    y *= model.sigma_eta
+    y += theta  # y_k = eta_k + theta_k (the sum commutes)
 
 
 def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResult:
@@ -364,20 +389,43 @@ def kalman_filter(batch: TrajectoryBatch, model: GaussMarkovModel) -> KalmanResu
         ``means[:, k]`` is ``E[theta_k | y_1..y_k]``; ``variances[k]`` the
         posterior variance (data-independent in the linear-Gaussian case).
     """
-    p = model.sigma0**2
-    variances = [p]
-    a2, q, r = model.alpha**2, model.sigma_z**2, model.sigma_eta**2
+    variances, gains = _kalman_gains(model, batch.horizon)
     means = np.empty((batch.horizon + 1, batch.num_trials))  # block-major
     means[0] = model.mu0
-    for k, y in enumerate(batch.observations.T, start=1):
+    predicted = np.empty(batch.num_trials)
+    for previous, row, y, gain in zip(means, means[1:], batch.observations.T, gains):
+        _kalman_update(model, previous, y, gain, row, predicted)
+    return KalmanResult(means=means.T, variances=variances)
+
+
+def _kalman_gains(model: GaussMarkovModel, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The filter's variances ``P_{k|k}``, ``k = 0..K``, and its gains for ``k = 1..K``.
+
+    Neither depends on the data; entry ``k - 1`` of the gains is block ``k``'s.
+    """
+    p = model.sigma0**2
+    variances, gains = [p], []
+    a2, q, r = model.alpha**2, model.sigma_z**2, model.sigma_eta**2
+    for _ in range(horizon):
         p_pred = a2 * p + q
         gain = p_pred / (p_pred + r)
         p = (1.0 - gain) * p_pred
         variances.append(p)
-        # m_k = m_pred + gain (y_k - m_pred)
-        m_pred = model.alpha * means[k - 1]
-        means[k] = m_pred + gain * (y - m_pred)
-    return KalmanResult(means=means.T, variances=np.array(variances))
+        gains.append(gain)
+    return np.array(variances), np.array(gains)
+
+
+def _kalman_update(model: GaussMarkovModel, previous: np.ndarray, y: np.ndarray, gain: float,
+                   out: np.ndarray, predicted: np.ndarray) -> None:
+    """One block of the filter: ``m_k = m_pred + gain (y_k - m_pred)``, ``m_pred = alpha m_{k-1}``.
+
+    ``previous`` is the row ``m_{k-1}`` of all trials and ``y`` the row
+    ``y_k``; the means go into ``out``, with ``predicted`` as a work row.
+    """
+    np.multiply(previous, model.alpha, out=predicted)
+    np.subtract(y, predicted, out=out)
+    out *= gain
+    out += predicted
 
 
 def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
@@ -427,8 +475,10 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
         If the horizon is shorter than the requested lag.
     """
     k_max = filtered.horizon
-    if lag is not None and not 0 <= lag <= k_max:
-        raise ValueError(f"lag must be in [0, horizon], got {lag} with horizon {k_max}.")
+    if lag is not None:
+        _require_ints(lag=lag)
+        if not 0 <= lag <= k_max:
+            raise ValueError(f"lag must be in [0, horizon], got {lag} with horizon {k_max}.")
     p = filtered.variances
     # P_{l+1|l}, formed as the filter forms it, so the bits are the filter's
     p_pred = model.alpha**2 * p[:-1] + model.sigma_z**2
@@ -924,6 +974,40 @@ def _trial_stats(errors_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mse, se
 
 
+class _ErrorStats:
+    """Per-block MSE and SE over trials, and one steady-window MSE per trial.
+
+    :meth:`add` takes the next rows of an estimator's block-major means,
+    with the matching rows of the states, in block order; ``lo..hi`` is the
+    steady window. Rows may come one chunk at a time or as one whole array,
+    with the same bits: each block's statistics come from its own row
+    (:func:`_trial_stats`), and each trial's window sum adds the rows one by
+    one in block order, as ``mean(axis=1)`` over a ``(trials, blocks)``
+    array does.
+    """
+
+    def __init__(self, blocks: int, trials: int, lo: int, hi: int):
+        self.mse = np.empty(blocks)
+        self.se = np.empty(blocks)
+        self.lo, self.hi = lo, hi
+        self.sums = np.zeros(trials)
+        self.blocks_added = 0
+
+    def add(self, means: np.ndarray, states: np.ndarray) -> None:
+        """Add the rows of ``means`` (overwritten with the squared errors) against ``states``."""
+        errors_sq = np.square(np.subtract(means, states, out=means), out=means)
+        first = self.blocks_added
+        stop = self.blocks_added = first + len(errors_sq)
+        for row in errors_sq[max(self.lo - first, 0) : max(self.hi + 1 - first, 0)]:
+            self.sums += row
+        self.mse[first:stop], self.se[first:stop] = _trial_stats(errors_sq.T)
+
+    def steady(self) -> tuple[float, float]:
+        """The mean and standard error over trials of each trial's steady-window MSE."""
+        mse, se = _trial_stats(self.sums / (self.hi - self.lo + 1))
+        return float(mse), float(se)
+
+
 def _lagged_gains(model: GaussMarkovModel, fims: np.ndarray, lag: int) -> np.ndarray:
     """Smoothing gains kappa(l | l + lag) for blocks 0..K-lag, all anchors at once.
 
@@ -932,9 +1016,10 @@ def _lagged_gains(model: GaussMarkovModel, fims: np.ndarray, lag: int) -> np.nda
     in scalars.
     """
     width = fims.shape[0] - lag
+    s, a2s = _gain_coefficients(model)
     gains = np.zeros(width)
     for j in range(lag, 0, -1):
-        gains = gain_step(model, gains, fims[j : j + width])
+        gains = _gain_step(gains, fims[j : j + width], s, a2s)
     return gains
 
 
@@ -954,6 +1039,70 @@ def _sub_batch_trials(num_points: int, horizon: int) -> int:
     return max(1, min(_SUB_BATCH_TRIALS, _SUB_BATCH_BYTES // (4 * num_points * slabs)))
 
 
+# Blocks that each window of the streamed Kalman path adds: at least the lag,
+# so the backward pass that the windows share costs at most twice a
+# whole-batch pass, and at least 64, so the smoother's fixed cost per call
+# stays small at short lags. At 2000 trials and horizon 500 (one BLAS thread,
+# medians of 8 in-process runs) lag 100 ran alike at C = 50 to 256 (45-52 ms,
+# as the whole batch), lag 0 and 10 ran alike at C = 16 to 256 (37-51 ms);
+# the run-to-run spread was 5 ms. The window's rows take 3 (C + lag) rows of
+# all trials: 9.2 MiB at lag 100, against 23 MiB for three whole arrays.
+_CHUNK_BLOCKS = 64
+
+
+def _chunk_blocks(lag: int) -> int:
+    """Blocks per window of the streamed Kalman path: ``max(lag, 64)``."""
+    return max(lag, _CHUNK_BLOCKS)
+
+
+def _stream_kalman(model: GaussMarkovModel, seed: int, num_trials: int, horizon: int, lag: int,
+                   filter_stats: _ErrorStats, smooth_stats: _ErrorStats) -> None:
+    """Draw, filter and lag-smooth the batch of ``seed`` window by window, into the statistics.
+
+    The window holds the state and filtered-mean rows of at most ``C + lag
+    + 1`` blocks, ``C = _chunk_blocks(lag)``: :func:`_draw_block` and
+    :func:`_kalman_update` fill its rows, and :func:`rts_smoother` runs on
+    it as on a whole batch that ends at its last block ``top``. That
+    anchor changes only rounding for the blocks ``l <= top - lag``: their
+    fixed-lag correction ``R_l - W_l R_{l+lag}`` is the same for every
+    anchor at or past ``l + lag`` in exact arithmetic. So those blocks are
+    final and go to the statistics, and the next window starts from the
+    last ``lag + 1`` rows, whose first block is final already (its filtered
+    mean carries the filter on when the lag is 0). The filter's means
+    become their squared errors in the window's rows, the smoother's in the
+    rows it returns. A horizon within one window runs the arithmetic of the
+    whole-batch path.
+    """
+    variances, gains = _kalman_gains(model, horizon)
+    capacity = _chunk_blocks(lag) + lag + 1
+    states = np.empty((capacity, num_trials))  # block-major rows of the window
+    means = np.empty((capacity, num_trials))
+    y = np.empty(num_trials)
+    work = np.empty(num_trials)
+    rng = np.random.default_rng(seed)
+    _draw_prior(rng, model, states[0])
+    means[0] = model.mu0
+    # the window's first block, its rows filled, and its first row not yet smoothed
+    lo, filled, fresh = 0, 1, 0
+    while True:
+        top = min(lo + capacity - 1, horizon)
+        rows = top - lo + 1
+        for i in range(filled, rows):
+            _draw_block(rng, model, states[i - 1], states[i], y, work)
+            _kalman_update(model, means[i - 1], y, gains[lo + i - 1], means[i], work)
+        window = KalmanResult(means=means[:rows].T, variances=variances[lo : top + 1])
+        final = rows - lag  # rows 0..final-1 are smoothed for good
+        # the smoothed rows are freed before the next window smooths
+        smooth_stats.add(rts_smoother(window, model, lag).means.T[fresh:], states[fresh:final])
+        if top == horizon:
+            filter_stats.add(means[:rows], states[:rows])
+            return
+        filter_stats.add(means[: final - 1], states[: final - 1])
+        means[: lag + 1] = means[final - 1 : rows]
+        states[: lag + 1] = states[final - 1 : rows]
+        lo, filled, fresh = top - lag, lag + 1, 1
+
+
 # The channel that each estimator of monte_carlo_mse reads.
 _ESTIMATOR_CHANNELS = {"kalman": MeasurementChannel.UNQUANTIZED, "grid": MeasurementChannel.ONE_BIT}
 
@@ -964,9 +1113,24 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> MseReport:
     """Empirical filtering and smoothing MSE paired with their bounds.
 
-    Both estimators read the unquantized batch that :func:`simulate` draws.
+    Both estimators read the unquantized batch of ``seed`` that
+    :func:`simulate` draws, the same values block row by block row.
     ``channel``, checked before anything is drawn, selects the bounds and
     must be the estimator's own.
+
+    The Kalman path streams: it draws, filters and lag-smooths the batch in
+    windows of ``C + lag + 1`` block rows, ``C = max(lag, 64)`` blocks
+    added per window, and reduces each block's rows as they become final.
+    Its memory is about ``3 (C + lag)`` rows of ``num_trials`` floats plus
+    a few floats per block, so it does not grow with the horizon (at 2000
+    trials and lag 100, 9.2 MiB of rows against 23 MiB for the batch and
+    both means whole). The filter fields and the steady filter scalars
+    equal those of the whole batch bit for bit; each window anchors the
+    smoother at its own last block, which moves the smoother fields by
+    rounding only: within 1e-14 relative from 20 trials up (4.4e-16 at 2000
+    trials and horizon 500); with one trial an entry is a single squared
+    error and moves more where that error is small. A horizon of at most
+    ``C + lag`` blocks is one window and runs the whole batch's arithmetic.
 
     Parameters
     ----------
@@ -987,8 +1151,9 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         default. The grid path runs its trials in sub-batches of up to
         100, one tile product wide, fewer on grids where their checkpoints
         and replayed segment would pass 20 MB (:func:`_sub_batch_trials`);
-        the split moves results by summation order only. Memory grows as
-        ``sqrt(K)`` in the horizon, not as K.
+        the split moves results by summation order only. The grid path
+        holds its whole batch and both its means, ``(trials, K + 1)`` each;
+        the grid itself grows as ``sqrt(K)`` in the horizon, not as K.
     spec : QuadratureSpec
         Quadrature for the bound values.
 
@@ -1016,20 +1181,21 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     filter_info = filtered_information(model, fims)
     steady_fim = steady_expected_fim(model, channel, spec)
     steady_j = quadratic_filter_root(model, steady_fim)
-    batch = simulate(model, seed, num_trials, horizon)
-    states = batch.states
+    filter_stats = _ErrorStats(horizon + 1, num_trials, burn, horizon)
 
     if estimator == "kalman":
-        filtered = kalman_filter(batch, model)
-        del batch  # the observations are not read again
-        est_f, est_s = filtered.means, rts_smoother(filtered, model, lag).means
         smooth_bounds = 1.0 / (filter_info[: horizon - lag + 1] + _lagged_gains(model, fims, lag))
         steady_smooth_bound = 1.0 / (steady_j + steady_lag_gain(model, steady_fim, lag))
-        smooth_lo, smooth_hi = burn, horizon - lag
+        del fims  # freed before the stream, whose window is all that runs longer with K
+        smooth_stats = _ErrorStats(horizon - lag + 1, num_trials, burn, horizon - lag)
+        _stream_kalman(model, seed, num_trials, horizon, lag, filter_stats, smooth_stats)
         report_lag: int | None = lag
     else:
+        smooth_stats = _ErrorStats(horizon + 1, num_trials, burn, max(burn, horizon - burn // 2))
         smooth_bounds = 1.0 / (filter_info + smoothing_gain(model, fims))
         steady_smooth_bound = 1.0 / (steady_j + quadratic_gain_root(model, steady_fim))
+        batch = simulate(model, seed, num_trials, horizon)
+        states = batch.states
         est_f = np.empty_like(states)
         est_s = np.empty_like(states)
         step = _sub_batch_trials(grid.num_points, horizon)
@@ -1042,20 +1208,13 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
             est_s[trials] = grid_smoother(gf).means
             del gf  # freed before the next sub-batch runs
         del batch  # the observations are not read again
-        smooth_lo, smooth_hi = burn, max(burn, horizon - burn // 2)
+        # the block-major rows of the whole arrays, as the Kalman path's windows
+        filter_stats.add(est_f.T, states.T)
+        smooth_stats.add(est_s.T, states.T)
         report_lag = None
 
-    # the errors are squared in place, in the buffers of the means
-    err_f = np.square(np.subtract(est_f, states, out=est_f), out=est_f)
-    err_s = np.square(np.subtract(est_s, states[:, : est_s.shape[1]], out=est_s), out=est_s)
-    del states  # freed before the statistics take their temporaries
-    steady_f = err_f[:, burn : horizon + 1].mean(axis=1)  # one steady-region MSE per trial
-    steady_s = err_s[:, smooth_lo : smooth_hi + 1].mean(axis=1)
-    # the per-block statistics overwrite the errors
-    filter_mse, filter_se = _trial_stats(err_f)
-    smooth_mse, smooth_se = _trial_stats(err_s)
-    steady_f_mse, steady_f_se = map(float, _trial_stats(steady_f))
-    steady_s_mse, steady_s_se = map(float, _trial_stats(steady_s))
+    steady_f_mse, steady_f_se = filter_stats.steady()
+    steady_s_mse, steady_s_se = smooth_stats.steady()
     return MseReport(
         channel=channel,
         estimator=estimator,
@@ -1064,11 +1223,11 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         horizon=horizon,
         lag=report_lag,
         burn_in=burn,
-        filter_mse=filter_mse,
-        filter_se=filter_se,
+        filter_mse=filter_stats.mse,
+        filter_se=filter_stats.se,
         filter_bound=1.0 / filter_info,
-        smooth_mse=smooth_mse,
-        smooth_se=smooth_se,
+        smooth_mse=smooth_stats.mse,
+        smooth_se=smooth_stats.se,
         smooth_bound=smooth_bounds,
         steady_filter_mse=steady_f_mse,
         steady_filter_se=steady_f_se,

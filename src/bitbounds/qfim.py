@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _erf
 from ._tables import HERMGAUSS_128
-from .core import StateMoments
+from .core import StateMoments, _require_ints
 from .exceptions import QuadratureError
 
 __all__ = [
@@ -72,6 +72,7 @@ class QuadratureSpec:
     half_width_sigmas: float = 10.0
 
     def __post_init__(self):
+        _require_ints(nodes=self.nodes)
         if self.rule is QuadratureRule.GAUSS_HERMITE:
             if not 16 <= self.nodes <= 370:
                 raise ValueError(f"Gauss-Hermite nodes must be in [16, 370], got {self.nodes}.")

@@ -25,7 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import GaussMarkovModel, MeasurementChannel, StateMoments, stationary_variance
+from .core import (
+    GaussMarkovModel,
+    MeasurementChannel,
+    StateMoments,
+    _require_ints,
+    stationary_variance,
+)
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fq
 
 __all__ = [
@@ -160,6 +166,7 @@ def steady_lag_gain(model: GaussMarkovModel, fim: float, lag: int) -> float:
     monotonically in ``lag`` toward ``p``; 0 at ``lag = 0`` and when
     ``alpha = 0``.
     """
+    _require_ints(lag=lag)
     if lag < 0:
         raise ValueError(f"steady_lag_gain requires lag >= 0, got {lag}.")
     s, b, c, root = _quadratic(model, fim)

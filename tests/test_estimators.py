@@ -637,6 +637,83 @@ class TestChunkBoundaries:
             assert smoothed.means.flags.f_contiguous
 
 
+def _whole_batch_kalman_report(model, seed: int, trials: int, horizon: int, lag: int) -> dict:
+    """Reference Kalman ``MseReport`` fields: the whole batch, filter and smoother, then numpy.
+
+    ``simulate``, ``kalman_filter`` and the whole-horizon ``rts_smoother``
+    hold every block at once; the statistics are numpy's mean and ``std``
+    over trials, and each trial's steady-window ``mean(axis=1)``.
+    """
+    batch = simulate(model, seed, trials, horizon)
+    filtered = kalman_filter(batch, model)
+    smoothed = rts_smoother(filtered, model, lag)
+    burn = burn_in_blocks(model, horizon)
+    fields = {}
+    for stage, means, hi in (("filter", filtered.means, horizon),
+                             ("smooth", smoothed.means, horizon - lag)):
+        errors_sq = (means - batch.states[:, : means.shape[1]]) ** 2
+        steady = errors_sq[:, burn : hi + 1].mean(axis=1)
+        fields[f"{stage}_mse"] = errors_sq.mean(axis=0)
+        fields[f"{stage}_se"] = errors_sq.std(axis=0, ddof=1) / math.sqrt(trials)
+        fields[f"steady_{stage}_mse"] = steady.mean()
+        fields[f"steady_{stage}_se"] = steady.std(ddof=1) / math.sqrt(trials)
+    return fields
+
+
+def _window_cases():
+    """``(lag, horizon)`` pairs around the streamed Kalman path's window boundaries.
+
+    A window holds blocks ``lo .. lo + C + lag`` with ``C = _chunk_blocks(lag)``:
+    horizons ``C + lag - 1`` and ``C + lag`` fit in the first window, ``C +
+    lag + 1`` needs a second, and ``3C + lag + 7`` four. At lag 70, ``C =
+    lag`` and the rows a window keeps overlap the rows they move to. The
+    largest lag that a horizon allows, ``horizon - burn-in - 1``, is a case
+    of its own.
+    """
+    cases = []
+    for lag in (0, 1, 50, 70):
+        c = estimators._chunk_blocks(lag)
+        cases += [(lag, h) for h in (c + lag - 1, c + lag, c + lag + 1, 3 * c + lag + 7)]
+    for horizon in (130, 400):
+        cases.append((horizon - burn_in_blocks(_STREAM_MODEL, horizon) - 1, horizon))
+    return cases
+
+
+_STREAM_MODEL = GaussMarkovModel(alpha=0.9, sigma_z=0.7, sigma_eta=1.3, sigma0=1.1, mu0=0.2)
+
+
+class TestStreamedKalman:
+    """The Kalman path of ``monte_carlo_mse`` streams windows of block rows; it must
+    report what the whole batch, filter and smoother give."""
+
+    @pytest.mark.parametrize("lag,horizon", _window_cases())
+    def test_matches_the_whole_batch_report(self, lag, horizon):
+        report = monte_carlo_mse(_STREAM_MODEL, MeasurementChannel.UNQUANTIZED, "kalman",
+                                 20260814, 20, horizon, lag=lag)
+        want = _whole_batch_kalman_report(_STREAM_MODEL, 20260814, 20, horizon, lag)
+        one_window = horizon <= estimators._chunk_blocks(lag) + lag
+        for name, value in want.items():
+            got = getattr(report, name)
+            if name.startswith(("filter", "steady_filter")) or one_window:
+                assert np.array_equal(got, value), name
+            else:
+                # the windows anchor the smoother at their own last block,
+                # which moves the smoothed means by rounding only
+                assert_allclose(got, value, rtol=1e-14, atol=0, err_msg=name)
+
+    def test_a_single_trial_reports_nan_standard_errors(self):
+        lag = 1
+        horizon = 3 * estimators._chunk_blocks(lag) + lag + 7
+        report = monte_carlo_mse(_STREAM_MODEL, MeasurementChannel.UNQUANTIZED, "kalman",
+                                 5, 1, horizon, lag=lag)
+        for name in ("filter_se", "smooth_se", "steady_filter_se", "steady_smooth_se"):
+            assert np.all(np.isnan(getattr(report, name))), name
+        batch = simulate(_STREAM_MODEL, 5, 1, horizon)
+        errors_sq = (kalman_filter(batch, _STREAM_MODEL).means - batch.states) ** 2
+        assert np.array_equal(report.filter_mse, errors_sq[0])
+        assert np.all(np.isfinite(report.smooth_mse))
+
+
 class TestGridFilter:
     @pytest.mark.parametrize("num_points", (100.5, 1000.0, "1000"))
     def test_grid_spec_rejects_a_non_integer_size(self, num_points):
@@ -1172,16 +1249,17 @@ class TestMonteCarloMse:
 
     @pytest.mark.parametrize("name,value,error", [
         ("lag", -1, ValueError), ("lag", 2.5, TypeError), ("lag", None, TypeError),
-        ("lag", "3", TypeError), ("num_trials", 3.0, TypeError), ("seed", 7.0, TypeError),
-        ("horizon", 50.0, TypeError),
+        ("lag", "3", TypeError), ("lag", True, TypeError), ("num_trials", 3.0, TypeError),
+        ("num_trials", True, TypeError), ("seed", 7.0, TypeError), ("horizon", 50.0, TypeError),
     ])
     def test_rejects_a_bad_integer_before_computing(self, monkeypatch, name, value, error):
         def no_work(*args, **kwargs):
             raise AssertionError(f"monte_carlo_mse computed before checking {name}")
 
-        # neither the bound quadratures nor the draws may run first
-        monkeypatch.setattr(estimators, "per_block_fims", no_work)
-        monkeypatch.setattr(estimators, "simulate", no_work)
+        # neither the bound quadratures nor the row source, which draws every
+        # batch whole or streamed, may run first
+        for function in ("per_block_fims", "_draw_prior", "_draw_block"):
+            monkeypatch.setattr(estimators, function, no_work)
         m = model_for_snr(0.9, 0.0)
         kwargs = {**dict(seed=7, num_trials=4, horizon=60, lag=0), name: value}
         for channel, estimator in ((MeasurementChannel.UNQUANTIZED, "kalman"),
@@ -1198,24 +1276,34 @@ class TestMonteCarloMse:
         assert np.array_equal(got.smooth_mse, want.smooth_mse)
 
     def test_both_estimators_read_the_same_batch(self, monkeypatch):
-        # One seed draws one unquantized batch; the grid reads its signs.
-        batches = []
-        draw = estimators.simulate
+        # One seed draws one unquantized batch, block row by block row through
+        # the shared row source: streamed on the Kalman path, whole on the
+        # grid path, which reads its signs. 150 blocks span three windows.
+        draws = []
+        draw = estimators._draw_block
 
-        def recorded(*args, **kwargs):
-            batch = draw(*args, **kwargs)
-            batches.append((batch.states.copy(), batch.observations.copy()))
-            return batch
+        def recorded(rng, model, previous, theta, y, carried):
+            draw(rng, model, previous, theta, y, carried)
+            draws[-1].append((previous.copy(), theta.copy(), y.copy()))
 
-        monkeypatch.setattr(estimators, "simulate", recorded)
         m = model_for_snr(0.9, 0.0)
-        kwargs = dict(seed=3, num_trials=4, horizon=60)
-        monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman", **kwargs)
-        monte_carlo_mse(m, MeasurementChannel.ONE_BIT, "grid", grid=GridSpec(num_points=200),
-                        **kwargs)
-        (states, observations), (grid_states, grid_observations) = batches
-        assert np.array_equal(grid_states, states)
-        assert np.array_equal(grid_observations, observations)
+        batch = simulate(m, 3, 4, 150)
+        monkeypatch.setattr(estimators, "_draw_block", recorded)
+        kwargs = dict(seed=3, num_trials=4, horizon=150)
+        for channel, estimator, grid in ((MeasurementChannel.UNQUANTIZED, "kalman", GridSpec()),
+                                         (MeasurementChannel.ONE_BIT, "grid",
+                                          GridSpec(num_points=200))):
+            draws.append([])
+            monte_carlo_mse(m, channel, estimator, grid=grid, **kwargs)
+        streamed, whole = draws
+        assert len(streamed) == len(whole) == 150
+        for k, (rows, grid_rows) in enumerate(zip(streamed, whole), start=1):
+            for row, grid_row in zip(rows, grid_rows):
+                assert np.array_equal(row, grid_row), k
+            previous, theta, y = rows
+            assert np.array_equal(previous, batch.states[:, k - 1])
+            assert np.array_equal(theta, batch.states[:, k])
+            assert np.array_equal(y, batch.observations[:, k - 1])
 
     def test_the_grid_path_reads_only_signs(self, monkeypatch):
         # Handing the grid path the +-1 twin of its batch changes no field
@@ -1289,25 +1377,36 @@ class TestMonteCarloMse:
             tracemalloc.stop()
         assert peak <= 2 * kept
 
-    def test_kalman_path_memory_is_three_arrays_and_the_tail(self):
-        # States, filtered means and smoothed means are the only full
-        # (trials, K + 1) arrays alive at once; the smoother's last ``lag``
-        # rows of corrections add 50 / 301 of one here. The traced peak was
-        # 3.17 arrays; 3.56 with chunked copies and a ring of corrections,
-        # and 6.85 with a whole draw buffer, whole-array transposes and
-        # fresh error arrays.
+    @staticmethod
+    def _kalman_traced_peak(trials: int, horizon: int, lag: int) -> int:
         m = model_for_snr(0.999, -10.0)
-        trials, horizon = 200, 300
-        array = 8 * trials * (horizon + 1)
         # a first call pays numpy's lazy imports, 0.7 MB of traced objects
-        monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman", 1, 2, horizon, lag=50)
+        monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman", 1, 2, 300, lag=50)
         tracemalloc.start()
         try:
-            monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman", 1, trials, horizon, lag=50)
-            peak = tracemalloc.get_traced_memory()[1]
+            monte_carlo_mse(m, MeasurementChannel.UNQUANTIZED, "kalman", 1, trials, horizon,
+                            lag=lag)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.4 * array
+
+    def test_kalman_path_memory_is_three_windows(self):
+        # The window's state and filtered-mean rows, and the smoother's rows
+        # with its tail of corrections, are the only blocks of rows alive at
+        # once: C + lag + 1 = 115 rows each here, against 301 blocks. The
+        # traced peak was 3.31 windows (1.27 whole arrays); it was 3.17 whole
+        # arrays with the states and both means held whole.
+        trials, lag = 200, 50
+        window = 8 * trials * (estimators._chunk_blocks(lag) + lag + 1)
+        assert self._kalman_traced_peak(trials, 300, lag) <= 3.5 * window
+
+    def test_kalman_path_memory_does_not_grow_with_the_horizon(self):
+        # Only the per-block statistics, bounds and filter variances grow
+        # with K, 8 floats per block against 1600 bytes per block row. The
+        # traced peaks were 0.59 and 0.87 MiB; 2.4 and 24 MiB with the
+        # states and both means held whole.
+        short = self._kalman_traced_peak(200, 500, 50)
+        assert self._kalman_traced_peak(200, 5000, 50) <= 1.5 * short
 
     def test_sub_batches_are_sized_from_the_grid(self):
         # Horizon 500 has stride 23: 22 checkpoints and a 23-block segment,

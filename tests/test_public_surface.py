@@ -64,6 +64,39 @@ def test_a_batch_takes_no_channel(entry, channel):
         calls[entry]()
 
 
+_UNQUANTIZED = bitbounds.MeasurementChannel.UNQUANTIZED
+_FILTERED = bitbounds.kalman_filter(bitbounds.simulate(_MODEL, 1, 2, 5), _MODEL)
+# Every integer argument of the public surface: (argument, call with the value).
+_INTEGER_CALLS = {
+    "simulate seed": ("seed", lambda v: bitbounds.simulate(_MODEL, v, 2, 5)),
+    "simulate num_trials": ("num_trials", lambda v: bitbounds.simulate(_MODEL, 1, v, 5)),
+    "simulate horizon": ("horizon", lambda v: bitbounds.simulate(_MODEL, 1, 2, v)),
+    "rts_smoother lag": ("lag", lambda v: bitbounds.rts_smoother(_FILTERED, _MODEL, v)),
+    "burn_in_blocks horizon": ("horizon", lambda v: bitbounds.burn_in_blocks(_MODEL, v)),
+    "steady_lag_gain lag": ("lag", lambda v: bitbounds.steady_lag_gain(_MODEL, 1.0, v)),
+    "per_block_fims num_blocks": (
+        "num_blocks", lambda v: bitbounds.per_block_fims(_MODEL, _UNQUANTIZED, v)),
+    "predict_bim num_steps": ("num_steps", lambda v: bitbounds.predict_bim(
+        _MODEL, bitbounds.filter_bim_sequence(_MODEL, _UNQUANTIZED, 3), v)),
+    "GridSpec num_points": ("num_points", lambda v: bitbounds.GridSpec(num_points=v)),
+    "QuadratureSpec nodes": ("nodes", lambda v: bitbounds.QuadratureSpec(nodes=v)),
+    **{f"monte_carlo_mse {name}": (name, lambda v, name=name: bitbounds.monte_carlo_mse(
+        _MODEL, _UNQUANTIZED, "kalman", **{**dict(seed=1, num_trials=4, horizon=60, lag=2),
+                                          name: v}))
+       for name in ("seed", "num_trials", "horizon", "lag")},
+}
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True, np.float64(3.0)])
+@pytest.mark.parametrize("entry", list(_INTEGER_CALLS))
+def test_an_integer_argument_takes_no_float_and_no_bool(entry, value):
+    # A float lag once failed inside numpy with a message that did not name
+    # it, and burn_in_blocks returned a float; True passes isinstance(_, int).
+    name, call = _INTEGER_CALLS[entry]
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        call(value)
+
+
 def test_readme_library_example_prints_its_stated_values():
     text = README.read_text()
     blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
