@@ -32,7 +32,7 @@ from .core import (
     _gain_step,
     _info_coefficients,
     _info_step,
-    _require_ints,
+    _integer,
     marginal_moments,
 )
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fq_batch
@@ -114,9 +114,7 @@ def per_block_fims(model: GaussMarkovModel, channel: MeasurementChannel, num_blo
     """
     if not isinstance(channel, MeasurementChannel):
         raise TypeError(f"channel must be a MeasurementChannel, got {channel!r}.")
-    _require_ints(num_blocks=num_blocks)
-    if num_blocks < 0:
-        raise ValueError(f"num_blocks must be nonnegative, got {num_blocks}.")
+    num_blocks = _integer("num_blocks", num_blocks, 0)
     if channel is MeasurementChannel.UNQUANTIZED:
         return np.full(num_blocks + 1, 1.0 / model.sigma_eta**2)
     moments = marginal_moments(model, range(num_blocks + 1))
@@ -179,9 +177,7 @@ def predict_bim(model: GaussMarkovModel, filtered: BimSequence, num_steps: int) 
         Length ``num_steps + 1`` (``num_steps`` nonnegative); entry ``m``
         refers to ``m`` blocks past the last measurement.
     """
-    _require_ints(num_steps=num_steps)
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be nonnegative, got {num_steps}.")
+    num_steps = _integer("num_steps", num_steps, 0)
     a2, q = _info_coefficients(model)
     j = float(filtered.values[-1])
     values = [j]

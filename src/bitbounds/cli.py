@@ -53,7 +53,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .bim import filter_bim_sequence, predict_bim, smooth_bim_compact
-from .core import GaussMarkovModel, MeasurementChannel, stationary_variance
+from .core import GaussMarkovModel, MeasurementChannel, _integer, stationary_variance
 from .estimators import (
     TrajectoryBatch,
     burn_in_blocks,
@@ -166,14 +166,12 @@ class ExperimentConfig:
                 f"the SNR grid from {self.snr_min_db} to {self.snr_max_db} dB in steps of "
                 f"{self.snr_step_db} dB exceeds {MAX_SNR_POINTS} points."
             )
-        if not 0 <= self.seed < 2**64:
-            raise _UsageError(f"seed must fit in 64 bits, got {self.seed}.")
-        if self.trials < 1:
-            raise _UsageError(f"trials must be >= 1, got {self.trials}.")
-        if self.horizon < 1:
-            raise _UsageError(f"horizon must be >= 1, got {self.horizon}.")
-        if self.delta < 0:
-            raise _UsageError(f"delta must be >= 0, got {self.delta}.")
+        try:
+            for name, low, high in (("seed", 0, 2**64 - 1), ("trials", 1, None),
+                                    ("horizon", 1, None), ("delta", 0, None)):
+                object.__setattr__(self, name, _integer(name, getattr(self, name), low, high))
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(str(exc)) from exc
 
 
 _COMMON_DEFAULTS = dict(

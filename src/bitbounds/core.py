@@ -9,8 +9,8 @@ Each block k >= 1 is observed either directly in additive Gaussian noise
 This module provides the model container, the measurement-channel selector,
 the two scalar steps that every finite-horizon bound recursion is built from
 (one forward information step, one backward smoothing-gain step), the
-closed form of the marginal state moments, and the integer-argument check
-that the package's counts, lags, horizons and seeds go through.
+closed form of the marginal state moments, and :func:`_integer`, the one
+check that every count, lag, horizon, seed and node count goes through.
 """
 
 from __future__ import annotations
@@ -21,15 +21,23 @@ import numbers
 from dataclasses import dataclass
 
 
-def _require_ints(**arguments) -> None:
-    """Raise a TypeError naming the first argument that is not an integer.
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int, checked to be an integer in ``[low, high]``.
 
     Python and numpy integers pass; ``bool`` does not, although it is an
     ``int``: ``True`` as a count or a lag is a mistake, not the number 1.
+    Returning a Python int keeps narrow numpy integers out of the caller's
+    index arithmetic, where they overflow. A non-integer raises a TypeError,
+    a value out of range (``high=None``: none above) a ValueError; both
+    name ``name``.
     """
-    for name, value in arguments.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an int, got {value!r}.")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an int, got {value!r}.")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {value}.")
+    return value
 
 
 class MeasurementChannel(enum.Enum):
@@ -201,9 +209,7 @@ def state_moments(model: GaussMarkovModel, k: int) -> StateMoments:
     -------
     StateMoments
     """
-    if k < 0:
-        raise ValueError(f"state_moments requires k >= 0, got {k}.")
-    ((mean, variance),) = marginal_moments(model, (k,))
+    ((mean, variance),) = marginal_moments(model, (_integer("k", k, 0),))
     return StateMoments(mean, variance)
 
 

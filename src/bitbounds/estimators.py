@@ -25,7 +25,8 @@ This module provides:
   relative of a float64 loop that never flushes (the tests' oracle). The
   smoother keeps no posterior per block: the filter checkpoints every
   ``c``-th posterior, ``c = ceil(sqrt(K + 1))``, and the smoother replays
-  one segment of ``c`` blocks at a time from its checkpoint, bit for bit;
+  one segment of ``c`` blocks at a time from its checkpoint, bit for bit:
+  the filter and the replay run one forward loop;
 * a seeded trajectory simulator, whose one unquantized batch every
   receiver reads, and a Monte Carlo harness that compares empirical MSE
   per block against the matching bound values. The simulator runs the
@@ -76,7 +77,7 @@ from .core import (
     MeasurementChannel,
     _gain_coefficients,
     _gain_step,
-    _require_ints,
+    _integer,
     state_moments,
 )
 from .exceptions import NumericalDegeneracyError
@@ -160,9 +161,7 @@ class GridSpec:
     half_width: float = 8.0
 
     def __post_init__(self):
-        _require_ints(num_points=self.num_points)
-        if not 64 <= self.num_points <= 100_000:
-            raise ValueError(f"num_points must be in [64, 1e5], got {self.num_points}.")
+        object.__setattr__(self, "num_points", _integer("num_points", self.num_points, 64, 100_000))
         if not 2.0 <= self.half_width <= 32.0:
             raise ValueError(f"half_width must be in [2, 32], got {self.half_width}.")
 
@@ -295,9 +294,7 @@ def burn_in_blocks(model: GaussMarkovModel, horizon: int) -> int:
     alpha^2))``, capped at half the horizon (the cap always applies when
     ``|alpha| = 1``).
     """
-    _require_ints(horizon=horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}.")
+    horizon = _integer("horizon", horizon, 1)
     cap = horizon // 2
     if not model.is_stationary:
         return cap
@@ -332,13 +329,9 @@ def simulate(model: GaussMarkovModel, seed: int, num_trials: int,
     the same seed and trial count, while trial ``i``'s path changes with the
     trial count.
     """
-    _require_ints(seed=seed, num_trials=num_trials, horizon=horizon)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}.")
-    if num_trials < 1:
-        raise ValueError(f"num_trials must be >= 1, got {num_trials}.")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}.")
+    seed = _integer("seed", seed, 0, 2**64 - 1)
+    num_trials = _integer("num_trials", num_trials, 1)
+    horizon = _integer("horizon", horizon, 1)
     rng = np.random.default_rng(seed)
     states = np.empty((horizon + 1, num_trials))
     observations = np.empty((horizon, num_trials))
@@ -476,9 +469,7 @@ def rts_smoother(filtered: KalmanResult, model: GaussMarkovModel,
     """
     k_max = filtered.horizon
     if lag is not None:
-        _require_ints(lag=lag)
-        if not 0 <= lag <= k_max:
-            raise ValueError(f"lag must be in [0, horizon], got {lag} with horizon {k_max}.")
+        lag = _integer("lag", lag, 0, k_max)
     p = filtered.variances
     # P_{l+1|l}, formed as the filter forms it, so the bits are the filter's
     p_pred = model.alpha**2 * p[:-1] + model.sigma_z**2
@@ -747,22 +738,6 @@ def _checkpoint_stride(horizon: int) -> int:
     return math.isqrt(horizon) + 1
 
 
-def _filter_step(operators: _GridOperators, previous: np.ndarray, observation: np.ndarray,
-                 scale: np.ndarray, out: np.ndarray, lik: np.ndarray) -> np.ndarray:
-    """One block of the filter into float32 ``out`` (n, trials): ``(T previous) * like * scale``.
-
-    ``previous`` is the last block's unnormalised posterior, ``observation``
-    the block's column of observations and ``scale`` the inverse of the
-    last block's totals, so ``out`` is the unnormalised posterior of a
-    normalised predecessor. :func:`grid_filter` and the smoother's replay
-    both run this, with the same operands, so they agree bit for bit.
-    ``lik`` is a work buffer of ``out``'s shape.
-    """
-    _apply_tiles(operators.forward, previous, out)
-    out *= operators.likelihood(observation, lik, scale)
-    return out
-
-
 def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
                 grid: GridSpec = GridSpec(), *,
                 operators: _GridOperators | None = None) -> GridFilterResult:
@@ -812,7 +787,7 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     lik = np.empty((n, trials), dtype=np.float32)
     wide = np.empty((n, trials))
     mask = np.empty((n, trials), dtype=bool)
-    inverse = np.ones(trials, dtype=np.float32)  # block 0 is normalised
+    inverse = np.empty(trials, dtype=np.float32)
     floor = np.empty(trials, dtype=np.float32)
     powers = _powers(axis)
     raw = np.empty((3, trials))
@@ -825,12 +800,10 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
     totals[0] = 1.0
     wide[...] = (prior / total)[:, None]
     means[0], variances[0] = _moments(np.matmul(powers, wide, out=raw))
-    previous = checkpoints[0]
-    previous[...] = wide
-    _flush(previous, _FLOOR, mask)
-    for k in range(1, k_max + 1):
-        posterior = checkpoints[k // stride] if k % stride == 0 else slabs[k % 2]
-        _filter_step(operators, previous, batch.observations[:, k - 1], inverse, posterior, lik)
+    checkpoints[0] = wide
+    _flush(checkpoints[0], _FLOOR, mask)
+
+    def measure(k: int, posterior: np.ndarray) -> None:
         # the moments accumulate in float64: m2 / total - mean^2 cancels
         np.copyto(wide, posterior)
         total = np.matmul(powers, wide, out=raw)[0]
@@ -840,12 +813,39 @@ def grid_filter(batch: TrajectoryBatch, model: GaussMarkovModel,
             )
         totals[k] = total
         means[k], variances[k] = _moments(raw)
-        _flush(posterior, np.multiply(total, _FLOOR, out=floor), mask)
-        np.divide(1.0, total, out=inverse)
-        previous = posterior
+
+    for start in range(0, k_max, stride):
+        segment = [checkpoints[k // stride] if k % stride == 0 else slabs[k % 2]
+                   for k in range(start, min(start + stride, k_max) + 1)]
+        _forward(operators, batch.observations, totals, start, segment,
+                 lik, mask, inverse, floor, measure)
     return GridFilterResult(axis=axis, means=means.T, variances=variances.T,
                             pmfs=checkpoints.transpose(2, 0, 1), totals=totals, batch=batch,
                             operators=operators)
+
+
+def _forward(operators: _GridOperators, observations: np.ndarray, totals: np.ndarray,
+             start: int, slabs, lik: np.ndarray, mask: np.ndarray, inverse: np.ndarray,
+             floor: np.ndarray, measure=None) -> None:
+    """The filter's recursion over blocks ``start + 1 .. start + len(slabs) - 1``.
+
+    ``slabs[0]`` holds block ``start``'s flushed posterior; slab ``i``, float32
+    (n, trials), receives ``(T slab_{i-1}) * like_k / t_{k-1}`` for block
+    ``k = start + i``, ``t_{k-1} = totals[k - 1]``: the unnormalised posterior
+    of a normalised predecessor. ``measure(k, slab)``, when given, writes
+    ``totals[k]`` (and the moments) before the entries below ``2^-50 t_k``
+    are set to 0. The filter measures; :func:`_replay` reads the stored
+    totals, so both write the same bits. ``lik`` and ``mask`` have a slab's
+    shape, ``inverse`` and ``floor`` are float32 (trials,) rows.
+    """
+    for i in range(1, len(slabs)):
+        k = start + i
+        np.divide(1.0, totals[k - 1], out=inverse)
+        posterior = _apply_tiles(operators.forward, slabs[i - 1], slabs[i])
+        posterior *= operators.likelihood(observations[:, k - 1], lik, inverse)
+        if measure is not None:
+            measure(k, posterior)
+        _flush(posterior, np.multiply(totals[k], _FLOOR, out=floor), mask)
 
 
 def _replay(filtered: GridFilterResult, start: int, out: np.ndarray, lik: np.ndarray,
@@ -853,20 +853,14 @@ def _replay(filtered: GridFilterResult, start: int, out: np.ndarray, lik: np.nda
     """The filter's posteriors of blocks ``start .. start + len(out) - 1`` into ``out``.
 
     ``start`` is a checkpoint block; ``out`` (blocks, n, trials) float32
-    receives its checkpoint, then one :func:`_filter_step` per block with the
-    batch's observations and the totals that the filter stored, flushed as
-    the filter flushed, so every slab equals the filter's posterior bit for
-    bit. It writes only ``out`` and its work buffers: ``lik`` and ``mask`` of
-    one slab's shape and the float32 (trials,) ``inverse`` and ``floor``.
+    receives its checkpoint, then the filter's own loop (:func:`_forward`)
+    on the totals that the filter stored, so every slab equals the filter's
+    posterior bit for bit. It writes only ``out`` and the work buffers of
+    :func:`_forward`.
     """
-    totals = filtered.totals
     np.copyto(out[0], filtered.pmfs[:, start // _checkpoint_stride(filtered.horizon)].T)
-    for i in range(1, out.shape[0]):
-        k = start + i
-        np.divide(1.0, totals[k - 1], out=inverse)
-        _filter_step(filtered.operators, out[i - 1], filtered.batch.observations[:, k - 1],
-                     inverse, out[i], lik)
-        _flush(out[i], np.multiply(totals[k], _FLOOR, out=floor), mask)
+    _forward(filtered.operators, filtered.batch.observations, filtered.totals, start, out,
+             lik, mask, inverse, floor)
     return out
 
 
@@ -882,8 +876,8 @@ def grid_smoother(filtered: GridFilterResult) -> GridSmootherResult:
     filter's grid with the filter's operators, so it needs no model.
 
     The filtering posteriors are recomputed, not stored: segment by
-    segment, from the last one back, the filter's step is replayed from a
-    checkpoint over the segment's ``c`` blocks (:func:`_replay`), and the
+    segment, from the last one back, the filter's own loop is replayed from
+    a checkpoint over the segment's ``c`` blocks (:func:`_replay`), and the
     backward pass then runs over them in reverse. Memory holds the
     checkpoints and one segment; time pays one more forward pass.
 
@@ -1141,7 +1135,8 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
         lag) or ``"grid"`` (one-bit channel only, reading the signs;
         fixed-interval smoothing).
     seed, num_trials, horizon : int
-        Simulation parameters; see :func:`simulate`.
+        Simulation parameters, checked as :func:`simulate` checks them on
+        both paths, before any quadrature or draw; see :func:`simulate`.
     lag : int
         Smoothing lag for the Kalman path, ``>= 0`` and checked before
         anything is drawn; the steady region must fit,
@@ -1167,9 +1162,10 @@ def monte_carlo_mse(model: GaussMarkovModel, channel: MeasurementChannel, estima
     # a channel name is no channel: per_block_fims raises its TypeError
     if isinstance(channel, MeasurementChannel) and channel is not paired:
         raise ValueError(f"the {estimator} estimator requires the {paired.value} channel.")
-    _require_ints(seed=seed, num_trials=num_trials, horizon=horizon, lag=lag)
-    if lag < 0:
-        raise ValueError(f"lag must be >= 0, got {lag}.")
+    seed = _integer("seed", seed, 0, 2**64 - 1)
+    num_trials = _integer("num_trials", num_trials, 1)
+    horizon = _integer("horizon", horizon, 1)
+    lag = _integer("lag", lag, 0)
     if estimator == "grid" and lag != 0:
         raise ValueError(f"the grid estimator smooths over the whole interval; got lag {lag}.")
     if estimator == "kalman" and grid != GridSpec():

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _erf
 from ._tables import HERMGAUSS_128
-from .core import StateMoments, _require_ints
+from .core import StateMoments, _integer
 from .exceptions import QuadratureError
 
 __all__ = [
@@ -72,16 +72,12 @@ class QuadratureSpec:
     half_width_sigmas: float = 10.0
 
     def __post_init__(self):
-        _require_ints(nodes=self.nodes)
-        if self.rule is QuadratureRule.GAUSS_HERMITE:
-            if not 16 <= self.nodes <= 370:
-                raise ValueError(f"Gauss-Hermite nodes must be in [16, 370], got {self.nodes}.")
-            if self.half_width_sigmas != 10.0:
-                raise ValueError(f"half_width_sigmas is a trapezoid setting; Gauss-Hermite "
-                                 f"takes only 10, got {self.half_width_sigmas}.")
-        else:
-            if not 64 <= self.nodes <= 1_000_000:
-                raise ValueError(f"Trapezoid nodes must be in [64, 1e6], got {self.nodes}.")
+        gauss_hermite = self.rule is QuadratureRule.GAUSS_HERMITE
+        low, high = (16, 370) if gauss_hermite else (64, 1_000_000)
+        object.__setattr__(self, "nodes", _integer("nodes", self.nodes, low, high))
+        if gauss_hermite and self.half_width_sigmas != 10.0:
+            raise ValueError(f"half_width_sigmas is a trapezoid setting; Gauss-Hermite "
+                             f"takes only 10, got {self.half_width_sigmas}.")
         if not 4.0 <= self.half_width_sigmas <= 16.0:
             raise ValueError(
                 f"half_width_sigmas must be in [4, 16], got {self.half_width_sigmas}."

@@ -29,7 +29,7 @@ from .core import (
     GaussMarkovModel,
     MeasurementChannel,
     StateMoments,
-    _require_ints,
+    _integer,
     stationary_variance,
 )
 from .qfim import DEFAULT_QUADRATURE, QuadratureSpec, expected_fq
@@ -166,9 +166,7 @@ def steady_lag_gain(model: GaussMarkovModel, fim: float, lag: int) -> float:
     monotonically in ``lag`` toward ``p``; 0 at ``lag = 0`` and when
     ``alpha = 0``.
     """
-    _require_ints(lag=lag)
-    if lag < 0:
-        raise ValueError(f"steady_lag_gain requires lag >= 0, got {lag}.")
+    lag = _integer("lag", lag, 0)
     s, b, c, root = _quadratic(model, fim)
     if lag == 0 or c == 0.0:
         return 0.0

@@ -828,20 +828,24 @@ class TestGridFilter:
         _assert_moments_match(filtered, oracle, rtol=1e-5)
         _assert_moments_match(grid_smoother(filtered), _two_pass_smoother(oracle), rtol=1e-5)
 
+    @pytest.mark.parametrize("horizon", [56, 60])
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
-    def test_replay_continues_into_the_next_checkpoint_bit_for_bit(self, channel, gaussian_grid):
+    def test_replay_continues_into_the_next_checkpoint_bit_for_bit(self, channel, horizon,
+                                                                   gaussian_grid):
         # Each segment replayed one block past its end lands on the next
-        # checkpoint: the replay repeats the filter's step with the same
-        # operands. Horizon 60 has stride 8: checkpoints at 0, 8, ..., 56.
-        # The unquantized channel runs the Gaussian likelihood.
+        # checkpoint: the replay runs the filter's loop with the same
+        # operands. Both horizons have stride 8 and checkpoints at 0, 8, ...,
+        # 56; at 56 the last one is block K, where the filter's last segment
+        # ends. The unquantized channel runs the Gaussian likelihood.
         m = model_for_snr(0.999, -10.0)
         if channel is MeasurementChannel.UNQUANTIZED:
             gaussian_grid(m)
-        filtered = grid_filter(simulate(m, 20260814, 7, 60), m, GridSpec(num_points=400))
-        stride = estimators._checkpoint_stride(60)
+        filtered = grid_filter(simulate(m, 20260814, 7, horizon), m, GridSpec(num_points=400))
+        stride = estimators._checkpoint_stride(horizon)
         out = np.empty((stride + 1, 400, 7), dtype=np.float32)
-        assert filtered.pmfs.shape[1] == 8
-        for j in range(1, 8):
+        count = horizon // stride + 1
+        assert filtered.pmfs.shape[1] == count
+        for j in range(1, count):
             estimators._replay(filtered, (j - 1) * stride, out, *_replay_work(filtered))
             assert np.array_equal(out[stride], filtered.pmfs[:, j].T)
 
@@ -1251,6 +1255,8 @@ class TestMonteCarloMse:
         ("lag", -1, ValueError), ("lag", 2.5, TypeError), ("lag", None, TypeError),
         ("lag", "3", TypeError), ("lag", True, TypeError), ("num_trials", 3.0, TypeError),
         ("num_trials", True, TypeError), ("seed", 7.0, TypeError), ("horizon", 50.0, TypeError),
+        ("num_trials", 0, ValueError), ("seed", -1, ValueError), ("seed", 2**64, ValueError),
+        ("horizon", 0, ValueError),
     ])
     def test_rejects_a_bad_integer_before_computing(self, monkeypatch, name, value, error):
         def no_work(*args, **kwargs):

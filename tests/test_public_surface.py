@@ -1,5 +1,6 @@
 """The package's documented surface: exported names, argument types and the README example."""
 import contextlib
+import dataclasses
 import importlib
 import io
 import os
@@ -65,25 +66,37 @@ def test_a_batch_takes_no_channel(entry, channel):
 
 
 _UNQUANTIZED = bitbounds.MeasurementChannel.UNQUANTIZED
-_FILTERED = bitbounds.kalman_filter(bitbounds.simulate(_MODEL, 1, 2, 5), _MODEL)
-# Every integer argument of the public surface: (argument, call with the value).
+_FILTERED = bitbounds.kalman_filter(bitbounds.simulate(_MODEL, 1, 2, 200), _MODEL)
+# Every integer argument of the public surface: (argument, call with the value,
+# a narrow numpy integer in range, a value out of range). Where the argument
+# reaches index arithmetic, the narrow value is one that overflows there
+# (127 + 1 in int8); elsewhere it would be stored or returned in its dtype.
 _INTEGER_CALLS = {
-    "simulate seed": ("seed", lambda v: bitbounds.simulate(_MODEL, v, 2, 5)),
-    "simulate num_trials": ("num_trials", lambda v: bitbounds.simulate(_MODEL, 1, v, 5)),
-    "simulate horizon": ("horizon", lambda v: bitbounds.simulate(_MODEL, 1, 2, v)),
-    "rts_smoother lag": ("lag", lambda v: bitbounds.rts_smoother(_FILTERED, _MODEL, v)),
-    "burn_in_blocks horizon": ("horizon", lambda v: bitbounds.burn_in_blocks(_MODEL, v)),
-    "steady_lag_gain lag": ("lag", lambda v: bitbounds.steady_lag_gain(_MODEL, 1.0, v)),
-    "per_block_fims num_blocks": (
-        "num_blocks", lambda v: bitbounds.per_block_fims(_MODEL, _UNQUANTIZED, v)),
+    "simulate seed": ("seed", lambda v: bitbounds.simulate(_MODEL, v, 2, 5), np.uint8(200), -1),
+    "simulate num_trials": (
+        "num_trials", lambda v: bitbounds.simulate(_MODEL, 1, v, 5), np.int8(100), 0),
+    "simulate horizon": (
+        "horizon", lambda v: bitbounds.simulate(_MODEL, 1, 2, v), np.int8(127), 0),
+    "rts_smoother lag": (
+        "lag", lambda v: bitbounds.rts_smoother(_FILTERED, _MODEL, v), np.int8(100), 201),
+    "burn_in_blocks horizon": (
+        "horizon", lambda v: bitbounds.burn_in_blocks(_MODEL, v), np.int8(127), 0),
+    "steady_lag_gain lag": (
+        "lag", lambda v: bitbounds.steady_lag_gain(_MODEL, 1.0, v), np.int8(100), -1),
+    "per_block_fims num_blocks": ("num_blocks", lambda v: bitbounds.per_block_fims(
+        _MODEL, _UNQUANTIZED, v), np.int8(127), -1),
     "predict_bim num_steps": ("num_steps", lambda v: bitbounds.predict_bim(
-        _MODEL, bitbounds.filter_bim_sequence(_MODEL, _UNQUANTIZED, 3), v)),
-    "GridSpec num_points": ("num_points", lambda v: bitbounds.GridSpec(num_points=v)),
-    "QuadratureSpec nodes": ("nodes", lambda v: bitbounds.QuadratureSpec(nodes=v)),
+        _MODEL, bitbounds.filter_bim_sequence(_MODEL, _UNQUANTIZED, 3), v), np.int8(127), -1),
+    "state_moments k": ("k", lambda v: bitbounds.state_moments(_MODEL, v), np.int8(127), -1),
+    "GridSpec num_points": (
+        "num_points", lambda v: bitbounds.GridSpec(num_points=v), np.int16(300), 63),
+    "QuadratureSpec nodes": (
+        "nodes", lambda v: bitbounds.QuadratureSpec(nodes=v), np.uint8(200), 371),
     **{f"monte_carlo_mse {name}": (name, lambda v, name=name: bitbounds.monte_carlo_mse(
-        _MODEL, _UNQUANTIZED, "kalman", **{**dict(seed=1, num_trials=4, horizon=60, lag=2),
-                                          name: v}))
-       for name in ("seed", "num_trials", "horizon", "lag")},
+        _MODEL, _UNQUANTIZED, "kalman", **{**dict(seed=1, num_trials=4, horizon=300, lag=2),
+                                          name: v}), narrow, bad)
+       for name, narrow, bad in (("seed", np.uint8(200), 2**64), ("num_trials", np.int8(100), 0),
+                                 ("horizon", np.int8(127), 0), ("lag", np.int8(100), -1))},
 }
 
 
@@ -92,9 +105,35 @@ _INTEGER_CALLS = {
 def test_an_integer_argument_takes_no_float_and_no_bool(entry, value):
     # A float lag once failed inside numpy with a message that did not name
     # it, and burn_in_blocks returned a float; True passes isinstance(_, int).
-    name, call = _INTEGER_CALLS[entry]
+    name, call, _, _ = _INTEGER_CALLS[entry]
     with pytest.raises(TypeError, match=rf"\b{name}\b"):
         call(value)
+
+
+def _assert_identical(got, want):
+    """Equal values of one type, field by field, arrays bit for bit."""
+    assert type(got) is type(want), (got, want)
+    if dataclasses.is_dataclass(got):
+        for field in dataclasses.fields(got):
+            _assert_identical(getattr(got, field.name), getattr(want, field.name))
+    elif isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+    else:
+        assert got == want, (got, want)
+
+
+@pytest.mark.parametrize("kind", ["narrow numpy integer", "out of range"])
+@pytest.mark.parametrize("entry", list(_INTEGER_CALLS))
+def test_an_integer_argument_is_used_as_a_python_int(entry, kind):
+    # np.int8 once reached index arithmetic unconverted: rts_smoother's
+    # k_max + 1 - lag and per_block_fims' num_blocks + 1 overflowed, and
+    # records held the numpy type. The range is checked on the same value.
+    name, call, narrow, bad = _INTEGER_CALLS[entry]
+    if kind == "out of range":
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call(bad)
+    else:
+        _assert_identical(call(narrow), call(int(narrow)))
 
 
 def test_readme_library_example_prints_its_stated_values():
