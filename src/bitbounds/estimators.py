@@ -10,12 +10,14 @@ This module provides:
 * a grid (point-mass) filter and fixed-interval smoother, the one-bit
   receiver, that approximate the conditional mean where no closed form
   exists. They read the sign of each unquantized observation, as a 1-bit
-  converter would. The banded transition operator and its
-  adjoint are stored as dense row tiles, each over only the columns its
-  rows touch and filled from its own band entries, and applied with one
-  BLAS matrix product per tile; neither the n x n matrix nor a list of all
-  band entries is formed. The one-bit likelihood is one product of the two-column table with a
-  selector that each block builds from its observations' signs. Each
+  converter would. The banded transition operator and its adjoint are
+  stored as thin dense row tiles, each over only the columns its rows
+  touch and filled from its own band entries. Tiles whose column windows
+  move by a constant step form a run, applied with one batched BLAS
+  product over a strided view of the input (three per operator on the
+  default grid); neither the n x n matrix nor a list of all band entries
+  is formed. The one-bit likelihood is one product of the two-column table
+  with a selector that each block builds from its observations' signs. Each
   block's posterior totals, means and variances come from one more
   product, of ``[1; x; x^2]`` with the unnormalised posterior. The grid
   computes in float32 except for that moment product, which accumulates
@@ -560,18 +562,21 @@ def _cell_masses(points, centers, sd: float, h: float) -> np.ndarray:
     return np.subtract(tails[:points.size], tails[points.size:], out=tails[:points.size])
 
 
-# Rows per dense tile of the grid operators. On the 1000-point default grid
-# with 50 trials, tiles of 32 to 64 rows ran alike, 0.16-0.22 ms per product
-# against 0.7-1.1 ms for CSR; 96 and 128 rows ran slower (2 vCPUs, one BLAS
-# thread).
-_TILE_ROWS = 48
+# Rows per tile of the grid operators. A thin tile holds little beyond its
+# band: at the mse-validate model (alpha 0.999, -10 dB, 1000 points, a band
+# of 51 rows) the blocks are 77% band entries at 8 rows, 73% at 12, 68% at 16
+# and 60% at 24. One product with 100 trials took 130, 124, 140 and 145 us
+# (medians of 15 runs of 200; 2 vCPUs, one BLAS thread), against 204 us for
+# the 48-row tiles, one product per tile, that these replaced.
+_TILE_ROWS = 12
 # Groups of columns whose band entries the build evaluates together: each
-# group holds about 1/56 of the entries, so the float64 temporaries of its
+# group holds about 1/84 of the entries, so the float64 temporaries of its
 # cell masses, both edges in one q_function call, stay small beside the
-# float32 tiles (the build peaked at 1.32x the tiles at 1000 points and 1.38x
-# at 5000; 1.36x and 1.44x with 48 groups), and a narrow band does not pay
+# float32 blocks (the build peaked at 1.38x the blocks at 1000 points and
+# 1.32x at 5000; 1.52x and 1.43x with 56 groups, 1.32x and 1.25x with 112,
+# which took 3 ms longer at 1000 points), and a narrow band does not pay
 # numpy's per-call cost once per tile.
-_BUILD_GROUPS = 56
+_BUILD_GROUPS = 84
 # Every grid array that feeds a product holds no nonzero entry below this
 # floor: the tiles and the one-bit table absolutely, each filtered posterior
 # and the smoother's backward evidence relative to their trial's total. A
@@ -583,10 +588,22 @@ _BUILD_GROUPS = 56
 _FLOOR = 2.0**-50
 
 
-def _apply_tiles(tiles: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = A @ x`` for a row-tiled operator ``A``: one BLAS product per tile."""
-    for r0, r1, c0, c1, block in tiles:
-        np.matmul(block, x[c0:c1], out=out[r0:r1])
+def _apply_tiles(runs: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = A @ x`` for a tiled operator ``A``: one batched BLAS product per run.
+
+    Run ``(r0, r1, c0, step, blocks)`` writes rows ``r0..r1-1`` of ``out``.
+    Its ``blocks`` (tiles, rows, width) stack the tiles; tile ``i`` reads the
+    rows ``c0 + i * step`` .. ``+ width - 1`` of ``x``, which one strided view
+    of ``x``'s buffer hands to ``np.matmul`` without a copy. The view's
+    constructor checks that it stays inside the buffer; it took under 1 us
+    where ``sliding_window_view`` took 13 us, a tenth of a product. ``x`` and
+    ``out`` are C-contiguous (n, trials) arrays.
+    """
+    for r0, r1, c0, step, blocks in runs:
+        tiles, rows, width = blocks.shape
+        windows = np.ndarray((tiles, width, x.shape[1]), x.dtype, x, c0 * x.strides[0],
+                             (step * x.strides[0], *x.strides))
+        np.matmul(blocks, windows, out=out[r0:r1].reshape((tiles, rows, x.shape[1]), copy=False))
     return out
 
 
@@ -613,13 +630,17 @@ class _GridOperators:
     ``forward`` holds the row tiles of the transition operator ``T``, whose
     column j holds the exact cell masses of ``N(alpha * axis[j], sigma_z^2)``
     within 8.5 sigma_z of the center; ``adjoint`` holds those of ``T'``.
-    Tile ``(r0, r1, c0, c1, block)`` is the dense float32 block of rows
-    ``r0..r1-1`` over the columns ``c0..c1-1`` their entries span (none for
-    rows without entries), filled from its own band entries only, each
-    computed in float64 and rounded once. ``sign_likes`` is the float32
-    one-bit likelihood table. Entries of both below ``_FLOOR`` are 0. The
-    filter, the smoother and every sub-batch of :func:`monte_carlo_mse`
-    share one instance.
+    Each is a tuple of runs ``(r0, r1, c0, step, blocks)`` over rows
+    ``r0..r1-1``. ``blocks`` (tiles, rows, width) is dense float32, tile
+    ``i``'s rows over the columns ``c0 + i * step`` .. ``+ width - 1``, which
+    hold every band entry of those rows; a run of one tile may be taller
+    than ``_TILE_ROWS``. The blocks are filled from their own band entries
+    only, each computed in float64 and rounded once. At the mse-validate
+    model an operator is three runs, the top edge, the interior and the
+    bottom edge, and 73% of its entries are band entries. ``sign_likes`` is
+    the float32 one-bit likelihood table. Entries of both below ``_FLOOR``
+    are 0. The filter, the smoother and every sub-batch of
+    :func:`monte_carlo_mse` share one instance.
     """
 
     axis: np.ndarray
@@ -644,6 +665,43 @@ class _GridOperators:
         return np.matmul(self.sign_likes, np.array((~up, up)) * scale, out=out)
 
 
+def _tile_runs(lo: list, hi: list, heights: list, slope: float, n: int) -> list:
+    """Runs ``(a, b, c0, step, width)`` that group the row tiles ``a..b-1``, in order.
+
+    Tile ``i`` has ``heights[i]`` rows over the columns ``lo[i] .. hi[i] - 1``.
+    In its run it reads the ``width`` columns from ``c0 + (i - a) * step``,
+    which hold its own and lie on the grid's ``n`` columns. From its first
+    tile a run takes the step, 0 or an integer either side of ``slope``, that
+    reaches furthest (then the narrowest), and ends before the zeros beyond
+    its tiles' own columns would fill one more tile. Only a run of step 0,
+    one tall tile, takes a tile of another height (the short last one).
+    """
+
+    def reach(a: int, step: int) -> tuple:
+        c0, end, rows, own, b = lo[a], hi[a], heights[a], heights[a] * (hi[a] - lo[a]), a + 1
+        while b < len(lo) and (step == 0 or heights[b] == heights[a]):
+            shift = step * (b - a)
+            c, e = min(c0, lo[b] - shift), max(end, hi[b] - shift)
+            r, o = rows + heights[b], own + heights[b] * (hi[b] - lo[b])
+            if c + min(shift, 0) < 0 or e + max(shift, 0) > n:
+                break
+            # max(..., 1): tiles without columns join freely
+            if r * (e - c) - o >= max(_TILE_ROWS * (e - c), 1):
+                break
+            c0, end, rows, own, b = c, e, r, o, b + 1
+        return b, c0, step, end - c0
+
+    runs = []
+    a = 0
+    while a < len(lo):
+        b, c0, step, width = max((reach(a, step) for step in
+                                  sorted({0, math.floor(slope), math.ceil(slope)})),
+                                 key=lambda run: (run[0], -run[3]))
+        runs.append((a, b, c0, step, width))
+        a = b
+    return runs
+
+
 def _grid_operators(axis: np.ndarray, model: GaussMarkovModel) -> _GridOperators:
     n = axis.size
     h = axis[1] - axis[0]
@@ -657,36 +715,46 @@ def _grid_operators(axis: np.ndarray, model: GaussMarkovModel) -> _GridOperators
     starts = np.arange(0, n, _TILE_ROWS)
     ends = np.minimum(starts + _TILE_ROWS, n)
 
-    def tiling(c0: np.ndarray, c1: np.ndarray) -> tuple:
-        """Spans, offsets and one zeroed buffer of the row tiles over columns c0..c1-1."""
+    def layout(c0: np.ndarray, c1: np.ndarray, slope: float) -> tuple:
+        """Runs of the tiles over columns c0..c1-1, views of one zeroed buffer, and each
+        tile's window start, width and offset in it."""
         c0, c1 = np.where(c1 > c0, c0, 0), np.where(c1 > c0, c1, 0)
-        sizes = (ends - starts) * (c1 - c0)
-        return c0, c1, np.cumsum(sizes) - sizes, np.zeros(int(sizes.sum()), dtype=np.float32)
+        runs = _tile_runs(c0.tolist(), c1.tolist(), (ends - starts).tolist(),
+                          min(max(slope, -n), n), n)
+        first, last, start, step, width = (np.array(v) for v in zip(*runs))
+        sizes = (ends[last - 1] - starts[first]) * width
+        offsets = np.cumsum(sizes) - sizes
+        buffer = np.zeros(int(sizes.sum()), dtype=np.float32)
+        operator = []
+        for (a, b, c, s, w), size, o in zip(runs, sizes.tolist(), offsets.tolist()):
+            tiles = b - a if s else 1  # a run of step 0 is one tall tile
+            block = buffer[o:o + size].reshape(tiles, (ends[b - 1] - starts[a]) // tiles, w)
+            operator.append((int(starts[a]), int(ends[b - 1]), c, s, block))
+        run = np.repeat(np.arange(len(runs)), last - first)
+        windows = start[run] + step[run] * (np.arange(starts.size) - first[run])
+        tile_offsets = offsets[run] + (starts - starts[first][run]) * width[run]
+        return tuple(operator), buffer, windows, width[run], tile_offsets
 
     def scatter(layout: tuple, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
-        c0, c1, offsets, buffer = layout
+        _, buffer, windows, widths, offsets = layout
         tile = rows // _TILE_ROWS
-        buffer[offsets[tile] + (rows - starts[tile]) * (c1 - c0)[tile] + cols - c0[tile]] = values
-
-    def tiles(layout: tuple) -> tuple:
-        """``(r0, r1, c0, c1, block)`` per row tile, each block a view of the buffer."""
-        c0, c1, offsets, buffer = layout
-        return tuple((r0, r1, a, b, buffer[o:o + (r1 - r0) * (b - a)].reshape(r1 - r0, b - a))
-                     for r0, r1, a, b, o in zip(starts.tolist(), ends.tolist(), c0.tolist(),
-                                                c1.tolist(), offsets.tolist()))
+        buffer[offsets[tile] + (rows - starts[tile]) * widths[tile] + cols - windows[tile]] = values
 
     # Row tile i of T spans the columns whose band reaches its rows. base is
     # monotone in the column (decreasing for alpha < 0), so they are one
-    # range, found by searchsorted for all tiles at once.
+    # range, found by searchsorted for all tiles at once. Its columns move
+    # by _TILE_ROWS / alpha per tile, those of T' by _TILE_ROWS * alpha.
     sign = 1 if model.alpha >= 0.0 else -1
     lo, hi = np.sort([sign * (starts - halfband), sign * (ends - 1 + halfband)], axis=0)
-    forward = tiling(np.searchsorted(sign * base, lo, "left"),
-                     np.searchsorted(sign * base, hi, "right"))
+    forward = layout(np.searchsorted(sign * base, lo, "left"),
+                     np.searchsorted(sign * base, hi, "right"),
+                     _TILE_ROWS / model.alpha if model.alpha else 0.0)
     # Row tile i of T' (columns starts[i] .. ends[i] - 1 of T) spans the rows
     # of T that those columns' bands reach.
     nonempty = bottom > top
-    adjoint = tiling(np.minimum.reduceat(np.where(nonempty, top, n), starts),
-                     np.maximum.reduceat(np.where(nonempty, bottom, 0), starts))
+    adjoint = layout(np.minimum.reduceat(np.where(nonempty, top, n), starts),
+                     np.maximum.reduceat(np.where(nonempty, bottom, 0), starts),
+                     _TILE_ROWS * model.alpha)
     # Each entry is evaluated once in float64, for both operators, a group of
     # columns at a time; the groups split the entries, not the columns, evenly.
     count = bottom - top
@@ -704,7 +772,7 @@ def _grid_operators(axis: np.ndarray, model: GaussMarkovModel) -> _GridOperators
     sign_likes = np.stack((q_function(axis / model.sigma_eta),
                            q_function(-axis / model.sigma_eta)), axis=1).astype(np.float32)
     _flush(sign_likes, _FLOOR, np.empty(sign_likes.shape, dtype=bool))
-    return _GridOperators(axis=axis, forward=tiles(forward), adjoint=tiles(adjoint),
+    return _GridOperators(axis=axis, forward=forward[0], adjoint=adjoint[0],
                           sign_likes=sign_likes)
 
 
@@ -1020,8 +1088,9 @@ def _lagged_gains(model: GaussMarkovModel, fims: np.ndarray, lag: int) -> np.nda
 # Trials per grid sub-batch, and the bytes of checkpoints and replayed
 # segment that one may hold. At alpha 0.999, -10 dB, horizon 500 on the
 # default grid (one BLAS thread), 400 trials ran alike in sub-batches of 100
-# and 200, and 100 ran 20% faster as one than as two of 50; 100 trials hold
-# 18 MB there, and a 100,000-point grid runs one trial at a time.
+# and 200 (2.36 s and 2.35 s, medians of 5, with the batched run products),
+# and 100 ran 20% faster as one than as two of 50; 100 trials hold 18 MB
+# there, and a 100,000-point grid runs one trial at a time.
 _SUB_BATCH_TRIALS = 100
 _SUB_BATCH_BYTES = 20_000_000
 

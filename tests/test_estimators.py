@@ -943,6 +943,23 @@ class TestGridFlush:
         _assert_moments_match(filtered, oracle, rtol=1e-5)
         _assert_moments_match(smoothed, _two_pass_smoother(oracle), rtol=1e-5)
 
+    @pytest.mark.parametrize("floor", (
+        np.float32(2.0**-50),
+        # per trial, the third below the normal float32 range
+        np.array((2.0**-50, 1e-20, 1e-40, 0.25), dtype=np.float32),
+    ))
+    def test_flush_gives_the_bits_of_a_where(self, floor):
+        x = (np.random.default_rng(3).random((40, 4)) ** 60).astype(np.float32)
+        floors = np.broadcast_to(floor, 4)
+        x[::5] = np.float32(1e-41)  # subnormals below every floor
+        x[1] = floors  # equal to the floor: kept
+        x[2] = 0.0
+        x[3] = np.nextafter(floors, np.float32(0.0))
+        x[4] = 2.0 * floors  # kept: a subnormal in the third trial
+        want = np.where(x < floor, np.float32(0.0), x)
+        estimators._flush(x, floor, np.empty(x.shape, dtype=bool))
+        assert np.array_equal(x.view(np.int32), want.view(np.int32))
+
     @pytest.mark.parametrize("snr_db", (0.0, 5.0, 10.0))
     @pytest.mark.parametrize("channel", list(MeasurementChannel))
     def test_checkpoints_and_replayed_posteriors_hold_no_subnormal(self, snr_db, channel,
@@ -1016,25 +1033,27 @@ class TestTiledOperator:
     @pytest.mark.parametrize("alpha", (0.0, -0.7, 0.5, 0.999, 1.0))
     @pytest.mark.parametrize("step_ratio", (0.3, 4.0))
     @pytest.mark.parametrize("grid", (GridSpec(num_points=64), GridSpec(num_points=64, half_width=32.0),
-                                      GridSpec(num_points=1000, half_width=32.0)))
+                                      GridSpec(num_points=1000, half_width=32.0),
+                                      # 83 tiles and a last one of one row
+                                      GridSpec(num_points=997)))
     def test_products_match_the_csr_oracle(self, alpha, step_ratio, grid):
         axis, model = _operator_case(alpha, step_ratio, grid)
         ops = estimators._grid_operators(axis, model)
         matrix = _transition_matrix(axis, model)
         n = axis.size
         x = np.random.default_rng(7).random((n, 9))
-        for tiles, oracle in ((ops.forward, matrix), (ops.adjoint, matrix.T)):
+        for runs, oracle in ((ops.forward, matrix), (ops.adjoint, matrix.T)):
             # the oracle's entries, with those below the floor set to 0
             dense = oracle.toarray()
             dense[dense < estimators._FLOOR] = 0.0
             # NaN-filled outputs: a row that no tile writes shows up. Each
             # entry is rounded once to float32: 5.5e-8 relative measured.
-            out = estimators._apply_tiles(tiles, x, np.full_like(x, np.nan))
+            out = estimators._apply_tiles(runs, x, np.full_like(x, np.nan))
             assert_allclose(out, dense @ x, rtol=1e-6, atol=0.0)
             # Unit vectors read every entry back exactly, down to the
             # smallest masses kept at the band edges, which a random input
             # cannot see.
-            unit = estimators._apply_tiles(tiles, np.eye(n, dtype=np.float32),
+            unit = estimators._apply_tiles(runs, np.eye(n, dtype=np.float32),
                                            np.full((n, n), np.nan, dtype=np.float32))
             assert np.array_equal(unit, dense.astype(np.float32))
 
@@ -1042,8 +1061,9 @@ class TestTiledOperator:
     def test_large_grid_stays_within_the_band(self, alpha):
         # 100,000 points, sigma_z about a sixth of the grid step: the band
         # half-width is 3 cells. An n x n operator would need 80 GB. Each
-        # operator may hold c = 2 times n * (tile rows + band) elements; near
-        # alpha = 1 it holds about 0.98 of that.
+        # operator may hold c = 2 times n * (tile rows + band) elements; it
+        # holds 0.95-0.96 of n * (tile rows + band) at alpha 0.999 and up to
+        # 0.995 at -0.7, whose windows move by 12 / 0.7 columns a tile.
         n = 100_000
         model = GaussMarkovModel(alpha=alpha, sigma_z=1.0, sigma_eta=1.0, sigma0=1e4)
         axis = estimators._grid_axis(model, GridSpec(num_points=n, half_width=32.0), 1)
@@ -1055,8 +1075,8 @@ class TestTiledOperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        for tiles in (ops.forward, ops.adjoint):
-            assert sum(block.size for *_, block in tiles) <= 2 * budget
+        for runs in (ops.forward, ops.adjoint):
+            assert sum(blocks.size for *_, blocks in runs) <= 2 * budget
         assert peak <= 8 * 4 * budget
 
     def test_grid_report_matches_the_csr_oracle(self, monkeypatch):
@@ -1136,8 +1156,19 @@ class TestTiledOperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tiles = sum(block.nbytes for t in (ops.forward, ops.adjoint) for *_, block in t)
+        tiles = sum(blocks.nbytes for runs in (ops.forward, ops.adjoint) for *_, blocks in runs)
         assert peak <= 1.5 * tiles
+
+    def test_mse_validate_operators_are_few_runs_of_mostly_band(self):
+        # The mse-validate model: the 48-row tiles that these runs replaced
+        # made 21 products per operator, and 47% of their entries were band
+        # entries (nonzero). Each run is one batched product.
+        model = model_for_snr(0.999, -10.0)
+        ops = estimators._grid_operators(estimators._grid_axis(model, GridSpec(), 500), model)
+        for runs in (ops.forward, ops.adjoint):
+            assert len(runs) <= 6
+            stacks = [blocks for *_, blocks in runs]
+            assert sum(map(np.count_nonzero, stacks)) >= 0.7 * sum(b.size for b in stacks)
 
     @pytest.mark.parametrize("model", (
         model_for_snr(0.999, -10.0),
@@ -1160,8 +1191,9 @@ class TestTiledOperator:
         assert np.array_equal(prior, two_calls(axis, model.mu0, model.sigma0, h))
         for got, want in ((ops.forward, oracle.forward), (ops.adjoint, oracle.adjoint)):
             assert len(got) == len(want)
-            for (*span, block), (*span_want, block_want) in zip(got, want):
-                assert span == span_want and np.array_equal(block, block_want)
+            # each run's rows, first window and step, then its stacked tiles
+            for (*run, blocks), (*run_want, blocks_want) in zip(got, want):
+                assert run == run_want and np.array_equal(blocks, blocks_want)
 
 
 class TestBurnIn:
